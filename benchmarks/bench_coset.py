@@ -1,10 +1,16 @@
 """Timing comparison between the two coset-enumeration kernels.
 
-Runs the same workloads through the pure-Python kernel and the compiled one
-(when built), checks that they produce identical tables, and prints the
-best-of-three wall times.  Usage: python3 benchmarks/bench_coset.py
+Runs the same workloads through the pure-Python kernel and the compiled one,
+checks that they produce identical tables, and prints the best-of-three wall
+times.  Build the compiled kernel first:
+
+    python3 setup.py build_ext --inplace
+    PYTHONPATH=src python3 benchmarks/bench_coset.py
+
+Exits with status 1 when the compiled kernel is not importable.
 """
 
+import sys
 import time
 
 from knotpres import _coset_py
@@ -58,15 +64,17 @@ def run_kernel(kernel, p, subgroup, budget):
 
 
 def main():
+    if _coset_speedup is None:
+        sys.exit(
+            "knotpres._coset_speedup is not built; run "
+            "'python3 setup.py build_ext --inplace' first"
+        )
     print("backend comparison (best of %d runs)" % REPEATS)
     header = "%-28s %12s %12s %10s" % ("case", "pure (s)", "compiled (s)", "speedup")
     print(header)
     print("-" * len(header))
     for name, p, subgroup, budget in cases():
         pure_t, pure_r = run_kernel(_coset_py, p, subgroup, budget)
-        if _coset_speedup is None:
-            print("%-28s %12.4f %12s %10s" % (name, pure_t, "n/a", "n/a"))
-            continue
         fast_t, fast_r = run_kernel(_coset_speedup, p, subgroup, budget)
         assert pure_r[0] == fast_r[0] and pure_r[1] == fast_r[1]
         if pure_r[0]:

@@ -1,25 +1,14 @@
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-PYX = "src/knotpres/_coset_speedup.pyx"
+KERNEL = Extension(
+    "knotpres._coset_speedup",
+    ["src/knotpres/_coset_speedup.c"],
+    # Without a working C compiler the install goes on with the pure kernel.
+    optional=True,
+)
 
-ext_modules = []
-if os.environ.get("KNOTPRES_NO_EXT") != "1" and os.path.exists(PYX):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [PYX],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        # No Cython available: install runs fine on the pure-Python kernel.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# tests/conftest.py reads KERNEL from this file without running setup().
+if __name__ == "__main__":
+    setup(ext_modules=[] if os.environ.get("KNOTPRES_NO_EXT") == "1" else [KERNEL])

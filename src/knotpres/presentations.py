@@ -7,6 +7,10 @@ is the only place display names exist.  The text grammar is
 
 where a word is a whitespace-separated sequence of factors ``name['^'int]``
 or ``'(' word ')' ['^'int]``, and ``1`` denotes the empty word.
+
+No parsed word, and no power or product formed on the way to it, may have
+more than ``MAX_WORD_LETTERS`` (one million) letters before free reduction;
+longer input raises ValueError before the word is built.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .words import EMPTY, Word, commutator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(<|>|\||,|\^|\(|\)|-?\d+|[A-Za-z][A-Za-z0-9_]*)")
+MAX_WORD_LETTERS = 1_000_000
 
 
 class Presentation:
@@ -138,18 +143,25 @@ def _parse_factor(tokens: _Tokens, index: dict) -> Word:
             exp = int(exp_tok)
         except ValueError:
             raise ValueError(f"bad exponent {exp_tok!r}") from None
+        _check_length(len(base) * abs(exp))
         return base**exp
     return base
 
 
 def _parse_word(tokens: _Tokens, index: dict) -> Word:
-    factors = [_parse_factor(tokens, index)]
+    w = _parse_factor(tokens, index)
     while tokens.peek() is not None and tokens.peek() not in (",", "|", ">", ")"):
-        factors.append(_parse_factor(tokens, index))
-    w = EMPTY
-    for f in factors:
+        f = _parse_factor(tokens, index)
+        _check_length(len(w) + len(f))
         w = w * f
     return w
+
+
+def _check_length(letters: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"word of {letters} letters exceeds the limit of {MAX_WORD_LETTERS}"
+        )
 
 
 def parse(text: str) -> Presentation:

@@ -1,23 +1,22 @@
 import importlib.util
+import runpy
 import shutil
-import sys
 import sysconfig
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "knotpres"
-KERNEL_C = SRC / "_coset_speedup.c"
-KERNEL_NAME = "knotpres._coset_speedup"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The compiled coset kernel, built from the committed C source.
 
-    The build goes to a temporary directory and always starts from the
-    committed source, so an in-place build left in the work tree is never
-    what the kernel-parity tests compare against.  The module is not left in
+    The extension is the one setup.py declares.  The build goes to a
+    temporary directory and always starts from the committed source, so an
+    in-place build left in the work tree is never what the kernel-parity
+    tests compare against, and the module is loaded without entering
     sys.modules, so knotpres.BACKEND and the other tests see no change.
     Skips only when the configured C compiler is not on PATH; a compiler
     that is present but fails to build or load the kernel is an error.
@@ -26,27 +25,20 @@ def compiled_kernel(tmp_path_factory):
     if shutil.which(compiler) is None:
         pytest.skip(f"C compiler {compiler!r} not found")
 
-    from setuptools import Distribution, Extension
+    from setuptools import Distribution
     from setuptools.command.build_ext import build_ext
 
+    ext = runpy.run_path(str(ROOT / "setup.py"))["KERNEL"]
+    ext.sources = [str(ROOT / s) for s in ext.sources]
+    ext.optional = False
     build_dir = tmp_path_factory.mktemp("coset_speedup")
-    ext = Extension(KERNEL_NAME, [str(KERNEL_C)])
     cmd = build_ext(Distribution({"name": "knotpres", "ext_modules": [ext]}))
     cmd.build_lib = str(build_dir / "lib")
     cmd.build_temp = str(build_dir / "temp")
     cmd.ensure_finalized()
     cmd.run()
 
-    spec = importlib.util.spec_from_file_location(
-        KERNEL_NAME, cmd.get_ext_fullpath(KERNEL_NAME)
-    )
-    # The generated module init registers itself in sys.modules when the
-    # name is free; undo that so only this fixture holds the module.
-    registered = KERNEL_NAME in sys.modules
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        if not registered:
-            sys.modules.pop(KERNEL_NAME, None)
+    spec = importlib.util.spec_from_file_location(ext.name, cmd.get_ext_fullpath(ext.name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module

@@ -227,6 +227,27 @@ def test_verify_identity_rejects_bad_json(capsys):
     assert "JSON" in err
 
 
+def test_verify_identity_rejects_malformed_entries(capsys):
+    bad = [
+        '[["x", "a", 1]]',
+        '[["x", 1, 1]]',
+        '[["x", -1, 1]]',
+        '[["x", 0, 2]]',
+        '[["x", 0, true]]',
+        '[[3, 0, 1]]',
+    ]
+    for pi in bad:
+        code, _, err = run(capsys, "verify-identity", "< x | x >", "--pi", pi)
+        assert code == 3, pi
+        assert err.startswith("error:") and "Traceback" not in err, pi
+
+
+def test_huge_exponent_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "h1", "< x | x^1000000000 >")
+    assert code == 3 and out == ""
+    assert "exceeds the limit" in err
+
+
 def test_enumerate_stream(capsys):
     code, out, _ = run(capsys, "enumerate", "--budget", "5")
     assert code == 0

@@ -6,8 +6,6 @@ closure over the field with five elements.
 """
 
 import random
-import re
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +20,8 @@ from knotpres.coset import (
     weight_one_witness_check,
     word_is_trivial_in_finite,
 )
-from knotpres.presentations import parse
+from knotpres.gadgets import m_minus_s
+from knotpres.presentations import parse, quotient
 from knotpres.words import Word
 
 
@@ -277,6 +276,19 @@ def test_budget_counts_live_cosets_not_definitions():
     assert res.finite and res.index == 1
 
 
+def _parity(kernel, p, subgroup, budget):
+    """Run both kernels, assert equal closed, count and rows, and return the
+    compiled kernel's result."""
+    rels = [_directions(r) for r in p.relators]
+    subs = [_directions(w) for w in subgroup]
+    a = _coset_py.run(len(p.generators), rels, subs, budget)
+    b = kernel.run(len(p.generators), rels, subs, budget)
+    assert a[0] == b[0] and a[1] == b[1]
+    if a[0]:
+        assert [list(r) for r in a[2]] == [list(r) for r in b[2]]
+    return b
+
+
 def test_backends_produce_identical_tables(compiled_kernel):
     texts = [
         (ICOSAHEDRAL, []),
@@ -287,13 +299,7 @@ def test_backends_produce_identical_tables(compiled_kernel):
     ]
     for text, sub in texts:
         p = parse(text)
-        rels = [_directions(r) for r in p.relators]
-        subs = [_directions(p.word(s)) for s in sub]
-        a = _coset_py.run(len(p.generators), rels, subs, 3000)
-        b = compiled_kernel.run(len(p.generators), rels, subs, 3000)
-        assert a[0] == b[0] and a[1] == b[1]
-        if a[0]:
-            assert [list(r) for r in a[2]] == [list(r) for r in b[2]]
+        _parity(compiled_kernel, p, [p.word(s) for s in sub], 3000)
 
 
 def test_backends_agree_on_random_presentations(compiled_kernel):
@@ -322,28 +328,59 @@ def test_backends_agree_on_random_presentations(compiled_kernel):
             assert [list(r) for r in a[2]] == [list(r) for r in b[2]]
 
 
-def test_committed_c_matches_pyx():
-    # The parity tests compile the committed C, so it must still be the C of
-    # the .pyx kernel.  Cython heads the code for .pyx line N with a comment
-    # block opening /* "knotpres/_coset_speedup.pyx":N whose marked line
-    # repeats line N.
-    src = Path(__file__).resolve().parents[1] / "src" / "knotpres"
-    pyx = (src / "_coset_speedup.pyx").read_text().splitlines()
-    c_lines = (src / "_coset_speedup.c").read_text().splitlines()
-    header = re.compile(r'\s*/\* "knotpres/_coset_speedup\.pyx":(\d+)$')
-    mark = "             # <<<<<<<<<<<<<<"
-    checked = 0
-    for i, line in enumerate(c_lines):
-        m = header.match(line)
-        if m is None:
-            continue
-        n = int(m.group(1))
-        end = c_lines.index("*/", i)
-        marked = [x for x in c_lines[i + 1:end] if x.endswith(mark)]
-        assert len(marked) == 1, f"C line {i + 1}"
-        assert marked[0][len(" * "):-len(mark)] == pyx[n - 1].rstrip(), n
-        checked += 1
-    assert checked > 0
+def _stable_letter_collapse():
+    out = m_minus_s(parse("< x, y | x y x y^-1 x^-1 y^-1 >")).output
+    return quotient(out, [Word([len(out.generators)])])
+
+
+# The three cases of benchmarks/bench_coset.py: the first compacts the
+# compiled kernel's table mid-run, the last needs lookahead and compaction.
+@pytest.mark.parametrize(
+    "make, budget, index",
+    [
+        (lambda: parse("< a, b | a^8, b^7, (a b)^2, (a^-1 b)^3 >"), 60000, 10752),
+        (lambda: parse(BINARY_ICOSAHEDRAL), 1000, 120),
+        (_stable_letter_collapse, 10000, 1),
+    ],
+    ids=["order-10752", "binary-icosahedral", "stable-letter-collapse"],
+)
+def test_compiled_kernel_matches_pure_on_bench_cases(compiled_kernel, make, budget, index):
+    closed, count, rows = _parity(compiled_kernel, make(), [], budget)
+    assert closed and count == index == len(rows)
+    assert all(type(r) is tuple for r in rows)
+
+
+def test_compiled_kernel_counts_live_cosets_on_exhaustion(compiled_kernel):
+    cases = [
+        ("< a, b | a^8, b^7, (a b)^2, (a^-1 b)^3 >", [], 5000),
+        ("< a, b | >", [], 700),
+        ("< x, y | x y x y^-1 x^-1 y^-1 >", ["x y"], 300),
+        (BINARY_ICOSAHEDRAL, [], 60),
+    ]
+    for text, sub, budget in cases:
+        p = parse(text)
+        closed, count, rows = _parity(compiled_kernel, p, [p.word(s) for s in sub], budget)
+        assert not closed and rows is None and 0 < count <= budget
+
+
+@pytest.mark.parametrize(
+    "relators, subgroup, error",
+    [
+        ([(0, 4)], [], ValueError),
+        ([(0, 1)], [(2**70,)], ValueError),
+        ([(0, -1)], [], ValueError),
+        ([(0, 1.0)], [], TypeError),
+        ([(0, "1")], [], TypeError),
+        ([], [(0, None)], TypeError),
+        ([0], [], TypeError),
+        (None, [], TypeError),
+    ],
+)
+def test_compiled_kernel_rejects_bad_directions(compiled_kernel, relators, subgroup, error):
+    with pytest.raises(error):
+        compiled_kernel.run(2, relators, subgroup, 100)
+    # Rejected input leaves the kernel working.
+    assert compiled_kernel.run(1, [(0, 0)], [], 100)[:2] == (True, 2)
 
 
 def test_enumeration_is_deterministic():

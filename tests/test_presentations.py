@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from knotpres.abelian import h1
 from knotpres.presentations import (
+    MAX_WORD_LETTERS,
     IdentitySequence,
     Presentation,
     TietzeBudget,
@@ -66,6 +68,27 @@ def test_parse_errors():
         parse("a | a")
     with pytest.raises(ValueError):
         parse("< a | a > junk")
+
+
+def test_parse_bounds_word_length_before_building():
+    # Each case is refused before its word exists: the largest word built on
+    # the way is (x y)^1000 or x^600000, far below the over-limit one.
+    texts = [
+        "< x | x^1000000000 >",
+        "< x | x^-1000000000 >",
+        "< x, y | ((x y)^1000)^1001 >",
+        "< x | x^600000 x^-600000 >",
+    ]
+    tracemalloc.start()
+    try:
+        for text in texts:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(parse("< x | x^%d >" % MAX_WORD_LETTERS).relators[0]) == MAX_WORD_LETTERS
 
 
 def test_relators_stored_reduced():
