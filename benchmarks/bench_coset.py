@@ -1,8 +1,9 @@
 """Timing comparison between the two coset-enumeration kernels.
 
 Runs the same workloads through the pure-Python kernel and the compiled one,
-checks that they produce identical tables, and prints the best-of-three wall
-times.  Build the compiled kernel first:
+checks that they produce identical tables, and prints the median and
+quartiles of the wall times over alternating repeats, and of the per-repeat
+speedup.  Build the compiled kernel first:
 
     python3 setup.py build_ext --inplace
     PYTHONPATH=src python3 benchmarks/bench_coset.py
@@ -10,6 +11,7 @@ times.  Build the compiled kernel first:
 Exits with status 1 when the compiled kernel is not importable.
 """
 
+import statistics
 import sys
 import time
 
@@ -24,7 +26,9 @@ try:
 except ImportError:
     _coset_speedup = None
 
-REPEATS = 3
+# Pure and compiled runs alternate, and which goes first alternates too, so
+# a slow stretch of a shared host lands on both kernels alike.
+REPEATS = 15
 
 
 def _collapse_case():
@@ -50,17 +54,10 @@ def cases():
     yield "stable-letter collapse", _collapse_case(), [], 10000
 
 
-def run_kernel(kernel, p, subgroup, budget):
-    rels = [_directions(r) for r in p.relators]
-    subs = [_directions(w) for w in subgroup]
-    best = None
-    result = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        result = kernel.run(len(p.generators), rels, subs, budget)
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+def spread(xs):
+    """'median [q1-q3]' of a sample."""
+    q1, med, q3 = statistics.quantiles(xs, n=4)
+    return "%.4g [%.4g-%.4g]" % (med, q1, q3)
 
 
 def main():
@@ -69,22 +66,34 @@ def main():
             "knotpres._coset_speedup is not built; run "
             "'python3 setup.py build_ext --inplace' first"
         )
-    print("backend comparison (best of %d runs)" % REPEATS)
-    header = "%-28s %12s %12s %10s" % ("case", "pure (s)", "compiled (s)", "speedup")
+    print("backend comparison: median [quartiles] of %d alternating repeats" % REPEATS)
+    header = "%-26s %26s %26s %22s" % ("case", "pure (ms)", "compiled (ms)", "speedup (x)")
     print(header)
     print("-" * len(header))
     for name, p, subgroup, budget in cases():
-        pure_t, pure_r = run_kernel(_coset_py, p, subgroup, budget)
-        fast_t, fast_r = run_kernel(_coset_speedup, p, subgroup, budget)
-        assert pure_r[0] == fast_r[0] and pure_r[1] == fast_r[1]
-        if pure_r[0]:
-            assert [list(r) for r in pure_r[2]] == [list(r) for r in fast_r[2]]
-        print(
-            "%-28s %12.4f %12.4f %9.1fx"
-            % (name, pure_t, fast_t, pure_t / fast_t if fast_t else float("inf"))
+        args = (
+            len(p.generators),
+            [_directions(r) for r in p.relators],
+            [_directions(w) for w in subgroup],
+            budget,
         )
+        kernels = (_coset_py, _coset_speedup)
+        times = {kernel: [] for kernel in kernels}
+        for rep in range(REPEATS):
+            results = {}
+            for kernel in kernels if rep % 2 == 0 else kernels[::-1]:
+                t0 = time.perf_counter()
+                results[kernel] = kernel.run(*args)
+                times[kernel].append((time.perf_counter() - t0) * 1e3)
+            pure_r, fast_r = results[_coset_py], results[_coset_speedup]
+            assert pure_r[0] == fast_r[0] and pure_r[1] == fast_r[1]
+            if pure_r[0]:
+                assert [list(r) for r in pure_r[2]] == [list(r) for r in fast_r[2]]
+        pure_ts, fast_ts = times[_coset_py], times[_coset_speedup]
+        ratios = [a / b if b else float("inf") for a, b in zip(pure_ts, fast_ts)]
+        print("%-26s %26s %26s %22s" % (name, spread(pure_ts), spread(fast_ts), spread(ratios)))
         status = "closed at index %d" % pure_r[1] if pure_r[0] else "exhausted"
-        print("     tables identical, %s" % status)
+        print("     tables identical in every repeat, %s" % status)
 
 
 if __name__ == "__main__":

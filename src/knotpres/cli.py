@@ -292,11 +292,6 @@ def _cmd_verify_identity(args):
         conj, index, sign = entry
         if not isinstance(conj, str):
             raise ValueError("conjugator must be a word string, got %r" % (conj,))
-        if type(index) is not int or not 0 <= index < len(p.relators):
-            raise ValueError("relator index must be an int in [0, %d), got %r"
-                             % (len(p.relators), index))
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError("sign must be 1 or -1, got %r" % (sign,))
         triples.append((p.word(conj), index, sign))
     ok = verify_identity(p, triples)
     if args.format == "json":

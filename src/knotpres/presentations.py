@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
-from .words import EMPTY, Word, commutator
+from .words import EMPTY, Word, _trusted, commutator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(<|>|\||,|\^|\(|\)|-?\d+|[A-Za-z][A-Za-z0-9_]*)")
@@ -46,6 +46,19 @@ class Presentation:
                 raise ValueError(f"relator {r!r} uses a generator outside the alphabet")
         self.generators = gens
         self.relators = rels
+
+    @classmethod
+    def _trusted(cls, generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
+        """Build without validation from a tuple of distinct valid names and a
+        tuple of reduced Words over them.
+
+        Private: only for presentations derived from an already validated
+        one in ways that keep those invariants, as the Tietze moves do.
+        """
+        p = object.__new__(cls)
+        p.generators = generators
+        p.relators = relators
+        return p
 
     def __eq__(self, other) -> bool:
         return (
@@ -293,10 +306,12 @@ class IdentitySequence:
     def product(self, p: Presentation) -> Word:
         out = EMPTY
         for g, k, s in self.entries:
+            if type(k) is not int:
+                raise ValueError(f"relator index {k!r} is not an int")
+            if type(s) is not int or s not in (1, -1):
+                raise ValueError(f"bad sign {s!r}: signs are the ints 1 and -1")
             if not 0 <= k < len(p.relators):
                 raise ValueError(f"relator index {k} out of range")
-            if s not in (1, -1):
-                raise ValueError(f"bad sign {s}")
             r = p.relators[k] if s == 1 else ~p.relators[k]
             out = out * ((~g) * r * g)
         return out
@@ -338,12 +353,13 @@ def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
                     continue
                 new = tup + (k,)
                 nxt.append(new)
-                yield Word(new)
+                yield _trusted(new)
         level = nxt
 
 
 def _certificate_blocks(p: Presentation, budget: TietzeBudget, skip: Optional[int]):
-    """Conjugated-relator building blocks in deterministic order."""
+    """Conjugated-relator building blocks in deterministic order, as pairs
+    ``(letters of g^-1 r^s g, certificate entry (g, j, s))``."""
     conjugators = list(words_up_to(len(p.generators), budget.max_conjugator_len))
     blocks = []
     for j, r in enumerate(p.relators):
@@ -352,7 +368,7 @@ def _certificate_blocks(p: Presentation, budget: TietzeBudget, skip: Optional[in
         for s in (1, -1):
             body = r if s == 1 else ~r
             for g in conjugators:
-                blocks.append(((~g) * body * g, g, j, s))
+                blocks.append((((~g) * body * g).letters, (g, j, s)))
     return blocks
 
 
@@ -362,34 +378,42 @@ def _consequence_search(
     """Bounded BFS over products of conjugated relators.
 
     With a target, returns the first certificate reaching it (or None).
-    Without one, returns {word: certificate} for every reachable word.
+    Without one, returns {letters: certificate entries} for every reachable
+    nonempty word.  The search runs on reduced letter tuples.
     """
     blocks = _certificate_blocks(p, budget, skip)
     longest = max((len(b[0]) for b in blocks), default=0)
     cap = budget.max_relator_len + longest
+    goal = None
     if target is not None:
         cap = max(cap, len(target) + longest)
-    start: Tuple[Tuple[Word, int, int], ...] = ()
-    if target == EMPTY:
+        goal = target.letters
+    if goal == ():
         return IdentitySequence(())
-    found = {EMPTY: start}
-    queue = deque([(EMPTY, start, 0)])
+    found = {(): ()}
+    queue = deque([((), (), 0)])
     while queue:
         w, path, depth = queue.popleft()
         if depth == budget.max_products:
             continue
-        for body, g, j, s in blocks:
-            nw = w * body
+        for body, entry in blocks:
+            # w * body, cancelling at the seam (both are reduced)
+            i, j, n = len(w), 0, len(body)
+            while i and j < n and w[i - 1] == -body[j]:
+                i -= 1
+                j += 1
+            nw = w[:i] + body[j:]
             if len(nw) > cap or nw in found:
                 continue
-            npath = path + ((g, j, s),)
+            npath = path + (entry,)
             found[nw] = npath
-            if target is not None and nw == target:
+            if nw == goal:
                 return IdentitySequence(npath)
             queue.append((nw, npath, depth + 1))
-    if target is not None:
+    if goal is not None:
         return None
-    return {w: IdentitySequence(path) for w, path in found.items() if w}
+    del found[()]
+    return found
 
 
 def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence:
@@ -421,7 +445,7 @@ def tietze_neighbors(
             word=p.relators[i],
             certificate=_remap_certificate(cert, i),
         )
-        yield Presentation(p.generators, rest), move
+        yield Presentation._trusted(p.generators, rest), move
 
     for g in range(ngens):
         target = g + 1
@@ -458,14 +482,16 @@ def tietze_neighbors(
                 name=p.generators[g],
                 word=rep,
             )
-            yield Presentation(names, new_rels), move
+            yield Presentation._trusted(names, tuple(new_rels)), move
 
     reachable = _consequence_search(p, budget, skip=None, target=None)
-    for w in sorted(reachable, key=lambda w: (len(w), w.letters)):
-        if len(w) > budget.max_relator_len:
-            continue
-        move = TietzeMove(kind="add-relator", word=w, certificate=reachable[w])
-        yield Presentation(p.generators, p.relators + (w,)), move
+    short = [w for w in reachable if len(w) <= budget.max_relator_len]
+    for letters in sorted(short, key=lambda w: (len(w), w)):
+        w = _trusted(letters)
+        move = TietzeMove(
+            kind="add-relator", word=w, certificate=IdentitySequence(reachable[letters])
+        )
+        yield Presentation._trusted(p.generators, p.relators + (w,)), move
 
     name = fresh_name("y", p.generators)
     for w in words_up_to(ngens, budget.max_defining_len):
@@ -473,7 +499,7 @@ def tietze_neighbors(
             continue
         rel = Word([ngens + 1]) * ~w
         move = TietzeMove(kind="add-generator", name=name, word=w)
-        yield Presentation(p.generators + (name,), p.relators + (rel,)), move
+        yield Presentation._trusted(p.generators + (name,), p.relators + (rel,)), move
 
 
 def is_freely_related(p: Presentation) -> CheckOutcome:

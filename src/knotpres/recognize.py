@@ -405,6 +405,10 @@ def enumerate_weight_one(budget, moves=TietzeBudget()):
     breadth-first order; every node presents the trivial group, so deleting
     its first relator leaves a presentation normally generated by that
     relator.  Stops after ``budget`` emissions.
+
+    Expansion is lazy: once the queue holds enough nodes with relators to
+    reach ``budget``, the rest of the neighbors could only be queued behind
+    every node still to be emitted, so they are never generated.
     """
     if budget <= 0:
         return
@@ -412,17 +416,25 @@ def enumerate_weight_one(budget, moves=TietzeBudget()):
     seen = {seed}
     queue = deque([seed])
     emitted = 0
+    pending = 1  # queued nodes with relators, each one emission to come
     while queue:
         current = queue.popleft()
         if current.relators:
+            pending -= 1
             yield (
-                Presentation(current.generators, current.relators[1:]),
+                Presentation._trusted(current.generators, current.relators[1:]),
                 current.relators[0],
             )
             emitted += 1
             if emitted >= budget:
                 return
+        if emitted + pending >= budget:
+            continue
         for nxt, _move in tietze_neighbors(current, moves):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
+                if nxt.relators:
+                    pending += 1
+                    if emitted + pending >= budget:
+                        break

@@ -56,10 +56,16 @@ class Word:
         return pairs
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # Both operands are reduced, so cancellation can only happen at the seam.
+        a, b = self.letters, other.letters
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and a[i - 1] == -b[j]:
+            i -= 1
+            j += 1
+        return _trusted(a[:i] + b[j:])
 
     def __invert__(self) -> "Word":
-        return Word(tuple(-k for k in reversed(self.letters)))
+        return _trusted(tuple(-k for k in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -103,6 +109,17 @@ class Word:
             img = images[abs(k) - 1]
             out.extend(img.letters if k > 0 else (~img).letters)
         return Word(out)
+
+
+def _trusted(letters: Tuple[int, ...]) -> Word:
+    """Wrap a tuple of nonzero ints that is already freely reduced.
+
+    Private: only for tuples that are reduced by construction, since it
+    skips the check that the public constructor makes.
+    """
+    w = object.__new__(Word)
+    w.letters = letters
+    return w
 
 
 EMPTY = Word()

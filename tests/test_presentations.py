@@ -255,6 +255,29 @@ def test_tietze_emissions_preserve_h1():
             assert h1(q) == base, f"{move.kind} changed H1 on {p}"
 
 
+def test_tietze_neighbors_pass_the_validating_constructor():
+    # Neighbors skip validation because they derive from a validated parent;
+    # rebuilding each through Presentation(...) must give the same value.
+    rng = random.Random(4242)
+    budget = TietzeBudget(max_relator_len=8)
+    seen = 0
+    for _ in range(40):
+        ngens = rng.randint(1, 3)
+        rels = [
+            Word([rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(rng.randint(0, 5))])
+            for _ in range(rng.randint(0, 3))
+        ]
+        p = Presentation(tuple("abc"[:ngens]), rels)
+        for q, move in tietze_neighbors(p, budget):
+            assert type(q.generators) is tuple and type(q.relators) is tuple
+            for r in q.relators:
+                assert type(r) is Word and type(r.letters) is tuple
+                assert r == Word(r.letters)
+            assert q == Presentation(q.generators, q.relators), move.kind
+            seen += 1
+    assert seen > 1000
+
+
 def test_tietze_determinism():
     p = parse("< a, b | a^2, b^2 >")
     runs = [list(tietze_neighbors(p)) for _ in range(2)]

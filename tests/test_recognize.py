@@ -1,10 +1,17 @@
 import random
+from collections import deque
 
 import pytest
 
 from knotpres.abelian import h1, h1_is_infinite_cyclic
 from knotpres.coset import is_trivial_bounded
-from knotpres.presentations import IdentitySequence, Presentation, parse, quotient
+from knotpres.presentations import (
+    IdentitySequence,
+    Presentation,
+    parse,
+    quotient,
+    tietze_neighbors,
+)
 from knotpres.recognize import (
     artin_check,
     enumerate_weight_one,
@@ -244,6 +251,27 @@ def test_verify_identity_basics():
         verify_identity(p, [(EMPTY, 3, 1)])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (EMPTY, "a", 1),
+        (EMPTY, 0.0, 1),
+        (EMPTY, True, 1),
+        (EMPTY, None, 1),
+        (EMPTY, 0, 1.0),
+        (EMPTY, 0, True),
+        (EMPTY, 0, -1.0),
+        (EMPTY, 0, 2),
+        (EMPTY, 0, "1"),
+        (EMPTY, -1, 1),
+    ],
+)
+def test_verify_identity_rejects_malformed_entries(entry):
+    p = parse("< a | a^2, a^3 >")
+    with pytest.raises(ValueError):
+        verify_identity(p, [(EMPTY, 0, 1), entry])
+
+
 def test_verify_identity_cancelling_pair_invariance():
     rng = random.Random(73)
     p = parse("< a, b | a b a^-1 b^-1, a^3 >")
@@ -289,3 +317,52 @@ def test_enumerator_is_deterministic():
     a = [(str(p), w) for p, w in enumerate_weight_one(15)]
     b = [(str(p), w) for p, w in enumerate_weight_one(15)]
     assert a == b
+
+
+def _eager_weight_one(budget):
+    """The stream as first written: expand every dequeued node fully.  The
+    reference the lazy enumerator must match item for item."""
+    if budget <= 0:
+        return []
+    seed = Presentation(("x",), [Word([1])])
+    seen = {seed}
+    queue = deque([seed])
+    out = []
+    while queue:
+        current = queue.popleft()
+        if current.relators:
+            out.append((Presentation(current.generators, current.relators[1:]),
+                        current.relators[0]))
+            if len(out) >= budget:
+                return out
+        for nxt, _move in tietze_neighbors(current):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 30, 90])
+def test_enumerator_matches_eager_bfs(budget):
+    got = list(enumerate_weight_one(budget))
+    want = _eager_weight_one(budget)
+    assert len(got) == budget
+    assert [(p.generators, p.relators, w) for p, w in got] == [
+        (p.generators, p.relators, w) for p, w in want
+    ]
+
+
+def test_enumerator_expands_only_what_its_budget_emits(monkeypatch):
+    import knotpres.recognize as recognize
+
+    pulled = [0]
+
+    def counting(p, moves):
+        for item in tietze_neighbors(p, moves):
+            pulled[0] += 1
+            yield item
+
+    monkeypatch.setattr(recognize, "tietze_neighbors", counting)
+    assert len(list(enumerate_weight_one(90))) == 90
+    # the eager BFS pulls 21,488 neighbors for the same 90 emissions
+    assert 0 < pulled[0] <= 1000

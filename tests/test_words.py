@@ -143,3 +143,54 @@ def test_cyclic_reduce_randomized():
         assert peel * core * ~peel == w
         if core:
             assert core.letters[0] != -core.letters[-1]
+
+
+def _reference_reduced(letters):
+    """Independent free reduction: cancel adjacent inverse pairs until none
+    is left."""
+    out = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out) - 1):
+            if out[i] == -out[i + 1]:
+                del out[i : i + 2]
+                changed = True
+                break
+    return tuple(out)
+
+
+def test_product_and_inverse_match_full_reduction():
+    # u * v cancels only at the seam and ~u skips reduction; both must agree
+    # with the validating constructor on full, partial and no cancellation.
+    rng = random.Random(2024)
+    kinds = {"full": 0, "partial": 0, "empty": 0}
+    for _ in range(2400):
+        u = _random_word(rng, ngens=3, maxlen=10)
+        shape = rng.randrange(4)
+        if shape == 0:
+            v = ~u
+        elif shape == 1 and u:
+            cut = rng.randint(1, len(u))
+            v = ~Word(u.letters[-cut:]) * _random_word(rng, ngens=3, maxlen=6)
+        elif shape == 2:
+            v = EMPTY
+        else:
+            v = _random_word(rng, ngens=3, maxlen=10)
+        for a, b in ((u, v), (v, u)):
+            prod = a * b
+            assert type(prod) is Word and type(prod.letters) is tuple
+            assert prod == Word(a.letters + b.letters)
+            assert prod.letters == _reference_reduced(a.letters + b.letters)
+        inv = ~u
+        assert type(inv.letters) is tuple
+        assert inv == Word([-k for k in reversed(u.letters)])
+        assert inv.letters == _reference_reduced([-k for k in reversed(u.letters)])
+        joined = u.letters + v.letters
+        if u and v and not (u * v):
+            kinds["full"] += 1
+        elif u and v and len(u * v) < len(joined):
+            kinds["partial"] += 1
+        if not u or not v:
+            kinds["empty"] += 1
+    assert all(n >= 100 for n in kinds.values()), kinds
