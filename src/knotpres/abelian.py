@@ -138,15 +138,17 @@ def _smith(mat: IntMatrix, track: bool):
         if dirty:
             continue
         # pivot divides its cleared row and column; enforce the chain
+        # (a unit pivot divides every entry, so there is nothing to sweep)
         bad = None
-        for i in range(t + 1, rows):
-            mi = m[i]
-            for j in range(t + 1, cols):
-                if mi[j] % p:
-                    bad = j
+        if p != 1:
+            for i in range(t + 1, rows):
+                mi = m[i]
+                for j in range(t + 1, cols):
+                    if mi[j] % p:
+                        bad = j
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             for row in m:
                 row[t] += row[bad]
@@ -197,7 +199,16 @@ class AbelianInvariants:
 def relation_matrix(p) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     ngens = len(p.generators)
-    return [[r.exponent_sum(g) for g in range(ngens)] for r in p.relators]
+    rows = []
+    for r in p.relators:
+        row = [0] * ngens
+        for k in r.letters:
+            if k > 0:
+                row[k - 1] += 1
+            else:
+                row[-k - 1] -= 1
+        rows.append(row)
+    return rows
 
 
 def h1(p) -> AbelianInvariants:

@@ -455,8 +455,17 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    # Built on first use, not at import, and reused: parse_args returns a
+    # fresh Namespace each call and "append" copies its list, so no call
+    # sees another's arguments.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

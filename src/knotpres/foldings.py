@@ -111,9 +111,6 @@ class SubgroupGraph:
             return 0
         return edges - vertices + 1
 
-    def vertex_count(self) -> int:
-        return sum(1 for v in range(len(self.parent)) if self._find(v) == v)
-
 
 def fold(alphabet_size: int, words: Iterable[Word]) -> SubgroupGraph:
     graph = SubgroupGraph(alphabet_size)

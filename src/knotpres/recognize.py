@@ -9,7 +9,7 @@ returns Unknown rather than guess when its budget runs out.
 
 from collections import deque
 
-from .abelian import h1_is_infinite_cyclic
+from .abelian import h1_is_infinite_cyclic, invariant_factors, relation_matrix
 from .coset import DEFAULT_MAX_COSETS, weight_one_witness_check
 from .outcomes import CheckOutcome
 from .presentations import (
@@ -363,14 +363,38 @@ def verify_identity(p, pi):
     return pi.product(p) == EMPTY
 
 
+def _h2_certified(p, sequences):
+    """True iff the identity sequences prove H2 = 0.
+
+    By Hopf's formula H2 is the integer left kernel of the relation matrix M
+    (r rows, one per relator) modulo the signed relator-count vectors of the
+    identity sequences.  A verified sequence's vector lies in that kernel,
+    which has rank r - rank M and a torsion-free cokernel, so the vectors
+    span it exactly when their Smith form is r - rank M ones.
+    """
+    r = len(p.relators)
+    counts = []
+    for seq in sequences:
+        if not isinstance(seq, IdentitySequence):
+            seq = IdentitySequence(tuple(seq))
+        if not verify_identity(p, seq):
+            return False
+        row = [0] * r
+        for _g, k, sign in seq.entries:
+            row[k] += sign
+        counts.append(row)
+    kernel_rank = r - len(invariant_factors(relation_matrix(p)))
+    return invariant_factors(counts) == (1,) * kernel_rank
+
+
 def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
                     identity_sequences=None):
     """Report on the three conditions a higher-knot group must satisfy.
 
     First homology infinite cyclic is decided outright.  Each candidate word
     gets a bounded normal-closure check.  Second homology vanishing is only
-    ever certified from caller-supplied identity sequences (verified here);
-    without them it is reported as not determined, never guessed.
+    ever certified from caller-supplied identity sequences; without them it
+    is reported as not determined, never guessed.
     """
     h1_ok = h1_is_infinite_cyclic(p)
     report = {"h1_infinite_cyclic": "yes" if h1_ok else "no"}
@@ -384,9 +408,8 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
         weight.append(entry)
         any_weight_yes = any_weight_yes or out.is_yes
     report["candidates"] = weight
-    certified = False
-    if identity_sequences is not None:
-        certified = all(verify_identity(p, seq) for seq in identity_sequences)
+    certified = (identity_sequences is not None
+                 and _h2_certified(p, identity_sequences))
     report["h2_trivial"] = "certified" if certified else "not determined"
     if not h1_ok:
         report["verdict"] = "no"

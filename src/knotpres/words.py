@@ -92,7 +92,10 @@ class Word:
 
     def max_generator(self) -> int:
         """Smallest alphabet size this word fits in."""
-        return max((abs(k) for k in self.letters), default=0)
+        letters = self.letters
+        if not letters:
+            return 0
+        return max(max(letters), -min(letters))
 
     def exponent_sum(self, gen: int) -> int:
         target = gen + 1

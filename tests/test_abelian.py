@@ -168,3 +168,22 @@ def test_h1_invariant_under_generator_permutation():
 def test_relation_matrix_shape():
     p = parse("< a, b | a b a^-1 b^-1, a^3 >")
     assert relation_matrix(p) == [[0, 0], [3, 0]]
+
+
+def test_relation_matrix_matches_exponent_sums():
+    rng = random.Random(5)
+    for _ in range(200):
+        ngens = rng.randint(0, 6)
+        rels = []
+        for _ in range(rng.randint(0, 5)):
+            # at most the first half of the alphabet, so some generators are
+            # unused; length 0 gives the empty relator
+            used = max(1, ngens // 2) if ngens else 0
+            letters = [
+                rng.choice((1, -1)) * rng.randint(1, used)
+                for _ in range(rng.randint(0, 10) if used else 0)
+            ]
+            rels.append(Word(letters))
+        p = Presentation(tuple("g%d" % i for i in range(ngens)), rels)
+        expected = [[r.exponent_sum(g) for g in range(ngens)] for r in rels]
+        assert relation_matrix(p) == expected

@@ -311,7 +311,12 @@ def _brute_closure(gens, cap):
         nxt = []
         for w in frontier:
             for g in step:
-                prod = _reduce_tuple(w + g)
+                # w and g are both reduced, so only the seam can cancel
+                i, j, n = len(w), 0, len(g)
+                while i and j < n and w[i - 1] == -g[j]:
+                    i -= 1
+                    j += 1
+                prod = w[:i] + g[j:]
                 if len(prod) <= cap and prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

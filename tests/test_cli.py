@@ -303,3 +303,25 @@ def test_stdin_pipe_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Z^1\n"
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    path = tmp_path / "y.txt"
+    path.write_text("< a | >", encoding="utf-8")
+    code, with_file, _ = run(
+        capsys, "construct", "homology", "< x | x >", "< c | >",
+        "--input", str(path), "--w", "c",
+    )
+    assert code == 0
+    # a leaked --input list would make this four inputs and a usage error
+    code, inline, _ = run(
+        capsys, "construct", "homology", "< x | x >", "< c | >", "< a | >",
+        "--w", "c",
+    )
+    assert code == 0
+    assert inline == with_file
+
+    code, out, err = run(capsys, "construct", "weight", "< u1, u2 | >")
+    assert code == 3 and out == "" and "--w" in err
+    code, out, err = run(capsys, "h1", "< x | x^2 >")
+    assert (code, out, err) == (0, "Z/2\n", "")

@@ -5,6 +5,7 @@ import pytest
 
 from knotpres.abelian import h1, h1_is_infinite_cyclic
 from knotpres.coset import is_trivial_bounded
+from knotpres.gadgets import m_minus_s
 from knotpres.presentations import (
     IdentitySequence,
     Presentation,
@@ -240,6 +241,38 @@ def test_kervaire_certified_path():
         parse("< x | x >"), [Word([1])], identity_sequences=[bogus]
     )
     assert report["h2_trivial"] == "not determined"
+
+
+def test_kervaire_empty_identities_do_not_certify_m_minus_s():
+    # The 8x7 relation matrix has rank 6, so H2 may be as large as Z^2 and
+    # no identity at all proves nothing.
+    rep = m_minus_s(parse(TREFOIL))
+    s = rep.output.word("s")
+    report = kervaire_report(rep.output, [s], identity_sequences=[])
+    assert report["candidates"][0]["normal_closure_is_all"] == "yes"
+    assert report["h2_trivial"] == "not determined"
+    assert report["verdict"] == "unknown"
+
+
+def test_kervaire_identities_must_span_the_relation_kernel():
+    p = parse("< a, b | a, a >")
+    a = p.word("a")
+    assert kervaire_report(p, [a], identity_sequences=[])["h2_trivial"] == (
+        "not determined"
+    )
+    quotient_of_relators = [(EMPTY, 0, 1), (EMPTY, 1, -1)]
+    report = kervaire_report(p, [a], identity_sequences=[quotient_of_relators])
+    assert report["h2_trivial"] == "certified"
+    # the same identity twice over spans only an index-2 sublattice
+    report = kervaire_report(
+        p, [a], identity_sequences=[quotient_of_relators * 2]
+    )
+    assert report["h2_trivial"] == "not determined"
+    # a verified identity with a zero count vector adds nothing
+    trivial = IdentitySequence(((EMPTY, 0, 1), (EMPTY, 0, -1)))
+    assert kervaire_report(p, [a], identity_sequences=[trivial])[
+        "h2_trivial"
+    ] == "not determined"
 
 
 def test_verify_identity_basics():

@@ -102,6 +102,19 @@ def test_exponent_sum_and_max_generator():
     assert EMPTY.max_generator() == 0
 
 
+def test_max_generator_on_empty_inverse_only_and_mixed_words():
+    assert EMPTY.max_generator() == 0
+    assert Word([-B, -B, -A]).max_generator() == 2
+    assert Word([-C, A, -B]).max_generator() == 3
+    assert Word([A, -C, B]).max_generator() == 3
+    assert Word([C, -A]).max_generator() == 3
+    rng = random.Random(17)
+    for _ in range(500):
+        letters = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 8))]
+        w = Word(letters)
+        assert w.max_generator() == max((abs(k) for k in w.letters), default=0)
+
+
 def test_shift_and_substitute():
     w = Word([A, -B])
     assert w.shift(2) == Word([C, -4])
