@@ -367,10 +367,11 @@ def _h2_certified(p, sequences):
     """True iff the identity sequences prove H2 = 0.
 
     By Hopf's formula H2 is the integer left kernel of the relation matrix M
-    (r rows, one per relator) modulo the signed relator-count vectors of the
-    identity sequences.  A verified sequence's vector lies in that kernel,
-    which has rank r - rank M and a torsion-free cokernel, so the vectors
-    span it exactly when their Smith form is r - rank M ones.
+    (r rows, one per relator) modulo the signed relator-count vectors of all
+    identity sequences, so H2 = 0 once the given vectors span that kernel.
+    A verified sequence's vector lies in it; the kernel has rank r - rank M
+    and a torsion-free cokernel, so the vectors span it exactly when their
+    Smith form is r - rank M ones.
     """
     r = len(p.relators)
     counts = []
@@ -393,8 +394,9 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
 
     First homology infinite cyclic is decided outright.  Each candidate word
     gets a bounded normal-closure check.  Second homology vanishing is only
-    ever certified from caller-supplied identity sequences; without them it
-    is reported as not determined, never guessed.
+    ever certified from caller-supplied identity sequences that verify and
+    span the relation kernel; otherwise it is reported as not determined,
+    never guessed.
     """
     h1_ok = h1_is_infinite_cyclic(p)
     report = {"h1_infinite_cyclic": "yes" if h1_ok else "no"}

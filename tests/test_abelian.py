@@ -174,16 +174,16 @@ def test_relation_matrix_matches_exponent_sums():
     rng = random.Random(5)
     for _ in range(200):
         ngens = rng.randint(0, 6)
-        rels = []
-        for _ in range(rng.randint(0, 5)):
-            # at most the first half of the alphabet, so some generators are
-            # unused; length 0 gives the empty relator
-            used = max(1, ngens // 2) if ngens else 0
-            letters = [
+        # relators use only the first half of the alphabet, so the rest are
+        # unused generators; length 0 gives the empty relator
+        used = (ngens + 1) // 2
+        rels = [
+            Word([
                 rng.choice((1, -1)) * rng.randint(1, used)
                 for _ in range(rng.randint(0, 10) if used else 0)
-            ]
-            rels.append(Word(letters))
+            ])
+            for _ in range(rng.randint(0, 5))
+        ]
         p = Presentation(tuple("g%d" % i for i in range(ngens)), rels)
         expected = [[r.exponent_sum(g) for g in range(ngens)] for r in rels]
         assert relation_matrix(p) == expected
