@@ -2,13 +2,12 @@ import os
 
 from setuptools import Extension, setup
 
-KERNEL = Extension(
-    "knotpres._coset_speedup",
-    ["src/knotpres/_coset_speedup.c"],
-    # Without a working C compiler the install goes on with the pure kernel.
-    optional=True,
-)
+# Without a working C compiler the install goes on with the pure kernels.
+EXTENSIONS = [
+    Extension("knotpres._coset_speedup", ["src/knotpres/_coset_speedup.c"], optional=True),
+    Extension("knotpres._abelian_speedup", ["src/knotpres/_abelian_speedup.c"], optional=True),
+]
 
-# tests/conftest.py reads KERNEL from this file without running setup().
+# tests/conftest.py reads EXTENSIONS from this file without running setup().
 if __name__ == "__main__":
-    setup(ext_modules=[] if os.environ.get("KNOTPRES_NO_EXT") == "1" else [KERNEL])
+    setup(ext_modules=[] if os.environ.get("KNOTPRES_NO_EXT") == "1" else EXTENSIONS)

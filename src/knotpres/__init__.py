@@ -4,6 +4,7 @@ normal form homology, Stallings foldings, coset enumeration with a compiled
 kernel, presentation gadgets, and shape recognizers.
 """
 
+from .abelian import BACKEND as _SMITH_BACKEND
 from .abelian import (
     AbelianInvariants,
     h1,
@@ -12,8 +13,8 @@ from .abelian import (
     relation_matrix,
     smith_normal_form,
 )
+from .coset import BACKEND as _COSET_BACKEND
 from .coset import (
-    BACKEND,
     DEFAULT_MAX_COSETS,
     CosetTable,
     EnumerationResult,
@@ -73,6 +74,9 @@ from .words import (
     invert,
     reduce,
 )
+
+# "compiled" only when both compiled kernels loaded
+BACKEND = "compiled" if _SMITH_BACKEND == _COSET_BACKEND == "compiled" else "pure"
 
 __version__ = "0.1.0"
 

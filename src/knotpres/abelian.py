@@ -4,10 +4,15 @@ Matrices are plain lists of lists of Python ints, so entries never overflow.
 ``smith_normal_form`` returns the diagonal form together with the unimodular
 row and column transforms; ``h1`` reads the abelianization of a presentation
 off the relation matrix.
+
+The elimination runs in a compiled extension when one was built and in the
+pure-Python reference ``_smith`` otherwise (KNOTPRES_PURE=1 forces it).  The
+two return identical D, U and V, which the test suite checks directly.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -18,55 +23,22 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matrix_multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a or not b:
-        return [[] for _ in a]
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
+def _int_rows(mat) -> IntMatrix:
+    """``mat`` copied to a list of int lists: the input contract of both kernels.
 
-
-def determinant(mat: IntMatrix) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _check_shape(mat: IntMatrix) -> Tuple[int, int]:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+    Rows may be any sequence; every row must be as long as the first and
+    every entry exactly an ``int`` (``bool`` is refused).
+    """
+    m = []
     for row in mat:
-        if len(row) != cols:
+        row = list(row)
+        if m and len(row) != len(m[0]):
             raise ValueError("ragged matrix")
-    return rows, cols
+        for e in row:
+            if type(e) is not int:
+                raise ValueError(f"matrix entries must be int, not {type(e).__name__}")
+        m.append(row)
+    return m
 
 
 def _pivot(m: IntMatrix, t: int, rows: int, cols: int):
@@ -86,8 +58,10 @@ def _pivot(m: IntMatrix, t: int, rows: int, cols: int):
 
 
 def _smith(mat: IntMatrix, track: bool):
-    rows, cols = _check_shape(mat)
-    m = [row[:] for row in mat]
+    """The reference kernel; _abelian_speedup.smith is its compiled port."""
+    m = _int_rows(mat)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
     u = identity_matrix(rows) if track else None
     v = identity_matrix(cols) if track else None
     t = 0
@@ -160,19 +134,33 @@ def _smith(mat: IntMatrix, track: bool):
     return m, u, v
 
 
+if os.environ.get("KNOTPRES_PURE") == "1":
+    _kernel = _smith
+    BACKEND = "pure"
+else:
+    try:
+        from ._abelian_speedup import smith as _kernel
+
+        BACKEND = "compiled"
+    except ImportError:
+        _kernel = _smith
+        BACKEND = "pure"
+
+
 def smith_normal_form(mat: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize ``mat`` as ``u * mat * v = d``.
 
     ``u`` and ``v`` are unimodular, the diagonal of ``d`` is nonnegative and
-    each entry divides the next.
+    each entry divides the next.  Rows may be any sequence; a ragged matrix
+    or an entry that is not an ``int`` (a ``bool`` included) raises
+    ValueError.
     """
-    d, u, v = _smith(mat, track=True)
-    return d, u, v
+    return _kernel(mat, True)
 
 
 def invariant_factors(mat: IntMatrix) -> Tuple[int, ...]:
     """Nonzero diagonal of the Smith form, without transform bookkeeping."""
-    d, _, _ = _smith(mat, track=False)
+    d, _, _ = _kernel(mat, False)
     out = []
     for t in range(min(len(d), len(d[0]) if d else 0)):
         if d[t][t]:

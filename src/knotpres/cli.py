@@ -124,7 +124,7 @@ def _cmd_h1(args):
 def _parse_matrix(text):
     try:
         m = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("matrix must be a JSON array of rows: %s" % exc)
     if not isinstance(m, list) or any(not isinstance(row, list) for row in m):
         raise ValueError("matrix must be a JSON array of rows")
@@ -281,7 +281,7 @@ def _cmd_verify_identity(args):
         raw = sys.stdin.read()
     try:
         entries = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("identity sequence must be JSON: %s" % exc)
     if not isinstance(entries, list):
         raise ValueError("identity sequence must be a JSON array")

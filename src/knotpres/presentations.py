@@ -6,7 +6,8 @@ is the only place display names exist.  The text grammar is
     '<' [name (',' name)*] '|' [word (',' word)*] '>'
 
 where a word is a whitespace-separated sequence of factors ``name['^'int]``
-or ``'(' word ')' ['^'int]``, and ``1`` denotes the empty word.
+or ``'(' word ')' ['^'int]``, and ``1`` denotes the empty word.  Parentheses
+may nest to any depth.
 
 No parsed word, and no power or product formed on the way to it, may have
 more than ``MAX_WORD_LETTERS`` (one million) letters before free reduction;
@@ -135,39 +136,52 @@ def _tokenize(text: str) -> _Tokens:
     return _Tokens(items, text)
 
 
-def _parse_factor(tokens: _Tokens, index: dict) -> Word:
-    tok = tokens.next()
-    if tok == "1":
-        return EMPTY
-    if tok == "(":
-        w = _parse_word(tokens, index)
-        tokens.expect(")")
-        base = w
-    elif _NAME_RE.fullmatch(tok):
-        if tok not in index:
-            raise ValueError(f"unknown generator {tok!r}")
-        base = Word([index[tok] + 1])
-    else:
-        raise ValueError(f"unexpected token {tok!r} in word")
-    if tokens.peek() == "^":
-        tokens.next()
-        exp_tok = tokens.next()
-        try:
-            exp = int(exp_tok)
-        except ValueError:
-            raise ValueError(f"bad exponent {exp_tok!r}") from None
-        _check_length(len(base) * abs(exp))
-        return base**exp
-    return base
-
-
 def _parse_word(tokens: _Tokens, index: dict) -> Word:
-    w = _parse_factor(tokens, index)
-    while tokens.peek() is not None and tokens.peek() not in (",", "|", ">", ")"):
-        f = _parse_factor(tokens, index)
-        _check_length(len(w) + len(f))
-        w = w * f
-    return w
+    """Read one word, up to a ',', '|', '>' or unmatched ')'.  Open groups
+    wait on a list, not on the call stack, so nesting depth is unlimited."""
+    outer: List[Optional[Word]] = []  # running words of the enclosing groups
+    w: Optional[Word] = None  # running word of the current group
+    while True:
+        tok = tokens.next()
+        if tok == "(":
+            outer.append(w)
+            w = None
+            continue
+        if tok == "1":
+            f = EMPTY
+        elif _NAME_RE.fullmatch(tok):
+            if tok not in index:
+                raise ValueError(f"unknown generator {tok!r}")
+            f = _power(tokens, Word([index[tok] + 1]))
+        else:
+            raise ValueError(f"unexpected token {tok!r} in word")
+        while True:
+            if w is None:
+                w = f
+            else:
+                _check_length(len(w) + len(f))
+                w = w * f
+            if tokens.peek() not in (None, ",", "|", ">", ")"):
+                break
+            if not outer:
+                return w
+            tokens.expect(")")
+            f = _power(tokens, w)
+            w = outer.pop()
+
+
+def _power(tokens: _Tokens, base: Word) -> Word:
+    """``base`` raised to the exponent that follows it, if one does."""
+    if tokens.peek() != "^":
+        return base
+    tokens.next()
+    exp_tok = tokens.next()
+    try:
+        exp = int(exp_tok)
+    except ValueError:
+        raise ValueError(f"bad exponent {exp_tok!r}") from None
+    _check_length(len(base) * abs(exp))
+    return base**exp
 
 
 def _check_length(letters: int) -> None:

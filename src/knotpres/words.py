@@ -97,10 +97,6 @@ class Word:
             return 0
         return max(max(letters), -min(letters))
 
-    def exponent_sum(self, gen: int) -> int:
-        target = gen + 1
-        return sum(1 if k == target else -1 if k == -target else 0 for k in self.letters)
-
     def shift(self, offset: int) -> "Word":
         """Reindex every generator by ``+offset`` (for product alphabets)."""
         return Word(tuple(k + offset if k > 0 else k - offset for k in self.letters))

@@ -2,20 +2,21 @@ import math
 import random
 from itertools import combinations
 
+import pytest
+
 from knotpres.abelian import (
     AbelianInvariants,
-    determinant,
     h1,
     h1_is_infinite_cyclic,
     identity_matrix,
     invariant_factors,
     is_perfect,
-    matrix_multiply,
     relation_matrix,
     smith_normal_form,
 )
 from knotpres.presentations import Presentation, parse
 from knotpres.words import Word
+from oracles import determinant, exponent_sum, matrix_multiply
 
 
 def _cofactor_det(m):
@@ -185,5 +186,166 @@ def test_relation_matrix_matches_exponent_sums():
             for _ in range(rng.randint(0, 5))
         ]
         p = Presentation(tuple("g%d" % i for i in range(ngens)), rels)
-        expected = [[r.exponent_sum(g) for g in range(ngens)] for r in rels]
+        expected = [[exponent_sum(r, g) for g in range(ngens)] for r in rels]
         assert relation_matrix(p) == expected
+
+
+# --- input contract -------------------------------------------------------
+
+
+def test_snf_copies_any_sequence_of_rows():
+    m = [[2, 4], [6, 9]]
+    expected = smith_normal_form(m)
+    assert smith_normal_form([(2, 4), (6, 9)]) == expected
+    assert smith_normal_form(((2, 4), (6, 9))) == expected
+    assert smith_normal_form(iter([iter([2, 4]), range(6, 10, 3)])) == expected
+    assert invariant_factors([(2, 4), (6, 9)]) == (1, 6)
+    rows = [(2, 4), (6, 9)]
+    smith_normal_form(rows)
+    assert rows == [(2, 4), (6, 9)]
+    assert m == [[2, 4], [6, 9]]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[[1.5, 2], [3, 4]], [[True, 2], [3, 4]], [[1, 2], [3, False]], [[1, None]], [["1"]],
+     [[1, 2], [3, 4.0]]],
+)
+def test_snf_refuses_non_int_entries(mat):
+    with pytest.raises(ValueError, match="matrix entries must be int"):
+        smith_normal_form(mat)
+    with pytest.raises(ValueError, match="matrix entries must be int"):
+        invariant_factors(mat)
+
+
+@pytest.mark.parametrize("mat", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [(1, 2), (3, 4, 5)]])
+def test_snf_ragged_matrix_is_a_value_error(mat):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form(mat)
+
+
+# --- compiled kernel against the pure reference ----------------------------
+
+
+def _kernel_matrices():
+    """The parity corpus: the shapes the benchmark decides, every degenerate
+    shape, rank deficiency, negative pivots and entries beyond 64 bits."""
+    rng = random.Random(7919)
+    out = []
+    for n in range(3, 26):
+        for density in (1.0, 0.3):
+            out.append([[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)])
+    for _ in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        out.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    out += [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]], [[5]], [[-5]],
+            [[-1]], [[0, -3], [-2, 0]], [[-4, -6], [-6, -9]], [[-7, 0, 0], [0, -7, 0]]]
+    for _ in range(40):
+        # rank deficient: a product through a smaller inner dimension
+        rows, inner, cols = rng.randint(2, 7), rng.randint(1, 3), rng.randint(2, 7)
+        a = [[rng.randint(-5, 5) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(inner)]
+        out.append(matrix_multiply(a, b))
+    for _ in range(40):
+        # every entry negative, so the first pivot of every step starts negative
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        out.append([[-rng.randint(1, 30) for _ in range(cols)] for _ in range(rows)])
+    small = 2**62
+    edges = [small - 1, small, small + 1, -small + 1, -small, -small - 1, 2**63, -(2**63),
+             2**64 + 3, -(2**64) - 5, 3**50, 1, -1, 2, 0]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        out.append([[rng.choice(edges) for _ in range(cols)] for _ in range(rows)])
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((2**63, 2**70, 2**130))
+        out.append([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+def _all_plain_ints(m):
+    return all(type(e) is int for row in m for e in row)
+
+
+def test_compiled_smith_matches_pure_kernel(compiled_smith):
+    from knotpres.abelian import _smith
+
+    for m in _kernel_matrices():
+        for track in (True, False):
+            expected = _smith(m, track)
+            got = compiled_smith(m, track)
+            assert got == expected, (m, track)
+            assert _all_plain_ints(got[0])
+            if track:
+                assert _all_plain_ints(got[1]) and _all_plain_ints(got[2])
+
+
+def test_compiled_smith_gives_the_same_invariant_factors(compiled_smith, monkeypatch):
+    from knotpres import abelian
+
+    corpus = _kernel_matrices()
+    monkeypatch.setattr(abelian, "_kernel", abelian._smith)
+    expected = [invariant_factors(m) for m in corpus]
+    monkeypatch.setattr(abelian, "_kernel", compiled_smith)
+    assert [invariant_factors(m) for m in corpus] == expected
+
+
+def test_compiled_smith_transforms_certify_big_entries(compiled_smith):
+    rng = random.Random(64)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-(2**80), 2**80) for _ in range(cols)] for _ in range(rows)]
+        d, u, v = compiled_smith(m, True)
+        assert matrix_multiply(matrix_multiply(u, m), v) == d
+        assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[[1, 2], [3]], [[1.5, 2], [3, 4]], [[True]], [[1, 2], [3, False]], [[1, "x"]],
+     [[1, 2], 3], 7, [[1, 2], [3, 4.0], [5]], [None]],
+)
+def test_kernels_refuse_bad_input_alike(compiled_smith, mat):
+    from knotpres.abelian import _smith
+
+    with pytest.raises(Exception) as pure:
+        _smith(mat, True)
+    with pytest.raises(Exception) as compiled:
+        compiled_smith(mat, True)
+    assert type(compiled.value) is type(pure.value)
+    assert str(compiled.value) == str(pure.value)
+
+
+def test_kernels_copy_each_row_before_reading_the_next(compiled_smith):
+    from knotpres.abelian import _smith
+
+    class Resizing:
+        # reading this row shrinks the row before it and grows the row after
+        def __iter__(self):
+            mat[0].clear()
+            mat[2].append(7)
+            return iter([7, 8, 9])
+
+    for kernel in (_smith, compiled_smith):
+        mat = [[1, 2, 3], Resizing(), [4, 5, 6]]
+        with pytest.raises(ValueError, match="ragged matrix"):
+            kernel(mat, True)
+        mat = [[1, 2, 3], Resizing(), [4, 5]]
+        assert kernel(mat, False)[0] == _smith([[1, 2, 3], [7, 8, 9], [4, 5, 7]], False)[0]
+
+
+def test_compiled_smith_still_works_after_refusing_input(compiled_smith):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            compiled_smith([[1, 2], [3, 2**70], [1.0, 2]], True)
+    assert compiled_smith([[2, 0], [0, 3]], True)[0] == [[1, 0], [0, 6]]
+
+
+def test_backend_names_the_kernels_in_use():
+    import knotpres
+    from knotpres import abelian, coset
+
+    assert (abelian._kernel is abelian._smith) == (abelian.BACKEND == "pure")
+    both = abelian.BACKEND == coset.BACKEND == "compiled"
+    assert knotpres.BACKEND == ("compiled" if both else "pure")

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from knotpres.abelian import matrix_multiply
 from knotpres.cli import main
 from knotpres.presentations import parse
+from oracles import matrix_multiply
 
 TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
 A5 = "< c, d | c^2, d^3, (c d)^5 >"
@@ -246,6 +246,30 @@ def test_huge_exponent_is_a_usage_error(capsys):
     code, out, err = run(capsys, "h1", "< x | x^1000000000 >")
     assert code == 3 and out == ""
     assert "exceeds the limit" in err
+
+
+def test_deep_nesting_parses_or_exits_3(tmp_path, capsys):
+    def h1_of(text):
+        path = tmp_path / "deep.txt"
+        path.write_text(text)
+        return run(capsys, "h1", "--input", str(path))
+
+    depth = 5000
+    assert h1_of("< x | " + "(" * depth + "x" + ")" * depth + " >") == (0, "0\n", "")
+    assert h1_of("< x, y | " + "(" * 100_000 + "x y^-1" + ")^1" * 100_000 + " >")[:2] == (0, "Z^1\n")
+    code, out, err = h1_of("< x | " + "(" * depth + "x" + ")" * (depth - 1) + " >")
+    assert code == 3 and out == "" and "expected ')'" in err
+    code, out, err = h1_of("< x | " + "(x " * depth + " >")
+    assert code == 3 and out == "" and "expected ')'" in err
+    code, out, err = h1_of("< x | " + "(" * 20 + "x^2" + ")^2" * 20 + " >")
+    assert code == 3 and "exceeds the limit" in err
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "snf", "[" * 100_000 + "]" * 100_000)
+    assert code == 3 and out == "" and "JSON array of rows" in err
+    code, out, err = run(capsys, "verify-identity", "< x | x >", "--pi", "[" * 100_000)
+    assert code == 3 and out == "" and "must be JSON" in err
 
 
 def test_enumerate_stream(capsys):
