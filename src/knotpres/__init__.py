@@ -66,13 +66,9 @@ from .words import (
     EMPTY,
     Word,
     commutator,
-    concat,
     conjugacy_witness,
     conjugate,
     cyclic_reduce,
-    free_equal,
-    invert,
-    reduce,
 )
 
 # "compiled" only when both compiled kernels loaded
@@ -97,7 +93,6 @@ __all__ = [
     "Word",
     "artin_check",
     "commutator",
-    "concat",
     "conjugacy_witness",
     "conjugate",
     "contains",
@@ -108,13 +103,11 @@ __all__ = [
     "enumerate_cosets",
     "enumerate_weight_one",
     "fold",
-    "free_equal",
     "free_product",
     "h1",
     "h1_is_infinite_cyclic",
     "hnn_extension",
     "homology_gadget",
-    "invert",
     "is_basis",
     "is_freely_related",
     "is_perfect",
@@ -129,7 +122,6 @@ __all__ = [
     "perfect_embed",
     "quotient",
     "rank",
-    "reduce",
     "relation_matrix",
     "replay_elimination",
     "s_minus_k3",

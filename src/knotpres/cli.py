@@ -96,14 +96,6 @@ def _print_json(payload, fmt):
     print(json.dumps(payload))
 
 
-def _format_invariants(inv):
-    parts = []
-    if inv.free_rank:
-        parts.append("Z^%d" % inv.free_rank)
-    parts.extend("Z/%d" % d for d in inv.torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 def _cmd_h1(args):
     p = _load_presentation(args)
     inv = h1(p)
@@ -112,12 +104,12 @@ def _cmd_h1(args):
             {
                 "free_rank": inv.free_rank,
                 "torsion": list(inv.torsion),
-                "display": _format_invariants(inv),
+                "display": str(inv),
             },
             "json",
         )
     else:
-        print(_format_invariants(inv))
+        print(inv)
     return 0
 
 

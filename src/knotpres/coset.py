@@ -14,7 +14,7 @@ import os
 
 from .outcomes import CheckOutcome
 from .presentations import Presentation, quotient
-from .words import Word
+from .words import Word, _directions
 
 if os.environ.get("KNOTPRES_PURE") == "1":
     from . import _coset_py as _kernel
@@ -31,18 +31,6 @@ else:
         BACKEND = "pure"
 
 DEFAULT_MAX_COSETS = 100_000
-
-
-def _directions(word):
-    """Encode a word as direction indices: 2g for generator g, 2g+1 for its
-    inverse."""
-    out = []
-    for k in word.letters:
-        if k > 0:
-            out.append(2 * (k - 1))
-        else:
-            out.append(2 * (-k - 1) + 1)
-    return tuple(out)
 
 
 class CosetTable:

@@ -1,20 +1,18 @@
 """Stallings foldings for finitely generated subgroups of free groups.
 
 A subgroup is represented by the folded graph of a wedge of word loops.
-Vertices are integers with 0 the base; edge slots are signed directions
-(2g for generator g, 2g+1 for its inverse).  Folding merges vertices into
-the smaller index, so the result is deterministic in the input order.
+Vertices are integers with 0 the base; edge slots are the direction indices
+of ``words._direction`` (2g for generator g, 2g+1 for its inverse).
+Folding merges vertices into the smaller index, so the result is
+deterministic in the input order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
+from . import words as _words
 from .words import Word
-
-
-def _direction(letter: int) -> int:
-    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
 class SubgroupGraph:
@@ -65,14 +63,14 @@ class SubgroupGraph:
         letters = w.letters
         for i, k in enumerate(letters):
             nxt = self.base if i == len(letters) - 1 else self._new_vertex()
-            self._insert(self._find(v), _direction(k), self._find(nxt))
+            self._insert(self._find(v), _words._direction(k), self._find(nxt))
             v = nxt
 
     def contains(self, w: Word) -> bool:
         """Membership: the word must trace a closed path at the base."""
         v = self._find(self.base)
         for k in w.letters:
-            t = self.out[v].get(_direction(k))
+            t = self.out[v].get(_words._direction(k))
             if t is None:
                 return False
             v = self._find(t)

@@ -34,6 +34,9 @@ DEFAULT_AUDIT_BUDGET = 10_000
 # square of c generates the centre.
 BINARY_ICOSAHEDRAL_TEXT = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
 
+# The generators every perfecting construction adjoins, in this order.
+_PERFECTING_NAMES = ("a", "alpha", "b", "beta")
+
 
 class GadgetReport:
     """A constructed presentation together with its audit trail.
@@ -93,21 +96,31 @@ def _identity_map(g, shift=0):
     return {name: Word([i + 1 + shift]) for i, name in enumerate(g.generators)}
 
 
-def _perfecting_rows(m, a, al, b, be, middle_rows, extra_row):
+def _perfecting_rows(m, addendum=False, word=None):
     """The five relation families that force every generator to die in the
-    abelianisation: conjugation rows tying a and alpha to b and beta, one
-    graded row per input generator, and two closing rows supplied by the
-    caller (products of commutators, or commutators against a fixed word).
+    abelianisation, over the four generators a, alpha, b, beta adjoined after
+    m input generators: conjugation rows tying a and alpha to b and beta, one
+    graded row per input generator (plus one with no input generator when
+    ``addendum`` is set), and two closing rows tying b and beta to the
+    commutators of the input generators with a and alpha (multiplied over
+    all of them), or of ``word`` when one is given.
     """
+    a, al, b, be = (Word([m + i]) for i in range(1, 5))
+    if word is None:
+        left4 = left5 = EMPTY
+        for i in range(1, m + 1):
+            left4 = left4 * commutator(Word([i]), a)
+            left5 = left5 * commutator(Word([i]), al)
+    else:
+        left4, left5 = commutator(word, a), commutator(word, al)
     rels = []
     rels.append(a * al * ~a * (b ** -2))
     rels.append(al * a * ~al * ~(b * be * ~b))
-    for i in middle_rows:
+    for i in range(1, m + 2 if addendum else m + 1):
         x = Word([i]) if i <= m else EMPTY
         left = (a ** (2 * i)) * x * (al ** (2 * i))
         right = (be ** (2 * i + 2)) * b * (be ** (-(2 * i + 2)))
         rels.append(left * ~right)
-    left4, left5 = extra_row
     rels.append(left4 * ~((be ** 2) * b * (be ** -2)))
     rels.append(left5 * ~(be * b * be * ~b * ~be))
     return rels
@@ -122,21 +135,8 @@ def perfect_embed(g, addendum=False):
     (with no input generator in it) is added, which makes the second
     homology infinite for nontrivial inputs.
     """
-    m = len(g.generators)
-    names = _fresh_names(["a", "alpha", "b", "beta"], g.generators)
-    a = Word([m + 1])
-    al = Word([m + 2])
-    b = Word([m + 3])
-    be = Word([m + 4])
-    rows = list(range(1, m + 1)) + ([m + 1] if addendum else [])
-    prod_a = EMPTY
-    prod_al = EMPTY
-    for i in range(1, m + 1):
-        prod_a = prod_a * commutator(Word([i]), a)
-        prod_al = prod_al * commutator(Word([i]), al)
-    rels = list(g.relators) + _perfecting_rows(
-        m, a, al, b, be, rows, (prod_a, prod_al)
-    )
+    names = _fresh_names(_PERFECTING_NAMES, g.generators)
+    rels = list(g.relators) + _perfecting_rows(len(g.generators), addendum)
     out = Presentation(tuple(g.generators) + tuple(names), rels)
     if not is_perfect(out):
         raise RuntimeError("perfecting construction produced a non-perfect output")
@@ -145,12 +145,11 @@ def perfect_embed(g, addendum=False):
     )
 
 
-def _square_embed(g):
-    """Direct square of the perfect embedding, plus its bookkeeping."""
-    P = perfect_embed(g).output
-    k = len(P.generators)
-    pp = direct_product(P, P, _safe_tags(P, P))
-    return P, k, pp
+def _square_embed(g, addendum=False):
+    """Direct square of the perfect embedding, with the embedding's
+    generator count."""
+    P = perfect_embed(g, addendum).output
+    return len(P.generators), direct_product(P, P, _safe_tags(P, P))
 
 
 def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
@@ -161,7 +160,7 @@ def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     embedding: s flips the factors one way, t folds the second factor onto
     the diagonal, and u squares both s and t.
     """
-    P, k, pp = _square_embed(g)
+    k, pp = _square_embed(g)
     s_name = fresh_name("s", pp.generators)
     q1 = hnn_extension(
         pp, s_name, [(Word([k + j + 1]), Word([j + 1])) for j in range(k)]
@@ -193,9 +192,7 @@ def k3_minus_k2(g):
     their diagonals.
     """
     m = len(g.generators)
-    P = perfect_embed(g, addendum=True).output
-    k = len(P.generators)
-    pp = direct_product(P, P, _safe_tags(P, P))
+    k, pp = _square_embed(g, addendum=True)
     s_name = fresh_name("s", pp.generators)
     q = hnn_extension(
         pp, s_name, [(Word([k + j + 1]), Word([j + 1])) for j in range(k)]
@@ -238,24 +235,10 @@ def s_minus_k3(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     input relators are imposed only as central words, never as trivial ones.
     """
     m = len(g.generators)
-    n = len(g.relators)
-    names = _fresh_names(["a", "alpha", "b", "beta", "c", "d", "e"], g.generators)
+    names = _fresh_names(_PERFECTING_NAMES + ("c", "d", "e"), g.generators)
     total = m + 7
-    a = Word([m + 1])
-    al = Word([m + 2])
-    b = Word([m + 3])
-    be = Word([m + 4])
-    c = Word([m + 5])
-    d = Word([m + 6])
-    e = Word([m + 7])
-    prod_a = EMPTY
-    prod_al = EMPTY
-    for i in range(1, m + 1):
-        prod_a = prod_a * commutator(Word([i]), a)
-        prod_al = prod_al * commutator(Word([i]), al)
-    rels = _perfecting_rows(
-        m, a, al, b, be, range(1, m + 1), (prod_a, prod_al)
-    )
+    b, c, d, e = (Word([m + i]) for i in (3, 5, 6, 7))
+    rels = _perfecting_rows(m)
     five = (~d * c) ** 5
     rels.append(c * c * ~five)
     rels.append(d * d * d * ~five)
@@ -398,20 +381,8 @@ def whitehead_gadget(p, w):
     m = len(p.generators)
     if w.max_generator() > m:
         raise ValueError("word uses a generator missing from the presentation")
-    names = _fresh_names(["a", "alpha", "b", "beta"], p.generators)
-    a = Word([m + 1])
-    al = Word([m + 2])
-    b = Word([m + 3])
-    be = Word([m + 4])
-    rels = list(p.relators) + _perfecting_rows(
-        m,
-        a,
-        al,
-        b,
-        be,
-        range(1, m + 1),
-        (commutator(w, a), commutator(w, al)),
-    )
+    names = _fresh_names(_PERFECTING_NAMES, p.generators)
+    rels = list(p.relators) + _perfecting_rows(m, word=w)
     out = Presentation(tuple(p.generators) + tuple(names), rels)
     if not is_perfect(out):
         raise RuntimeError("word-perfecting construction left homology behind")

@@ -371,14 +371,12 @@ def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
         level = nxt
 
 
-def _certificate_blocks(p: Presentation, budget: TietzeBudget, skip: Optional[int]):
+def _certificate_blocks(p: Presentation, budget: TietzeBudget):
     """Conjugated-relator building blocks in deterministic order, as pairs
     ``(letters of g^-1 r^s g, certificate entry (g, j, s))``."""
     conjugators = list(words_up_to(len(p.generators), budget.max_conjugator_len))
     blocks = []
     for j, r in enumerate(p.relators):
-        if j == skip:
-            continue
         for s in (1, -1):
             body = r if s == 1 else ~r
             for g in conjugators:
@@ -386,16 +384,13 @@ def _certificate_blocks(p: Presentation, budget: TietzeBudget, skip: Optional[in
     return blocks
 
 
-def _consequence_search(
-    p: Presentation, budget: TietzeBudget, skip: Optional[int], target: Optional[Word]
-):
-    """Bounded BFS over products of conjugated relators.
+def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
+    """Bounded BFS over products of the given conjugated-relator blocks.
 
     With a target, returns the first certificate reaching it (or None).
     Without one, returns {letters: certificate entries} for every reachable
     nonempty word.  The search runs on reduced letter tuples.
     """
-    blocks = _certificate_blocks(p, budget, skip)
     longest = max((len(b[0]) for b in blocks), default=0)
     cap = budget.max_relator_len + longest
     goal = None
@@ -430,6 +425,49 @@ def _consequence_search(
     return found
 
 
+def _eliminate(
+    relators: Sequence[Word], ri: int, g: int, max_letters: Optional[int] = None
+) -> Optional[Tuple[Word, Tuple[Word, ...]]]:
+    """Eliminate generator letter ``g`` (1-based) by solving ``relators[ri]``,
+    in which it must occur exactly once.
+
+    Returns ``(rep, rest)``: ``rep`` is the word ``g`` equals, still in the
+    old alphabet; ``rest`` holds every other relator, in order, with ``rep``
+    put for ``g``, freely reduced, and each generator above ``g`` renumbered
+    down by one.  Empty results stay in ``rest``.  Returns None when ``g``
+    does not occur exactly once, or when a reduced result is longer than
+    ``max_letters``.
+    """
+    letters = relators[ri].letters
+    plus = letters.count(g)
+    if plus + letters.count(-g) != 1:
+        return None
+    pos = letters.index(g if plus else -g)
+    before, after = _trusted(letters[:pos]), _trusted(letters[pos + 1 :])
+    rep = ~before * ~after if plus else after * before
+    image = [k - 1 if k > g else k + 1 if k < -g else k for k in rep.letters]
+    inverse = [-k for k in reversed(image)]
+    rest = []
+    for rj, r in enumerate(relators):
+        if rj == ri:
+            continue
+        out: List[int] = []
+        for k in r.letters:
+            if k == g or k == -g:
+                piece = image if k == g else inverse
+            else:
+                piece = (k - 1 if k > g else k + 1 if k < -g else k,)
+            for m in piece:
+                if out and out[-1] == -m:
+                    out.pop()
+                else:
+                    out.append(m)
+        if max_letters is not None and len(out) > max_letters:
+            return None
+        rest.append(_trusted(tuple(out)))
+    return rep, tuple(rest)
+
+
 def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence:
     entries = tuple(
         (g, j if j < removed else j - 1, s) for g, j, s in cert.entries
@@ -447,9 +485,11 @@ def tietze_neighbors(
     generator additions length-lex by the defining word.
     """
     ngens = len(p.generators)
+    blocks = _certificate_blocks(p, budget)
 
     for i in range(len(p.relators)):
-        cert = _consequence_search(p, budget, skip=i, target=p.relators[i])
+        others = [b for b in blocks if b[1][1] != i]
+        cert = _consequence_search(others, budget, target=p.relators[i])
         if cert is None:
             continue
         rest = p.relators[:i] + p.relators[i + 1 :]
@@ -462,33 +502,12 @@ def tietze_neighbors(
         yield Presentation._trusted(p.generators, rest), move
 
     for g in range(ngens):
-        target = g + 1
-        for ri, r in enumerate(p.relators):
-            hits = [pos for pos, k in enumerate(r.letters) if abs(k) == target]
-            if len(hits) != 1:
+        names = p.generators[:g] + p.generators[g + 1 :]
+        for ri in range(len(p.relators)):
+            step = _eliminate(p.relators, ri, g + 1, budget.max_relator_len)
+            if step is None:
                 continue
-            pos = hits[0]
-            u = Word(r.letters[:pos])
-            v = Word(r.letters[pos + 1 :])
-            rep = (~u) * (~v) if r.letters[pos] > 0 else v * u
-            images = [Word([k + 1]) for k in range(ngens)]
-            images[g] = rep
-            collapse = [
-                Word([k + 1 if k < g else k]) if k != g else EMPTY for k in range(ngens)
-            ]
-            new_rels = []
-            ok = True
-            for rj, other in enumerate(p.relators):
-                if rj == ri:
-                    continue
-                sub = other.substitute(images).substitute(collapse)
-                if len(sub) > budget.max_relator_len:
-                    ok = False
-                    break
-                new_rels.append(sub)
-            if not ok:
-                continue
-            names = p.generators[:g] + p.generators[g + 1 :]
+            rep, rest = step
             move = TietzeMove(
                 kind="remove-generator",
                 index=g,
@@ -496,9 +515,9 @@ def tietze_neighbors(
                 name=p.generators[g],
                 word=rep,
             )
-            yield Presentation._trusted(names, tuple(new_rels)), move
+            yield Presentation._trusted(names, rest), move
 
-    reachable = _consequence_search(p, budget, skip=None, target=None)
+    reachable = _consequence_search(blocks, budget, target=None)
     short = [w for w in reachable if len(w) <= budget.max_relator_len]
     for letters in sorted(short, key=lambda w: (len(w), w)):
         w = _trusted(letters)

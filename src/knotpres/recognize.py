@@ -8,6 +8,7 @@ returns Unknown rather than guess when its budget runs out.
 """
 
 from collections import deque
+from itertools import product
 
 from .abelian import h1_is_infinite_cyclic, invariant_factors, relation_matrix
 from .coset import DEFAULT_MAX_COSETS, weight_one_witness_check
@@ -16,6 +17,7 @@ from .presentations import (
     IdentitySequence,
     Presentation,
     TietzeBudget,
+    _eliminate,
     tietze_neighbors,
 )
 from .words import EMPTY, Word, cyclic_reduce
@@ -62,9 +64,49 @@ def is_wirtinger(p):
     )
 
 
-def _companion(j, relator):
-    """The word beta with relator == x_j^-1 beta in the free group."""
-    return Word([j]) * relator
+def _companion_family(p, first, full_cycle):
+    """Read relators ``first``, ``first + 1``, ... as x_j^-1 beta_j, one per
+    generator j, and check the companion words beta_j.
+
+    Each beta_j must be conjugate to a generator x_mu[j]; mu must be the
+    cycle j -> j + 1 (mod n) when ``full_cycle`` is set, else a permutation;
+    and the product of the beta_j must freely equal x_1 x_2 ... x_n.
+    Returns ``(mu, conjugators, betas)``, or the No outcome of the first
+    check that fails.
+    """
+    n = len(p.generators)
+    mu = []
+    conjugators = []
+    betas = []
+    for j in range(1, n + 1):
+        beta = Word([j]) * p.relators[first + j - 1]
+        found = _conjugate_to_generator(beta)
+        if found is None:
+            return CheckOutcome.no(
+                evidence={
+                    "relator": first + j - 1,
+                    "reason": "companion word is not conjugate to a generator",
+                }
+            )
+        mu.append(found[0])
+        conjugators.append(found[1])
+        betas.append(beta)
+    if full_cycle and mu != [j % n + 1 for j in range(1, n + 1)]:
+        return CheckOutcome.no(
+            evidence={"mu": mu, "reason": "companion map is not the full cycle"}
+        )
+    if not full_cycle and sorted(mu) != list(range(1, n + 1)):
+        return CheckOutcome.no(
+            evidence={"mu": mu, "reason": "companion map is not a permutation"}
+        )
+    total = EMPTY
+    for beta in betas:
+        total = total * beta
+    if total != Word(range(1, n + 1)):
+        return CheckOutcome.no(
+            evidence={"reason": "companion product differs from generator product"}
+        )
+    return mu, conjugators, betas
 
 
 def artin_check(p):
@@ -84,36 +126,10 @@ def artin_check(p):
                 "relators": len(p.relators),
             }
         )
-    mu = []
-    conjugators = []
-    betas = []
-    for j in range(1, n + 1):
-        beta = _companion(j, p.relators[j - 1])
-        found = _conjugate_to_generator(beta)
-        if found is None:
-            return CheckOutcome.no(
-                evidence={
-                    "relator": j - 1,
-                    "reason": "companion word is not conjugate to a generator",
-                }
-            )
-        mu.append(found[0])
-        conjugators.append(found[1])
-        betas.append(beta)
-    cycle = [j % n + 1 for j in range(1, n + 1)]
-    if mu != cycle:
-        return CheckOutcome.no(
-            evidence={"mu": mu, "reason": "companion map is not the full cycle"}
-        )
-    lhs = EMPTY
-    rhs = EMPTY
-    for j, beta in enumerate(betas, start=1):
-        lhs = lhs * beta
-        rhs = rhs * Word([j])
-    if lhs != rhs:
-        return CheckOutcome.no(
-            evidence={"reason": "companion product differs from generator product"}
-        )
+    family = _companion_family(p, 0, full_cycle=True)
+    if isinstance(family, CheckOutcome):
+        return family
+    mu, conjugators, _betas = family
     return CheckOutcome.yes(
         evidence={
             "mu": mu,
@@ -144,80 +160,40 @@ def _orbits(n, maps):
     return [sorted(v) for _, v in sorted(buckets.items())]
 
 
-def _solve_for(relator, g):
-    """Rewrite a relator with a single occurrence of generator ``g`` as a
-    defining word for ``g`` that avoids ``g``."""
-    letters = relator.letters
-    pos = next(k for k, l in enumerate(letters) if abs(l) == g)
-    before = Word(letters[:pos])
-    after = Word(letters[pos + 1 :])
-    if letters[pos] > 0:
-        return (~before) * (~after)
-    return after * before
-
-
 def _eliminate_to_free(ngens, relators, max_letters):
     """Bounded generator elimination aiming at a free presentation.
 
-    Repeatedly picks the first relator holding a generator that occurs in
-    it exactly once, solves for that generator, and substitutes everywhere,
-    skipping candidates whose substitution would exceed ``max_letters`` in
-    any relator.  Returns (True, trace) once no relators are left, else
-    (False, trace); the trace lists [relator_pos, generator_pos, word] steps
-    against the surviving presentation at each step.
+    Repeatedly takes the first relator holding a generator that occurs in it
+    exactly once and eliminates that generator, skipping candidates whose
+    substitution would exceed ``max_letters`` in any relator.  Returns
+    (True, trace) once no relators are left, else (False, trace); the trace
+    lists [relator_pos, generator, word] steps against the surviving
+    presentation at each step, as ``replay_elimination`` reads them.
     """
     count = ngens
     rels = [r for r in relators if r]
     trace = []
     while rels:
-        step = None
-        for ri, r in enumerate(rels):
-            for g in range(1, count + 1):
-                hits = 0
-                for l in r.letters:
-                    if abs(l) == g:
-                        hits += 1
-                        if hits > 1:
-                            break
-                if hits != 1:
-                    continue
-                rep = _solve_for(r, g)
-                images = [Word([k + 1]) for k in range(count)]
-                images[g - 1] = rep
-                collapse = [
-                    Word([k + 1 if k < g - 1 else k]) if k != g - 1 else EMPTY
-                    for k in range(count)
-                ]
-                new_rels = []
-                ok = True
-                for rj, other in enumerate(rels):
-                    if rj == ri:
-                        continue
-                    sub = other.substitute(images).substitute(collapse)
-                    if len(sub) > max_letters:
-                        ok = False
-                        break
-                    new_rels.append(sub)
-                if ok:
-                    step = (ri, g, rep, new_rels)
-                    break
+        for ri, g in product(range(len(rels)), range(1, count + 1)):
+            step = _eliminate(rels, ri, g, max_letters)
             if step is not None:
                 break
-        if step is None:
+        else:
             return False, trace
-        ri, g, rep, new_rels = step
+        rep, rest = step
         trace.append([ri, g, rep])
         count -= 1
-        rels = [r for r in new_rels if r]
+        rels = [r for r in rest if r]
     return True, trace
 
 
 def replay_elimination(ngens, relators, trace):
-    """Re-run an elimination trace and confirm it ends with no relators.
+    """Check an elimination trace: re-run each step with the elimination
+    ``two_knot_check`` runs, and confirm that no relators are left.
 
     Each step must name a live relator position and a generator occurring
-    exactly once in that relator; the defining word is recomputed, and when
-    a step carries a recorded word it must match the recomputed one.
+    exactly once in that relator; when a step carries a recorded word, it
+    must match the recomputed defining word.
     """
     count = ngens
     rels = [r for r in relators if r]
@@ -225,24 +201,13 @@ def replay_elimination(ngens, relators, trace):
         ri, g = entry[0], entry[1]
         if not (0 <= ri < len(rels)) or not (1 <= g <= count):
             return False
-        r = rels[ri]
-        if sum(1 for l in r.letters if abs(l) == g) != 1:
+        step = _eliminate(rels, ri, g)
+        if step is None:
             return False
-        rep = _solve_for(r, g)
+        rep, rest = step
         if len(entry) > 2 and isinstance(entry[2], Word) and entry[2] != rep:
             return False
-        images = [Word([k + 1]) for k in range(count)]
-        images[g - 1] = rep
-        collapse = [
-            Word([k + 1 if k < g - 1 else k]) if k != g - 1 else EMPTY
-            for k in range(count)
-        ]
-        rels = [
-            other.substitute(images).substitute(collapse)
-            for rj, other in enumerate(rels)
-            if rj != ri
-        ]
-        rels = [r for r in rels if r]
+        rels = [r for r in rest if r]
         count -= 1
     return not rels
 
@@ -279,35 +244,10 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
                     "expected": p.spell(want),
                 }
             )
-    mu = []
-    conjugators = []
-    betas = []
-    for j in range(1, n + 1):
-        beta = _companion(j, p.relators[h + j - 1])
-        found = _conjugate_to_generator(beta)
-        if found is None:
-            return CheckOutcome.no(
-                evidence={
-                    "relator": h + j - 1,
-                    "reason": "companion word is not conjugate to a generator",
-                }
-            )
-        mu.append(found[0])
-        conjugators.append(found[1])
-        betas.append(beta)
-    if sorted(mu) != list(range(1, n + 1)):
-        return CheckOutcome.no(
-            evidence={"mu": mu, "reason": "companion map is not a permutation"}
-        )
-    lhs = EMPTY
-    rhs = EMPTY
-    for j, beta in enumerate(betas, start=1):
-        lhs = lhs * beta
-        rhs = rhs * Word([j])
-    if lhs != rhs:
-        return CheckOutcome.no(
-            evidence={"reason": "companion product differs from generator product"}
-        )
+    family = _companion_family(p, h, full_cycle=False)
+    if isinstance(family, CheckOutcome):
+        return family
+    mu, conjugators, betas = family
     pairing = list(range(1, n + 1))
     for i in range(1, h + 1):
         pairing[2 * i - 2], pairing[2 * i - 1] = 2 * i, 2 * i - 1

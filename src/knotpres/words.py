@@ -9,7 +9,7 @@ the presentation level, never here.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 
 def _reduced(letters: Iterable[int]) -> Tuple[int, ...]:
@@ -101,14 +101,6 @@ class Word:
         """Reindex every generator by ``+offset`` (for product alphabets)."""
         return Word(tuple(k + offset if k > 0 else k - offset for k in self.letters))
 
-    def substitute(self, images: Sequence["Word"]) -> "Word":
-        """Replace generator ``i`` by ``images[i]`` throughout."""
-        out: list[int] = []
-        for k in self.letters:
-            img = images[abs(k) - 1]
-            out.extend(img.letters if k > 0 else (~img).letters)
-        return Word(out)
-
 
 def _trusted(letters: Tuple[int, ...]) -> Word:
     """Wrap a tuple of nonzero ints that is already freely reduced.
@@ -124,20 +116,15 @@ def _trusted(letters: Tuple[int, ...]) -> Word:
 EMPTY = Word()
 
 
-def reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence."""
-    return Word(letters)
+def _direction(k: int) -> int:
+    """The direction index of letter ``k``, the edge label of coset tables and
+    folded graphs: 2g for 0-based generator g, 2g+1 for its inverse."""
+    return 2 * k - 2 if k > 0 else -2 * k - 1
 
 
-def concat(*words: Word) -> Word:
-    letters: list[int] = []
-    for w in words:
-        letters.extend(w.letters)
-    return Word(letters)
-
-
-def invert(w: Word) -> Word:
-    return ~w
+def _directions(word: Word) -> Tuple[int, ...]:
+    """The direction indices of a word's letters."""
+    return tuple(map(_direction, word.letters))
 
 
 def conjugate(u: Word, g: Word) -> Word:
@@ -148,10 +135,6 @@ def conjugate(u: Word, g: Word) -> Word:
 def commutator(u: Word, v: Word) -> Word:
     """u^-1 v^-1 u v."""
     return (~u) * (~v) * u * v
-
-
-def free_equal(u: Word, v: Word) -> bool:
-    return u == v
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:

@@ -3,6 +3,8 @@
 None of these is used by the library itself.
 """
 
+from knotpres.words import EMPTY, Word
+
 
 def matrix_multiply(a, b):
     if not a or not b:
@@ -49,3 +51,39 @@ def determinant(mat):
 def exponent_sum(w, gen):
     """Exponent sum of 0-based generator ``gen`` in the word ``w``."""
     return w.letters.count(gen + 1) - w.letters.count(-gen - 1)
+
+
+def substitute(w, images):
+    """Replace generator ``i`` (0-based) of ``w`` by the word ``images[i]``."""
+    out = []
+    for k in w.letters:
+        img = images[abs(k) - 1]
+        out.extend(img.letters if k > 0 else (~img).letters)
+    return Word(out)
+
+
+def eliminate(relators, ri, g, max_letters=None):
+    """Two-step generator elimination: solve ``relators[ri]`` for the letter
+    ``g`` (1-based), substitute the solution for ``g`` in every other
+    relator, then renumber the generators above ``g`` down by one."""
+    letters = relators[ri].letters
+    hits = [pos for pos, k in enumerate(letters) if abs(k) == g]
+    if len(hits) != 1:
+        return None
+    pos = hits[0]
+    u, v = Word(letters[:pos]), Word(letters[pos + 1 :])
+    rep = (~u) * (~v) if letters[pos] > 0 else v * u
+    ngens = max([g] + [r.max_generator() for r in relators])
+    images = [Word([k + 1]) for k in range(ngens)]
+    images[g - 1] = rep
+    collapse = [Word([k + 1 if k < g - 1 else k]) if k != g - 1 else EMPTY
+                for k in range(ngens)]
+    rest = []
+    for rj, other in enumerate(relators):
+        if rj == ri:
+            continue
+        sub = substitute(substitute(other, images), collapse)
+        if max_letters is not None and len(sub) > max_letters:
+            return None
+        rest.append(sub)
+    return rep, tuple(rest)

@@ -16,7 +16,7 @@ from knotpres.abelian import (
 )
 from knotpres.presentations import Presentation, parse
 from knotpres.words import Word
-from oracles import determinant, exponent_sum, matrix_multiply
+from oracles import determinant, exponent_sum, matrix_multiply, substitute
 
 
 def _cofactor_det(m):
@@ -161,7 +161,7 @@ def test_h1_invariant_under_generator_permutation():
         images = [Word([perm[i] + 1]) for i in range(ngens)]
         q = Presentation(
             tuple(names[perm.index(i)] for i in range(ngens)),
-            [r.substitute(images) for r in rels],
+            [substitute(r, images) for r in rels],
         )
         assert h1(p) == h1(q)
 

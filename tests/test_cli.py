@@ -21,7 +21,7 @@ def run(capsys, *argv):
 def test_h1_text(capsys):
     code, out, _ = run(capsys, "h1", "< y1, y2 | y1 y2 y1 y2^-1 y1^-1 y2^-1 >")
     assert code == 0
-    assert out == "Z^1\n"
+    assert out == "Z\n"
 
 
 def test_h1_json(capsys):
@@ -256,7 +256,7 @@ def test_deep_nesting_parses_or_exits_3(tmp_path, capsys):
 
     depth = 5000
     assert h1_of("< x | " + "(" * depth + "x" + ")" * depth + " >") == (0, "0\n", "")
-    assert h1_of("< x, y | " + "(" * 100_000 + "x y^-1" + ")^1" * 100_000 + " >")[:2] == (0, "Z^1\n")
+    assert h1_of("< x, y | " + "(" * 100_000 + "x y^-1" + ")^1" * 100_000 + " >")[:2] == (0, "Z\n")
     code, out, err = h1_of("< x | " + "(" * depth + "x" + ")" * (depth - 1) + " >")
     assert code == 3 and out == "" and "expected ')'" in err
     code, out, err = h1_of("< x | " + "(x " * depth + " >")
@@ -326,7 +326,7 @@ def test_stdin_pipe_subprocess():
         text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout == "Z^1\n"
+    assert proc.stdout == "Z\n"
 
 
 def test_back_to_back_calls_share_no_state(tmp_path, capsys):

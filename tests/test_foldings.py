@@ -1,8 +1,10 @@
 import random
 from itertools import product
 
+from knotpres.coset import enumerate_cosets
 from knotpres.foldings import SubgroupGraph, contains, fold, is_basis, rank
-from knotpres.words import EMPTY, Word
+from knotpres.presentations import parse
+from knotpres.words import EMPTY, Word, _directions
 
 A, B = 1, 2
 
@@ -159,3 +161,44 @@ def test_products_always_members_randomized():
                 g = rng.choice(gens)
                 w = w * (g if rng.random() < 0.5 else ~g)
             assert graph.contains(w)
+
+
+def test_foldings_and_coset_tables_share_the_direction_encoding():
+    # Column d of a coset table and edge slot d of a folded graph both carry
+    # the letter that words._directions maps to d.  Read the table's Schreier
+    # generators through that map: their folded graph is the table itself,
+    # so its rank is the Schreier index formula and its membership test is
+    # the table's trace back to coset 0.
+    ngens = 2
+    letter = {_directions(Word([k]))[0]: k for g in (1, 2) for k in (g, -g)}
+    assert sorted(letter) == list(range(2 * ngens))
+    p = parse("< a, b | a^2, b^3, (a b)^5 >")
+    table = enumerate_cosets(p, [p.word("b")]).table
+    index = len(table)
+    assert index == 20
+    columns = table.to_json_dict(["a", "b"])["columns"]
+    assert [columns[d] for d in sorted(letter)] == ["a", "a^-1", "b", "b^-1"]
+    path = {0: EMPTY}
+    frontier = [0]
+    while frontier:
+        c = frontier.pop(0)
+        for d, t in enumerate(table.rows[c]):
+            if t not in path:
+                path[t] = path[c] * Word([letter[d]])
+                frontier.append(t)
+    schreier = []
+    for c, row in enumerate(table.rows):
+        for d, t in enumerate(row):
+            w = path[c] * Word([letter[d]]) * ~path[t]
+            if d % 2 == 0 and w:
+                schreier.append(w)
+    graph = fold(ngens, schreier)
+    assert graph.rank() == index * (ngens - 1) + 1
+    rng = random.Random(60)
+    members = 0
+    for _ in range(400):
+        w = Word([rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12))])
+        inside = table.trace(0, w) == 0
+        assert graph.contains(w) == inside
+        members += inside
+    assert 100 <= members <= 300

@@ -9,6 +9,7 @@ from knotpres.presentations import (
     IdentitySequence,
     Presentation,
     TietzeBudget,
+    _eliminate,
     deficiency,
     direct_product,
     drop_deficiency,
@@ -24,6 +25,7 @@ from knotpres.presentations import (
     words_up_to,
 )
 from knotpres.words import EMPTY, Word
+from oracles import eliminate as eliminate_oracle
 
 
 def test_parse_basic():
@@ -238,6 +240,105 @@ def test_tietze_remove_generator():
     rms = [(q, m) for q, m in tietze_neighbors(p) if m.kind == "remove-generator"]
     assert any(q == parse("< x | >") for q, _ in rms)
     assert any(q == parse("< y | >") for q, _ in rms)
+
+
+def test_eliminate_solves_renumbers_and_keeps_empty_results():
+    # x1 x2 x3 = 1 gives x2 = x1^-1 x3^-1; after the substitution x3 becomes x2.
+    rels = [
+        Word([1, 2, 3]),
+        Word([2, 3, 3]),
+        Word([-2, -1]),
+        Word([1, 2, -3, -2]),
+        Word([1, 2, 3]),
+    ]
+    rep, rest = _eliminate(rels, 0, 2)
+    assert rep == Word([-1, -3])
+    assert rest == (Word([-1, 2]), Word([2]), Word([-2, 1]), EMPTY)
+    assert (rep, rest) == eliminate_oracle(rels, 0, 2)
+    # relator 3 is six letters long before reduction and two after it
+    assert _eliminate(rels, 0, 2, max_letters=2) == (rep, rest)
+    assert _eliminate(rels, 0, 2, max_letters=1) is None
+
+
+def test_eliminate_inverse_occurrence():
+    # x1 x2^-1 x3 = 1 gives x2 = x3 x1
+    rels = [Word([1, -2, 3]), Word([2, -1]), Word([-2, 3])]
+    rep, rest = _eliminate(rels, 0, 2)
+    assert rep == Word([3, 1])
+    assert rest == (Word([2]), Word([-1]))
+    assert (rep, rest) == eliminate_oracle(rels, 0, 2)
+
+
+def test_eliminate_needs_exactly_one_occurrence():
+    rels = [Word([1, 1, 2]), Word([1, -2, 1]), Word([2, 2])]
+    assert _eliminate(rels, 0, 1) is None  # twice, same sign
+    assert _eliminate(rels, 1, 1) is None  # twice, around x2^-1
+    assert _eliminate(rels, 2, 1) is None  # absent
+    assert _eliminate([Word([1, 2, -1])], 0, 1) is None  # once each way
+    # x1 x1 x2 = 1 gives x2 = x1^-2
+    assert _eliminate(rels, 0, 2) == (Word([-1, -1]), (Word([1] * 4), Word([-1] * 4)))
+
+
+def test_eliminate_matches_two_step_substitution():
+    rng = random.Random(2718)
+    seen = {"absent": 0, "once": 0, "inverse": 0, "repeated": 0, "over cap": 0, "at cap": 0}
+    for _ in range(3000):
+        ngens = rng.randint(1, 4)
+        rels = [
+            Word([rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(rng.randint(0, 8))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        ri = rng.randrange(len(rels))
+        g = rng.randint(1, ngens)
+        cap = rng.choice([None, rng.randint(0, 10)])
+        got = _eliminate(rels, ri, g, cap)
+        assert got == eliminate_oracle(rels, ri, g, cap)
+        hits = [k for k in rels[ri].letters if abs(k) == g]
+        if not hits:
+            seen["absent"] += 1
+        elif len(hits) > 1:
+            seen["repeated"] += 1
+            assert got is None
+        else:
+            seen["inverse" if hits[0] < 0 else "once"] += 1
+            free = _eliminate(rels, ri, g)
+            assert free is not None
+            longest = max((len(r) for r in free[1]), default=0)
+            assert _eliminate(rels, ri, g, longest) == free
+            if longest:
+                assert _eliminate(rels, ri, g, longest - 1) is None
+            if got is None:
+                seen["over cap"] += 1
+            elif cap == longest:
+                seen["at cap"] += 1
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_tietze_generator_removals_match_two_step_substitution():
+    rng = random.Random(1618)
+    budget = TietzeBudget(max_relator_len=6)
+    removals = 0
+    for _ in range(60):
+        ngens = rng.randint(1, 3)
+        rels = [
+            Word([rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(rng.randint(0, 5))])
+            for _ in range(rng.randint(1, 3))
+        ]
+        p = Presentation(tuple("abc"[:ngens]), rels)
+        want = []
+        for g in range(ngens):
+            for ri in range(len(rels)):
+                step = eliminate_oracle(p.relators, ri, g + 1, budget.max_relator_len)
+                if step is not None:
+                    want.append((g, ri, step[0], step[1]))
+        got = [
+            (m.index, m.relator_index, m.word, q.relators)
+            for q, m in tietze_neighbors(p, budget)
+            if m.kind == "remove-generator"
+        ]
+        assert got == want
+        removals += len(got)
+    assert removals > 50
 
 
 def test_tietze_emissions_preserve_h1():

@@ -188,6 +188,49 @@ def test_two_knot_replays_derived_family():
     assert replay_elimination(n, rels, out.evidence["elimination_derived"])
 
 
+def test_replay_elimination_refuses_bad_traces():
+    # x1 = x2 by the first relator turns the second into x1^2 x2^-1, and
+    # solving that for x2 (once x3) leaves nothing
+    rels = [Word([1, -2]), Word([2, 2, -3])]
+    good = [[0, 1, Word([2])], [0, 2, Word([1, 1])]]
+    assert replay_elimination(3, rels, good)
+    assert replay_elimination(3, rels, [step[:2] for step in good])
+    # relator position out of range
+    assert not replay_elimination(3, rels, [[2, 1]])
+    assert not replay_elimination(3, rels, [[-1, 1]])
+    # generator out of range, also once the alphabet has shrunk
+    assert not replay_elimination(3, rels, [[0, 0]])
+    assert not replay_elimination(3, rels, [[0, 4]])
+    assert not replay_elimination(3, rels, [good[0], [0, 3]])
+    # a generator that occurs twice in its relator
+    assert not replay_elimination(3, rels, [[1, 2]])
+    assert not replay_elimination(3, rels, [good[0], [0, 1]])
+    # a recorded word that is not the recomputed one
+    assert not replay_elimination(3, rels, [[0, 1, Word([-2])], good[1]])
+    assert not replay_elimination(3, rels, [good[0], [0, 2, Word([-1, -1])]])
+    # a trace that leaves relators
+    assert not replay_elimination(3, rels, good[:1])
+    assert not replay_elimination(3, rels, [[1, 3]])
+    assert not replay_elimination(3, rels, [])
+
+
+def test_artin_and_two_knot_share_the_companion_checks():
+    names = ("x1", "x2")
+    # both companions are generators, but x2 x1 is not x1 x2
+    swap = Presentation(names, [Word([-1, 2]), Word([-2, 1])])
+    product = {"reason": "companion product differs from generator product"}
+    assert artin_check(swap).is_no and artin_check(swap).evidence == product
+    assert two_knot_check(swap, 0).is_no and two_knot_check(swap, 0).evidence == product
+    # the second companion is x1^2; the failing relator is counted from the
+    # start, past the pairing relator
+    bad = [Word([-1, 2]), Word([-2, 1, 1])]
+    reason = "companion word is not conjugate to a generator"
+    out = artin_check(Presentation(names, bad))
+    assert out.is_no and out.evidence == {"relator": 1, "reason": reason}
+    out = two_knot_check(Presentation(names, [Word([-1, 2])] + bad), 1)
+    assert out.is_no and out.evidence == {"relator": 2, "reason": reason}
+
+
 def test_two_knot_shape_rejections():
     p = Presentation(("x1", "x2"), [Word([-1, 2]), EMPTY])
     assert two_knot_check(p, 1).is_no  # relator count
