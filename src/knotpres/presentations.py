@@ -11,7 +11,10 @@ may nest to any depth.
 
 No parsed word, and no power or product formed on the way to it, may have
 more than ``MAX_WORD_LETTERS`` (one million) letters before free reduction;
-longer input raises ValueError before the word is built.
+longer input raises ValueError before the word is built.  A parse error
+quotes the input whole when it is at most ``QUOTE_CHARS`` (60) characters
+long, and otherwise gives the offset of the failure and the 60 characters
+around it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .words import EMPTY, Word, _trusted, commutator
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(<|>|\||,|\^|\(|\)|-?\d+|[A-Za-z][A-Za-z0-9_]*)")
 MAX_WORD_LETTERS = 1_000_000
+QUOTE_CHARS = 60  # longest input text a parse error quotes whole
 
 
 class Presentation:
@@ -111,14 +115,34 @@ class _Tokens:
     def next(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ValueError(f"unexpected end of input in {self.text!r}")
+            raise ValueError(f"unexpected end of input {_where(self.text, len(self.text))}")
         self.pos += 1
         return tok
 
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r} in {self.text!r}")
+            at = _token_start(self.text, self.pos - 1)
+            raise ValueError(f"expected {tok!r}, got {got!r} {_where(self.text, at)}")
+
+
+def _token_start(text: str, i: int) -> int:
+    """The offset of token ``i`` in ``text``; found again on the error path
+    so that tokenizing records no offsets."""
+    pos = 0
+    for _ in range(i):
+        pos = _TOKEN_RE.match(text, pos).end()
+    return _TOKEN_RE.match(text, pos).start(1)
+
+
+def _where(text: str, at: int) -> str:
+    """Where a parse error is, for its message: the whole text when it is at
+    most QUOTE_CHARS long, else the offset ``at`` and the QUOTE_CHARS
+    characters around it."""
+    if len(text) <= QUOTE_CHARS:
+        return f"in {text!r}"
+    lo = min(max(at - QUOTE_CHARS // 2, 0), len(text) - QUOTE_CHARS)
+    return f"at character {at} of {len(text)}, near {text[lo:lo + QUOTE_CHARS]!r}"
 
 
 def _tokenize(text: str) -> _Tokens:
@@ -130,7 +154,10 @@ def _tokenize(text: str) -> _Tokens:
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise ValueError(f"cannot tokenize {rest!r}")
+            if len(rest) <= QUOTE_CHARS:
+                raise ValueError(f"cannot tokenize {rest!r}")
+            at = len(text) - len(text[pos:].lstrip())
+            raise ValueError(f"cannot tokenize the input {_where(text, at)}")
         items.append(m.group(1))
         pos = m.end()
     return _Tokens(items, text)
@@ -311,7 +338,7 @@ def drop_deficiency(p: Presentation) -> Presentation:
     return Presentation(p.generators + (z1, z2), rels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentitySequence:
     """A product of conjugated relators: entries are (conjugator, index, sign)."""
 
@@ -339,7 +366,7 @@ class TietzeBudget:
     max_defining_len: int = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TietzeMove:
     kind: str
     index: Optional[int] = None
@@ -347,6 +374,42 @@ class TietzeMove:
     name: Optional[str] = None
     word: Optional[Word] = None
     certificate: Optional[IdentitySequence] = None
+
+
+# The frozen dataclasses' __init__ sets each field through object.__setattr__
+# by name; the trusted builders below store through the slot descriptors.
+_set_entries = IdentitySequence.entries.__set__
+_set_kind = TietzeMove.kind.__set__
+_set_index = TietzeMove.index.__set__
+_set_relator_index = TietzeMove.relator_index.__set__
+_set_name = TietzeMove.name.__set__
+_set_word = TietzeMove.word.__set__
+_set_certificate = TietzeMove.certificate.__set__
+
+
+def _identity(entries: Tuple[Tuple[Word, int, int], ...]) -> IdentitySequence:
+    """``IdentitySequence(entries)`` without the dataclass __init__.
+
+    Private: only for entry tuples the consequence search built.
+    """
+    seq = object.__new__(IdentitySequence)
+    _set_entries(seq, entries)
+    return seq
+
+
+def _move(kind: str, index: Optional[int], relator_index: Optional[int],
+          name: Optional[str], word: Optional[Word],
+          certificate: Optional[IdentitySequence]) -> TietzeMove:
+    """``TietzeMove(...)`` with every field given, without the dataclass
+    __init__.  Private: only for the moves ``tietze_neighbors`` makes."""
+    move = object.__new__(TietzeMove)
+    _set_kind(move, kind)
+    _set_index(move, index)
+    _set_relator_index(move, relator_index)
+    _set_name(move, name)
+    _set_word(move, word)
+    _set_certificate(move, certificate)
+    return move
 
 
 def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
@@ -397,28 +460,48 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
     if target is not None:
         cap = max(cap, len(target) + longest)
         goal = target.letters
-    if goal == ():
-        return IdentitySequence(())
+        if goal == ():
+            return _identity(())
+        first = {}
+        for body, entry in blocks:
+            first.setdefault(body, entry)
+    last = budget.max_products  # depth of the last level; children there are not queued
     found = {(): ()}
-    queue = deque([((), (), 0)])
+    queue = deque([((), (), 0)] if last else ())  # no products: nothing to expand
     while queue:
         w, path, depth = queue.popleft()
-        if depth == budget.max_products:
+        depth += 1  # of the children
+        if depth == last and goal is not None:
+            # Free reduction is unique, so w * body == goal exactly when body
+            # is the reduced w^-1 goal, in which the common prefix of w and
+            # goal cancels.  The first block with those letters is the one a
+            # loop over the blocks would reach first; the goal is never in
+            # found, and len(goal) <= cap.
+            c = 0
+            while c < len(w) and c < len(goal) and w[c] == goal[c]:
+                c += 1
+            entry = first.get(tuple(-k for k in reversed(w[c:])) + goal[c:])
+            if entry is not None:
+                return _identity(path + (entry,))
             continue
         for body, entry in blocks:
             # w * body, cancelling at the seam (both are reduced)
-            i, j, n = len(w), 0, len(body)
-            while i and j < n and w[i - 1] == -body[j]:
-                i -= 1
-                j += 1
-            nw = w[:i] + body[j:]
+            if w and body and w[-1] == -body[0]:
+                i, j, n = len(w) - 1, 1, len(body)
+                while i and j < n and w[i - 1] == -body[j]:
+                    i -= 1
+                    j += 1
+                nw = w[:i] + body[j:]
+            else:
+                nw = w + body
             if len(nw) > cap or nw in found:
                 continue
             npath = path + (entry,)
             found[nw] = npath
             if nw == goal:
-                return IdentitySequence(npath)
-            queue.append((nw, npath, depth + 1))
+                return _identity(npath)
+            if depth != last:
+                queue.append((nw, npath, depth))
     if goal is not None:
         return None
     del found[()]
@@ -472,7 +555,7 @@ def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence
     entries = tuple(
         (g, j if j < removed else j - 1, s) for g, j, s in cert.entries
     )
-    return IdentitySequence(entries)
+    return _identity(entries)
 
 
 def tietze_neighbors(
@@ -493,12 +576,8 @@ def tietze_neighbors(
         if cert is None:
             continue
         rest = p.relators[:i] + p.relators[i + 1 :]
-        move = TietzeMove(
-            kind="remove-relator",
-            index=i,
-            word=p.relators[i],
-            certificate=_remap_certificate(cert, i),
-        )
+        move = _move("remove-relator", i, None, None, p.relators[i],
+                     _remap_certificate(cert, i))
         yield Presentation._trusted(p.generators, rest), move
 
     for g in range(ngens):
@@ -508,31 +587,27 @@ def tietze_neighbors(
             if step is None:
                 continue
             rep, rest = step
-            move = TietzeMove(
-                kind="remove-generator",
-                index=g,
-                relator_index=ri,
-                name=p.generators[g],
-                word=rep,
-            )
+            move = _move("remove-generator", g, ri, p.generators[g], rep, None)
             yield Presentation._trusted(names, rest), move
 
     reachable = _consequence_search(blocks, budget, target=None)
     short = [w for w in reachable if len(w) <= budget.max_relator_len]
-    for letters in sorted(short, key=lambda w: (len(w), w)):
+    # length-lex: both sorts are stable
+    short.sort()
+    short.sort(key=len)
+    for letters in short:
         w = _trusted(letters)
-        move = TietzeMove(
-            kind="add-relator", word=w, certificate=IdentitySequence(reachable[letters])
-        )
+        move = _move("add-relator", None, None, None, w, _identity(reachable[letters]))
         yield Presentation._trusted(p.generators, p.relators + (w,)), move
 
     name = fresh_name("y", p.generators)
+    gens = p.generators + (name,)
     for w in words_up_to(ngens, budget.max_defining_len):
         if not w:
             continue
-        rel = Word([ngens + 1]) * ~w
-        move = TietzeMove(kind="add-generator", name=name, word=w)
-        yield Presentation._trusted(p.generators + (name,), p.relators + (rel,)), move
+        rel = _trusted((ngens + 1,) + (~w).letters)
+        move = _move("add-generator", None, None, name, w, None)
+        yield Presentation._trusted(gens, p.relators + (rel,)), move
 
 
 def is_freely_related(p: Presentation) -> CheckOutcome:

@@ -187,14 +187,31 @@ def _eliminate_to_free(ngens, relators, max_letters):
     return True, trace
 
 
-def replay_elimination(ngens, relators, trace):
+def _spell_steps(names, trace):
+    """The trace with each step's word spelled in the generator names live
+    at that step: every step drops the name of the generator it eliminates."""
+    live = list(names)
+    steps = []
+    for ri, g, w in trace:
+        steps.append([ri, g, Presentation(live).spell(w)])
+        del live[g - 1]
+    return steps
+
+
+def replay_elimination(ngens, relators, trace, names=None):
     """Check an elimination trace: re-run each step with the elimination
     ``two_knot_check`` runs, and confirm that no relators are left.
 
     Each step must name a live relator position and a generator occurring
-    exactly once in that relator; when a step carries a recorded word, it
-    must match the recomputed defining word.
+    exactly once in that relator.  When a step carries a recorded word, it
+    must match the recomputed defining word: a ``Word`` as it is, a string
+    as spelled in ``names`` (one per generator) with the eliminated
+    generators dropped, as ``two_knot_check`` publishes it.  A string word
+    without ``names``, or a word of any other type, fails the replay.
     """
+    if names is not None and len(names) != ngens:
+        raise ValueError("names must give one name per generator")
+    live = None if names is None else list(names)
     count = ngens
     rels = [r for r in relators if r]
     for entry in trace:
@@ -205,8 +222,15 @@ def replay_elimination(ngens, relators, trace):
         if step is None:
             return False
         rep, rest = step
-        if len(entry) > 2 and isinstance(entry[2], Word) and entry[2] != rep:
-            return False
+        if len(entry) > 2:
+            word = entry[2]
+            if isinstance(word, str):
+                if live is None or word != Presentation(live).spell(rep):
+                    return False
+            elif not isinstance(word, Word) or word != rep:
+                return False
+        if live is not None:
+            del live[g - 1]
         rels = [r for r in rest if r]
         count -= 1
     return not rels
@@ -287,10 +311,8 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
         evidence={
             "mu": mu,
             "conjugators": [p.spell(w) for w in conjugators],
-            "elimination": [[ri, g, p.spell(w)] for ri, g, w in trace_plain],
-            "elimination_derived": [
-                [ri, g, p.spell(w)] for ri, g, w in trace_derived
-            ],
+            "elimination": _spell_steps(p.generators, trace_plain),
+            "elimination_derived": _spell_steps(p.generators, trace_derived),
         }
     )
 

@@ -3,6 +3,15 @@
 None of these is used by the library itself.
 """
 
+from collections import deque
+
+from knotpres.presentations import (
+    IdentitySequence,
+    Presentation,
+    TietzeMove,
+    fresh_name,
+    words_up_to,
+)
 from knotpres.words import EMPTY, Word
 
 
@@ -87,3 +96,87 @@ def eliminate(relators, ri, g, max_letters=None):
             return None
         rest.append(sub)
     return rep, tuple(rest)
+
+
+def consequence_search(blocks, budget, target):
+    """Bounded BFS over products of conjugated-relator blocks, multiplying
+    every dequeued word by every block on every level.
+
+    ``blocks`` are pairs ``(letters of g^-1 r^s g, (g, j, s))``.  With a
+    target, returns the first IdentitySequence reaching it (or None);
+    without one, {letters: certificate entries} for every reachable nonempty
+    word.
+    """
+    longest = max((len(b[0]) for b in blocks), default=0)
+    cap = budget.max_relator_len + longest
+    goal = None
+    if target is not None:
+        cap = max(cap, len(target) + longest)
+        goal = target.letters
+    if goal == ():
+        return IdentitySequence(())
+    found = {(): ()}
+    queue = deque([((), (), 0)])
+    while queue:
+        w, path, depth = queue.popleft()
+        if depth == budget.max_products:
+            continue
+        for body, entry in blocks:
+            stack = list(w)  # w is reduced; push body's letters, cancelling
+            for k in body:
+                if stack and stack[-1] == -k:
+                    stack.pop()
+                else:
+                    stack.append(k)
+            nw = tuple(stack)
+            if len(nw) > cap or nw in found:
+                continue
+            npath = path + (entry,)
+            found[nw] = npath
+            if nw == goal:
+                return IdentitySequence(npath)
+            queue.append((nw, npath, depth + 1))
+    if goal is not None:
+        return None
+    del found[()]
+    return found
+
+
+def tietze_neighbors(p, budget):
+    """The Tietze neighbor list of ``p``, built with ``consequence_search``,
+    the two-step ``eliminate`` and the public constructors, in the emission
+    order ``presentations.tietze_neighbors`` documents."""
+    ngens = len(p.generators)
+    rels = p.relators
+    conjugators = list(words_up_to(ngens, budget.max_conjugator_len))
+    blocks = [(((~g) * (r if s == 1 else ~r) * g).letters, (g, j, s))
+              for j, r in enumerate(rels) for s in (1, -1) for g in conjugators]
+    out = []
+    for i, r in enumerate(rels):
+        cert = consequence_search([b for b in blocks if b[1][1] != i], budget, r)
+        if cert is not None:
+            entries = tuple((g, j - (j > i), s) for g, j, s in cert.entries)
+            move = TietzeMove(kind="remove-relator", index=i, word=r,
+                              certificate=IdentitySequence(entries))
+            out.append((Presentation(p.generators, rels[:i] + rels[i + 1:]), move))
+    for g in range(ngens):
+        for ri in range(len(rels)):
+            step = eliminate(rels, ri, g + 1, budget.max_relator_len)
+            if step is not None:
+                move = TietzeMove(kind="remove-generator", index=g, relator_index=ri,
+                                  name=p.generators[g], word=step[0])
+                names = p.generators[:g] + p.generators[g + 1:]
+                out.append((Presentation(names, step[1]), move))
+    reachable = consequence_search(blocks, budget, None)
+    for letters in sorted(reachable, key=lambda w: (len(w), w)):
+        if len(letters) <= budget.max_relator_len:
+            move = TietzeMove(kind="add-relator", word=Word(letters),
+                              certificate=IdentitySequence(reachable[letters]))
+            out.append((Presentation(p.generators, rels + (Word(letters),)), move))
+    name = fresh_name("y", p.generators)
+    for w in words_up_to(ngens, budget.max_defining_len):
+        if w:
+            move = TietzeMove(kind="add-generator", name=name, word=w)
+            out.append((Presentation(p.generators + (name,), rels + (Word([ngens + 1]) * ~w,)),
+                        move))
+    return out

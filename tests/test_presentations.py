@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -9,6 +10,7 @@ from knotpres.presentations import (
     IdentitySequence,
     Presentation,
     TietzeBudget,
+    TietzeMove,
     _eliminate,
     deficiency,
     direct_product,
@@ -26,6 +28,7 @@ from knotpres.presentations import (
 )
 from knotpres.words import EMPTY, Word
 from oracles import eliminate as eliminate_oracle
+from oracles import tietze_neighbors as tietze_neighbors_oracle
 
 
 def test_parse_basic():
@@ -70,6 +73,26 @@ def test_parse_errors():
         parse("a | a")
     with pytest.raises(ValueError):
         parse("< a | a > junk")
+
+
+def test_parse_errors_quote_long_input_in_part():
+    def message(text):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        return str(err.value)
+
+    # input up to 60 characters is quoted whole
+    assert message("< x | (x, >") == "expected ')', got ',' in '< x | (x, >'"
+    assert message("< x | x") == "unexpected end of input in '< x | x'"
+    assert message("< x | x $ >") == "cannot tokenize '$ >'"
+    deep = "< x | " + "(" * 5000 + "x" + ")" * 4999 + " >"
+    msg = message(deep)
+    assert len(msg) < 200
+    assert msg.startswith("expected ')', got '>' at character 10007 of 10008, near ")
+    assert msg.endswith(repr(deep[-60:]))
+    msg = message("< x | x $" + "y" * 10_000 + " >")
+    assert len(msg) < 200 and "at character 8 of 10011" in msg
+    assert len(message("< x | " + "x " * 10_000)) < 200
 
 
 def test_parse_bounds_word_length_before_building():
@@ -377,6 +400,67 @@ def test_tietze_neighbors_pass_the_validating_constructor():
             assert q == Presentation(q.generators, q.relators), move.kind
             seen += 1
     assert seen > 1000
+
+
+def test_tietze_neighbors_match_the_plain_bfs_oracle():
+    # Every level of the oracle's search multiplies out every block; the
+    # library finds the last product of a removal by lookup.  Budgets cover
+    # no products, one, two and three (on the planted three-products only,
+    # to keep the oracle's time down), and conjugator length 0.  The last
+    # relator is empty, a duplicate, or a planted product of two or of three
+    # conjugated relators, in turn.
+    budgets = [TietzeBudget(), TietzeBudget(1, 1, 12, 2), TietzeBudget(3, 1, 8, 2),
+               TietzeBudget(2, 0, 12, 1), TietzeBudget(0, 1, 12, 2)]
+    rng = random.Random(2718)
+
+    def letters(ngens, count):
+        return [rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(count)]
+
+    presentations = [parse("< x | 1, x, x >"), parse("< a, b | a^2, b^2, a^2 >")]
+    for i in range(24):
+        ngens = rng.randint(1 if i % 4 < 2 else 2, 3)  # one generator: all commute
+        count = rng.randint(1, 2 if i % 4 == 3 else 3)
+        rels = [Word(letters(ngens, rng.randint(1, 4))) for _ in range(count)]
+        extra = EMPTY if i % 4 == 0 else rels[0]
+        for _ in range(i % 4 - 1):
+            g = Word(letters(ngens, 1))
+            r = rng.choice(rels)
+            extra = extra * ~g * (r if rng.random() < 0.5 else ~r) * g
+        rels.append(extra)
+        presentations.append(Presentation(tuple("abc"[:ngens]), rels))
+    products = {}  # certificate length -> removals found with it
+    for budget in budgets:
+        for p in presentations[5::4] if budget.max_products == 3 else presentations:
+            got = list(tietze_neighbors(p, budget))
+            want = tietze_neighbors_oracle(p, budget)
+            assert got == want, (p, budget)
+            assert repr(got) == repr(want)
+            for _, m in got:
+                if m.kind == "remove-relator":
+                    n = len(m.certificate.entries)
+                    products[n] = products.get(n, 0) + 1
+    assert products[1] > 50 and products[2] > 10 and products[3] > 0, products
+
+
+def test_tietze_moves_and_certificates_stay_frozen_values():
+    p = parse("< x | x, x >")
+    built = {}
+    for _, move in tietze_neighbors(p):
+        built.setdefault(move.kind, move)
+    assert set(built) == {"remove-relator", "remove-generator", "add-relator", "add-generator"}
+    for move in built.values():
+        public = TietzeMove(**{f.name: getattr(move, f.name) for f in dataclasses.fields(move)})
+        assert move == public and hash(move) == hash(public) and repr(move) == repr(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            move.kind = "add-relator"
+        cert = move.certificate
+        if cert is not None:
+            again = IdentitySequence(cert.entries)
+            assert cert == again and hash(cert) == hash(again) and repr(cert) == repr(again)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cert.entries = ()
+    assert built["remove-relator"].certificate is not None
+    assert built["add-relator"].certificate is not None
 
 
 def test_tietze_determinism():

@@ -166,7 +166,7 @@ def test_two_knot_accepts_spun_style_instance():
     assert out.is_yes
     assert out.evidence["mu"] == [1, 2]
     assert replay_elimination(
-        2, list(p.relators[1:]), out.evidence["elimination"]
+        2, list(p.relators[1:]), out.evidence["elimination"], p.generators
     )
 
 
@@ -185,7 +185,37 @@ def test_two_knot_replays_derived_family():
         else:
             derived.append(betas[j - 1])
     rels = [~Word([j + 1]) * b for j, b in enumerate(derived)]
-    assert replay_elimination(n, rels, out.evidence["elimination_derived"])
+    assert replay_elimination(
+        n, rels, out.evidence["elimination_derived"], p.generators
+    )
+
+
+def test_two_knot_spells_each_step_in_the_names_live_then():
+    # x1 = x2 by the first relator; the survivors x2, x3 are renumbered to
+    # letters 1, 2, so the second step eliminates letter 1, which is x2
+    p = braid_presentation(3, [1, 2])
+    out = two_knot_check(p, 0)
+    assert out.is_yes
+    assert out.evidence["elimination"] == [[0, 1, "x2"], [0, 1, "x3"]]
+    assert out.evidence["elimination_derived"] == [[0, 1, "x2"], [0, 1, "x3"]]
+
+
+def test_replay_elimination_checks_published_words():
+    p = braid_presentation(3, [1, 2])
+    trace = two_knot_check(p, 0).evidence["elimination"]
+    rels = list(p.relators)  # x_j^-1 beta_j is the relator itself here
+    assert replay_elimination(3, rels, trace, p.generators)
+    # every published word replaced: the steps still eliminate, the words lie
+    forged = [[ri, g, "x1 x1 x1"] for ri, g, _ in trace]
+    assert not replay_elimination(3, rels, forged, p.generators)
+    # the second step's word spelled with the input names unshifted
+    assert not replay_elimination(3, rels, [trace[0], [0, 1, "x2"]], p.generators)
+    # a string word with nothing to check it against, or not a word at all
+    assert not replay_elimination(3, rels, trace)
+    assert not replay_elimination(3, rels, [trace[0][:2], [0, 1, 7]], p.generators)
+    assert replay_elimination(3, rels, [step[:2] for step in trace])
+    with pytest.raises(ValueError):
+        replay_elimination(3, rels, trace, p.generators[:2])
 
 
 def test_replay_elimination_refuses_bad_traces():
