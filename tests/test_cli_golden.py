@@ -20,6 +20,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.js
 TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
 A5 = "< c, d | c^2, d^3, (c d)^5 >"
 BINARY_ICOSAHEDRAL = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
+TWO_KNOT = "< x1, x2 | x2 x1 x2 x1^-1 x2^-1 x1^-1, x2^-1 x1 x2 x1 x2^-1 x1^-1 >"
 FIGURE_EIGHT = "< x, y | y^-1 x y x^-1 y x y^-1 x^-1 y x^-1 >"
 
 
@@ -45,6 +46,7 @@ CASES = (
     + _both("coset-enum", "< x | >", "--max", "50")
     + _both("coset-enum", "< s, t | s^3, t^2, (s t)^2 >", "--subgroup", "s",
             "--dump-table")
+    + _both("coset-enum", "< a, b | a b a^-1 b^-1 >", "--max", "50", "--dump-table")
     + _both("construct", "prop1", TREFOIL)
     + _both("construct", "prop1", "< x | >", "--addendum")
     + _both("construct", "k3embed", TREFOIL, "--max", "20000")
@@ -58,16 +60,17 @@ CASES = (
     + _both("construct", "whitehead", TREFOIL, "--w", "x y^-1")
     + _both("check", "wirtinger", "< x1, x2 | x1^-1 x2 >", "--verbose")
     + _both("check", "artin", "< x1, x2 | x1^-1 x2, x2^-1 x1 >")
-    + _both("check", "twoknot",
-            "< x1, x2 | x2 x1 x2 x1^-1 x2^-1 x1^-1, x2^-1 x1 x2 x1 x2^-1 x1^-1 >",
-            "--verbose")
+    + _both("check", "twoknot", TWO_KNOT, "--verbose")
+    + _both("check", "twoknot", TWO_KNOT, "--budget", "0", "--verbose")
     + _both("check", "kervaire", TREFOIL, "--candidates", "y, x y", "--verbose")
     + _both("check", "kervaire", "< x | x^2 >", "--candidates", "x")
     + _both("verify-identity", "< a | a^2 >", "--pi", '[["a", 0, 1], ["1", 0, -1]]')
     + _both("verify-identity", "< a | a^2 >", "--pi", '[["1", 0, 1]]')
     + _both("enumerate", "--budget", "12")
+    + _both("enumerate", "--budget", "0")
     + _both("tietze", "< x | x >")
     + _both("tietze", "< a, b | a b a^-1 >", "--max-relator-len", "6")
+    + _both("tietze", "< | >")
     + [
         ["h1"],
         ["fold", "--alphabet", "2"],
