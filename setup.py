@@ -1,5 +1,3 @@
-import os
-
 from setuptools import Extension, setup
 
 # Without a working C compiler the install goes on with the pure kernels.
@@ -10,4 +8,4 @@ EXTENSIONS = [
 
 # tests/conftest.py reads EXTENSIONS from this file without running setup().
 if __name__ == "__main__":
-    setup(ext_modules=[] if os.environ.get("KNOTPRES_NO_EXT") == "1" else EXTENSIONS)
+    setup(ext_modules=EXTENSIONS)

@@ -30,6 +30,7 @@ from .gadgets import (
     whitehead_gadget,
 )
 from .presentations import Presentation, TietzeBudget, parse, serialize, tietze_neighbors
+from .presentations import _quote
 from .recognize import (
     DEFAULT_ELIMINATION_LETTERS,
     artin_check,
@@ -62,7 +63,7 @@ def _default_budget():
     try:
         value = int(raw)
     except ValueError:
-        raise _UsageError("%s must be an integer, got %r" % (BUDGET_ENV, raw))
+        raise _UsageError("%s must be an integer, got %s" % (BUDGET_ENV, _quote(raw)))
     if value < 1:
         raise _UsageError("%s must be positive" % BUDGET_ENV)
     return value
@@ -89,28 +90,11 @@ def _split_words(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _print_json(payload, fmt):
-    if fmt == "json":
-        payload = dict(payload)
-        payload["schema_version"] = SCHEMA_VERSION
-    print(json.dumps(payload))
-
-
 def _cmd_h1(args):
-    p = _load_presentation(args)
-    inv = h1(p)
-    if args.format == "json":
-        _print_json(
-            {
-                "free_rank": inv.free_rank,
-                "torsion": list(inv.torsion),
-                "display": str(inv),
-            },
-            "json",
-        )
-    else:
-        print(inv)
-    return 0
+    inv = h1(_load_presentation(args))
+    payload = {"free_rank": inv.free_rank, "torsion": list(inv.torsion),
+               "display": str(inv)}
+    return 0, payload, [str(inv)]
 
 
 def _parse_matrix(text):
@@ -133,8 +117,7 @@ def _parse_matrix(text):
 def _cmd_snf(args):
     m = _parse_matrix(_read_source(args.matrix, args.input, "matrix"))
     d, u, v = smith_normal_form(m)
-    _print_json({"D": d, "U": u, "V": v}, args.format)
-    return 0
+    return 0, {"D": d, "U": u, "V": v}, None
 
 
 def _cmd_fold(args):
@@ -143,24 +126,13 @@ def _cmd_fold(args):
     words = [scratch.word(t) for t in _split_words(args.words)]
     graph = fold(args.alphabet, words)
     rank = graph.rank()
-    basis = rank == len(words)
+    ok = rank == len(words)
+    payload = {"rank": rank, "is_basis": ok}
+    lines = ["rank: %d" % rank, "basis: %s" % ("yes" if ok else "no")]
     if args.member is not None:
-        inside = graph.contains(scratch.word(args.member))
-        if args.format == "json":
-            _print_json(
-                {"rank": rank, "is_basis": basis, "member": inside}, "json"
-            )
-        else:
-            print("rank: %d" % rank)
-            print("basis: %s" % ("yes" if basis else "no"))
-            print("member: %s" % ("yes" if inside else "no"))
-        return 0 if inside else 1
-    if args.format == "json":
-        _print_json({"rank": rank, "is_basis": basis}, "json")
-    else:
-        print("rank: %d" % rank)
-        print("basis: %s" % ("yes" if basis else "no"))
-    return 0 if basis else 1
+        ok = payload["member"] = graph.contains(scratch.word(args.member))
+        lines.append("member: %s" % ("yes" if ok else "no"))
+    return (0 if ok else 1), payload, lines
 
 
 def _cmd_coset_enum(args):
@@ -170,19 +142,14 @@ def _cmd_coset_enum(args):
         subgroup = [p.word(t) for t in _split_words(args.subgroup)]
     budget = args.max if args.max is not None else _default_budget()
     res = enumerate_cosets(p, subgroup, budget)
-    if args.format == "json":
-        payload = res.to_json_dict()
-        if args.dump_table and res.finite:
-            payload["table"] = res.table.to_json_dict(list(p.generators))
-        _print_json(payload, "json")
-    else:
-        if res.finite:
-            print("Finite(%d)" % res.index)
-        else:
-            print("Exhausted(%d)" % res.cosets_used)
-        if args.dump_table and res.finite:
-            print(json.dumps(res.table.to_json_dict(list(p.generators))))
-    return 0 if res.finite else 2
+    payload = res.to_json_dict()
+    if not res.finite:
+        return 2, payload, ["Exhausted(%d)" % res.cosets_used]
+    lines = ["Finite(%d)" % res.index]
+    if args.dump_table:
+        payload["table"] = res.table.to_json_dict(list(p.generators))
+        lines.append(json.dumps(payload["table"]))
+    return 0, payload, lines
 
 
 def _cmd_construct(args):
@@ -224,46 +191,32 @@ def _cmd_construct(args):
     else:
         p = take(1)[0]
         rep = whitehead_gadget(p, word_over(p))
-    _print_json(rep.to_json_dict(), args.format)
-    return 0
-
-
-def _outcome_exit(out, args, extra=None):
-    if args.format == "json":
-        payload = out.to_json_dict()
-        if extra:
-            payload.update(extra)
-        _print_json(payload, "json")
-    else:
-        print(out.verdict.capitalize())
-        if args.verbose and out.evidence is not None:
-            print(json.dumps(out.evidence))
-    return _EXIT[out.verdict]
+    return 0, rep.to_json_dict(), None
 
 
 def _cmd_check(args):
     p = _load_presentation(args)
-    if args.kind == "wirtinger":
-        return _outcome_exit(is_wirtinger(p), args)
-    if args.kind == "artin":
-        return _outcome_exit(artin_check(p), args)
-    if args.kind == "twoknot":
-        budget = (
-            args.budget if args.budget is not None else DEFAULT_ELIMINATION_LETTERS
-        )
-        return _outcome_exit(two_knot_check(p, args.h, budget), args)
-    candidates = []
-    if args.candidates:
-        candidates = [p.word(t) for t in _split_words(args.candidates)]
-    budget = args.budget if args.budget is not None else _default_budget()
-    report = kervaire_report(p, candidates, max_cosets=budget)
-    if args.format == "json":
-        _print_json(report, "json")
+    if args.kind == "kervaire":
+        candidates = []
+        if args.candidates:
+            candidates = [p.word(t) for t in _split_words(args.candidates)]
+        budget = args.budget if args.budget is not None else _default_budget()
+        payload = evidence = kervaire_report(p, candidates, max_cosets=budget)
     else:
-        print(report["verdict"].capitalize())
-        if args.verbose:
-            print(json.dumps(report))
-    return _EXIT[report["verdict"]]
+        if args.kind == "wirtinger":
+            out = is_wirtinger(p)
+        elif args.kind == "artin":
+            out = artin_check(p)
+        else:
+            budget = (
+                args.budget if args.budget is not None else DEFAULT_ELIMINATION_LETTERS
+            )
+            out = two_knot_check(p, args.h, budget)
+        payload, evidence = out.to_json_dict(), out.evidence
+    lines = [payload["verdict"].capitalize()]
+    if args.verbose and evidence is not None:
+        lines.append(json.dumps(evidence))
+    return _EXIT[payload["verdict"]], payload, lines
 
 
 def _cmd_verify_identity(args):
@@ -283,46 +236,27 @@ def _cmd_verify_identity(args):
             raise ValueError("each entry must be [conjugator, relator, sign]")
         conj, index, sign = entry
         if not isinstance(conj, str):
-            raise ValueError("conjugator must be a word string, got %r" % (conj,))
+            raise ValueError("conjugator must be a word string, got %s" % _quote(conj))
         triples.append((p.word(conj), index, sign))
     ok = verify_identity(p, triples)
-    if args.format == "json":
-        _print_json({"verified": ok}, "json")
-    else:
-        print("true" if ok else "false")
-    return 0 if ok else 1
+    return (0 if ok else 1), {"verified": ok}, ["true" if ok else "false"]
 
 
 def _cmd_enumerate(args):
-    items = []
-    for pres, witness in enumerate_weight_one(args.budget):
-        items.append((serialize(pres), pres.spell(witness)))
-    if args.format == "json":
-        _print_json(
-            {"emissions": [{"presentation": t, "witness": w} for t, w in items]},
-            "json",
-        )
-    else:
-        for text, w in items:
-            print("%s\t%s" % (text, w))
-    return 0
+    items = [
+        (serialize(pres), pres.spell(witness))
+        for pres, witness in enumerate_weight_one(args.budget)
+    ]
+    payload = {"emissions": [{"presentation": t, "witness": w} for t, w in items]}
+    return 0, payload, ["%s\t%s" % item for item in items]
 
 
 def _cmd_tietze(args):
     p = _load_presentation(args)
     budget = TietzeBudget(max_relator_len=args.max_relator_len)
-    rows = []
-    for q, move in tietze_neighbors(p, budget):
-        rows.append((move.kind, serialize(q)))
-    if args.format == "json":
-        _print_json(
-            {"neighbors": [{"kind": k, "presentation": t} for k, t in rows]},
-            "json",
-        )
-    else:
-        for kind, text in rows:
-            print("%s\t%s" % (kind, text))
-    return 0
+    rows = [(move.kind, serialize(q)) for q, move in tietze_neighbors(p, budget)]
+    payload = {"neighbors": [{"kind": k, "presentation": t} for k, t in rows]}
+    return 0, payload, ["%s\t%s" % row for row in rows]
 
 
 def _add_format(sp):
@@ -460,7 +394,15 @@ def main(argv=None):
     parser = _parser
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
+        # Rendered inside the try: json.dumps raises ValueError on huge ints.
+        if args.format == "json":
+            lines = [json.dumps(dict(payload, schema_version=SCHEMA_VERSION))]
+        elif lines is None:
+            lines = [json.dumps(payload)]
+        for line in lines:
+            print(line)
+        return code
     except _UsageError as exc:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         print("error: %s" % exc, file=sys.stderr)

@@ -66,15 +66,7 @@ class CosetTable:
             c = self.rows[c][d]
         return c
 
-    def permutation(self, gen):
-        """The right action of generator gen (0-based) as a tuple mapping
-        coset i to coset sigma(i)."""
-        col = 2 * gen
-        return tuple(row[col] for row in self.rows)
-
-    def to_json_dict(self, names=None):
-        if names is None:
-            names = ["g%d" % i for i in range(self.num_gens)]
+    def to_json_dict(self, names):
         cols = []
         for n in names:
             cols.append(n)

@@ -14,14 +14,14 @@ more than ``MAX_WORD_LETTERS`` (one million) letters before free reduction;
 longer input raises ValueError before the word is built.  A parse error
 quotes the input whole when it is at most ``QUOTE_CHARS`` (60) characters
 long, and otherwise gives the offset of the failure and the 60 characters
-around it.
+around it; a token or value it names is cut to its first 60 characters.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
@@ -30,7 +30,7 @@ from .words import EMPTY, Word, _trusted, commutator
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(<|>|\||,|\^|\(|\)|-?\d+|[A-Za-z][A-Za-z0-9_]*)")
 MAX_WORD_LETTERS = 1_000_000
-QUOTE_CHARS = 60  # longest input text a parse error quotes whole
+QUOTE_CHARS = 60  # longest input text or repr an error message quotes whole
 
 
 class Presentation:
@@ -42,7 +42,7 @@ class Presentation:
         gens = tuple(generators)
         for name in gens:
             if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"bad generator name {name!r}")
+                raise ValueError(f"bad generator name {_quote(name)}")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
         rels = tuple(r if isinstance(r, Word) else Word(r) for r in relators)
@@ -81,15 +81,12 @@ class Presentation:
     def __str__(self) -> str:
         return serialize(self)
 
-    def gen(self, name: str) -> Word:
-        return Word([self.generators.index(name) + 1])
-
     def word(self, text: str) -> Word:
         """Parse a word in this presentation's alphabet."""
         tokens = _tokenize(text)
         w = _parse_word(tokens, {n: i for i, n in enumerate(self.generators)})
         if tokens.peek() is not None:
-            raise ValueError(f"trailing input after word: {tokens.peek()!r}")
+            raise ValueError(f"trailing input after word: {_quote(tokens.peek())}")
         return w
 
     def spell(self, w: Word) -> str:
@@ -123,7 +120,7 @@ class _Tokens:
         got = self.next()
         if got != tok:
             at = _token_start(self.text, self.pos - 1)
-            raise ValueError(f"expected {tok!r}, got {got!r} {_where(self.text, at)}")
+            raise ValueError(f"expected {tok!r}, got {_quote(got)} {_where(self.text, at)}")
 
 
 def _token_start(text: str, i: int) -> int:
@@ -143,6 +140,12 @@ def _where(text: str, at: int) -> str:
         return f"in {text!r}"
     lo = min(max(at - QUOTE_CHARS // 2, 0), len(text) - QUOTE_CHARS)
     return f"at character {at} of {len(text)}, near {text[lo:lo + QUOTE_CHARS]!r}"
+
+
+def _quote(value) -> str:
+    """``repr(value)`` for an error message, cut after QUOTE_CHARS characters."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
 def _tokenize(text: str) -> _Tokens:
@@ -178,10 +181,10 @@ def _parse_word(tokens: _Tokens, index: dict) -> Word:
             f = EMPTY
         elif _NAME_RE.fullmatch(tok):
             if tok not in index:
-                raise ValueError(f"unknown generator {tok!r}")
+                raise ValueError(f"unknown generator {_quote(tok)}")
             f = _power(tokens, Word([index[tok] + 1]))
         else:
-            raise ValueError(f"unexpected token {tok!r} in word")
+            raise ValueError(f"unexpected token {_quote(tok)} in word")
         while True:
             if w is None:
                 w = f
@@ -206,7 +209,7 @@ def _power(tokens: _Tokens, base: Word) -> Word:
     try:
         exp = int(exp_tok)
     except ValueError:
-        raise ValueError(f"bad exponent {exp_tok!r}") from None
+        raise ValueError(f"bad exponent {_quote(exp_tok)}") from None
     _check_length(len(base) * abs(exp))
     return base**exp
 
@@ -226,7 +229,7 @@ def parse(text: str) -> Presentation:
         while True:
             name = tokens.next()
             if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"bad generator name {name!r}")
+                raise ValueError(f"bad generator name {_quote(name)}")
             gens.append(name)
             if tokens.peek() == ",":
                 tokens.next()
@@ -244,7 +247,7 @@ def parse(text: str) -> Presentation:
                 break
     tokens.expect(">")
     if tokens.peek() is not None:
-        raise ValueError(f"trailing input {tokens.peek()!r}")
+        raise ValueError(f"trailing input {_quote(tokens.peek())}")
     return Presentation(gens, rels)
 
 
@@ -252,18 +255,6 @@ def serialize(p: Presentation) -> str:
     gens = ", ".join(p.generators)
     rels = ", ".join(p.spell(r) for r in p.relators)
     return f"< {gens} | {rels} >".replace("<  |", "< |").replace("|  >", "| >")
-
-
-def to_json_dict(p: Presentation) -> dict:
-    return {
-        "generators": list(p.generators),
-        "relators": [r.to_pairs() for r in p.relators],
-    }
-
-
-def from_json_dict(d: dict) -> Presentation:
-    rels = [Word.from_pairs(pairs) for pairs in d["relators"]]
-    return Presentation(d["generators"], rels)
 
 
 def free_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", "")) -> Presentation:
@@ -348,9 +339,9 @@ class IdentitySequence:
         out = EMPTY
         for g, k, s in self.entries:
             if type(k) is not int:
-                raise ValueError(f"relator index {k!r} is not an int")
+                raise ValueError(f"relator index {_quote(k)} is not an int")
             if type(s) is not int or s not in (1, -1):
-                raise ValueError(f"bad sign {s!r}: signs are the ints 1 and -1")
+                raise ValueError(f"bad sign {_quote(s)}: signs are the ints 1 and -1")
             if not 0 <= k < len(p.relators):
                 raise ValueError(f"relator index {k} out of range")
             r = p.relators[k] if s == 1 else ~p.relators[k]
@@ -360,10 +351,18 @@ class IdentitySequence:
 
 @dataclass(frozen=True)
 class TietzeBudget:
+    """Bounds on the Tietze moves tried; each is a count, 0 or more."""
+
     max_products: int = 2
     max_conjugator_len: int = 1
     max_relator_len: int = 12
     max_defining_len: int = 2
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"{f.name} must be at least 0, got {_quote(value)}")
 
 
 @dataclass(frozen=True, slots=True)

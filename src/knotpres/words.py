@@ -32,17 +32,6 @@ class Word:
     def __init__(self, letters: Iterable[int] = ()):
         self.letters = _reduced(letters)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Word":
-        """Build from run-length ``(generator, exponent)`` pairs (0-based)."""
-        letters: list[int] = []
-        for gen, exp in pairs:
-            if gen < 0:
-                raise ValueError(f"generator index {gen} is negative")
-            k = gen + 1 if exp > 0 else -(gen + 1)
-            letters.extend([k] * abs(exp))
-        return cls(letters)
-
     def to_pairs(self) -> list:
         """Run-length ``[generator, exponent]`` pairs, the JSON form."""
         pairs: list[list[int]] = []

@@ -248,6 +248,42 @@ def test_huge_exponent_is_a_usage_error(capsys):
     assert "exceeds the limit" in err
 
 
+LONG_NAME = "y" * 10_000
+LONG_NUMBER = "2" * 10_000
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["h1", "< x | x > " + LONG_NAME], "trailing input"),
+        (["fold", "--alphabet", "1", "--words", "x1 ) " + LONG_NAME], "trailing input after word"),
+        (["h1", "< x | " + LONG_NAME + " >"], "unknown generator"),
+        (["h1", "< " + LONG_NUMBER + " | >"], "bad generator name"),
+        (["h1", "< x | " + LONG_NUMBER + " >"], "unexpected token"),
+        (["h1", "< x | x^" + LONG_NAME + " >"], "bad exponent"),
+        (["h1", "< x | x^" + LONG_NUMBER + " >"], "bad exponent"),
+        (["h1", LONG_NAME], "expected '<', got"),
+        (["verify-identity", "< a | a^2 >", "--pi", json.dumps([["a", LONG_NAME, 1]])],
+         "relator index"),
+        (["verify-identity", "< a | a^2 >", "--pi", json.dumps([["a", 0, LONG_NAME]])],
+         "bad sign"),
+        (["verify-identity", "< a | a^2 >", "--pi", json.dumps([[[LONG_NAME], 0, 1]])],
+         "conjugator must be a word string"),
+    ],
+)
+def test_error_messages_quote_long_tokens_in_part(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: " + fragment) and len(err) < 200, err[:300]
+
+
+def test_negative_tietze_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "tietze", "< x | x >", "--max-relator-len", "-1")
+    assert code == 3 and out == ""
+    assert "max_relator_len must be at least 0, got -1" in err
+    assert run(capsys, "tietze", "< x | x >", "--max-relator-len", "0")[0] == 0
+
+
 def test_deep_nesting_parses_or_exits_3(tmp_path, capsys):
     def h1_of(text):
         path = tmp_path / "deep.txt"

@@ -150,8 +150,8 @@ def test_symmetric_group_table_permutations():
     res = order(p)
     assert res.index == 6
     tbl = res.table
-    ps = tbl.permutation(0)
-    pt = tbl.permutation(1)
+    ps = tuple(row[0] for row in tbl.rows)  # column of s
+    pt = tuple(row[2] for row in tbl.rows)  # column of t
     assert sorted(ps) == list(range(6))
     assert _perm_compose(ps, ps) == tuple(range(6))
     three = _perm_compose(ps, pt)

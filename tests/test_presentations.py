@@ -16,14 +16,12 @@ from knotpres.presentations import (
     direct_product,
     drop_deficiency,
     free_product,
-    from_json_dict,
     hnn_extension,
     is_freely_related,
     parse,
     quotient,
     serialize,
     tietze_neighbors,
-    to_json_dict,
     words_up_to,
 )
 from knotpres.words import EMPTY, Word
@@ -73,6 +71,15 @@ def test_parse_errors():
         parse("a | a")
     with pytest.raises(ValueError):
         parse("< a | a > junk")
+
+
+@pytest.mark.parametrize(
+    "field", ["max_products", "max_conjugator_len", "max_relator_len", "max_defining_len"]
+)
+def test_tietze_budget_rejects_negative_fields(field):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 0, got -1$"):
+        TietzeBudget(**{field: -1})
+    assert getattr(TietzeBudget(**{field: 0}), field) == 0
 
 
 def test_parse_errors_quote_long_input_in_part():
@@ -147,13 +154,6 @@ def test_word_helper_and_spell():
     assert p.spell(EMPTY) == "1"
 
 
-def test_json_round_trip():
-    p = parse("< a, b | a^2 b^-3, 1 >")
-    d = to_json_dict(p)
-    assert d == {"generators": ["a", "b"], "relators": [[[0, 2], [1, -3]], []]}
-    assert from_json_dict(d) == p
-
-
 def test_free_product_with_tags():
     q = parse("< s | s^2 >")
     out = free_product(q, q, ("1", "2"))
@@ -178,7 +178,7 @@ def test_direct_product_adds_commutators():
 
 def test_hnn_extension():
     p = parse("< b | >")
-    out = hnn_extension(p, "s", [(p.gen("b"), p.gen("b") ** 2)])
+    out = hnn_extension(p, "s", [(p.word("b"), p.word("b") ** 2)])
     assert out.generators == ("b", "s")
     assert out.relators == (Word([-2, 1, 2, -1, -1]),)
     with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ def test_words_up_to_order_and_reduction():
 
 def test_identity_sequence_product():
     p = parse("< a | a^2 >")
-    seq = IdentitySequence(((p.gen("a"), 0, 1), (EMPTY, 0, -1)))
+    seq = IdentitySequence(((p.word("a"), 0, 1), (EMPTY, 0, -1)))
     assert seq.product(p) == EMPTY
     seq2 = IdentitySequence(((EMPTY, 0, 1),))
     assert seq2.product(p) == Word([1, 1])
