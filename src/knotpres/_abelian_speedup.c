@@ -6,27 +6,42 @@
    return identical D, U and V.  The input contract is the one
    abelian._int_rows checks, with the same exceptions and messages.
 
-   Entries live in cells: a C long long while the magnitude is at most
-   SMALL_MAX (2**62 - 1), a Python int above that.  The sum or difference of
-   two small values cannot overflow a long long, and products are checked
-   before they are formed.  An operation on a large value, or one whose
-   result leaves the small range, goes through the Python number protocol;
-   its result is stored back as small when it fits, so every value has one
-   representation and any large cell is larger in magnitude than every
-   small one.
+   Entries live in cells of two tiers: a C long long while the magnitude is
+   at most SMALL_MAX (2**62 - 1), and above that a sign-magnitude vector of
+   32-bit limbs that the cell owns.  The sum or difference of two small
+   values cannot overflow a long long, and products are checked before they
+   are formed.  Every other sum and every e - q * f runs on limbs with
+   64-bit intermediates: one multiply-accumulate pass per limb of q, in the
+   cell's own buffer, which grows in place and is kept when the value turns
+   small again, so a step in steady state allocates nothing.  A result is
+   stored small whenever it fits, so every value has one representation and
+   any large cell is larger in magnitude than every small one.
 
-   Every step that can call into Python returns 0 on success and -1 with an
-   exception set. */
+   Only floor division and remainder with a large operand go through
+   Python ints and the number protocol; they happen in the eliminated
+   matrix alone and rarely.  Large values enter and leave as base-16 text
+   (PyNumber_ToBase and PyLong_FromString), which takes linear time.
+
+   Every step that can fail returns 0 on success and -1 with an exception
+   set; limb buffers come from PyMem_* and are freed with their matrix. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
+#include <stdint.h>
+#include <string.h>
 
 #define SMALL_MAX ((1LL << 62) - 1)
 #define HALF_BOUND (1LL << 31)
+#define LIMB_BITS 32
+
+typedef uint32_t limb;
 
 typedef struct {
-    long long v;    /* the value, when big is NULL */
-    PyObject *big;  /* owned reference to an int of magnitude > SMALL_MAX */
+    long long v;  /* the value, when size is 0 */
+    limb *d;      /* owned buffer of cap limbs, least significant first */
+    int size;     /* 0 when small, else +-(limbs in use), signed as the value */
+    int cap;
 } Cell;
 
 /* An n_rows x n_cols matrix of cells; rows are swapped by swapping pointers. */
@@ -37,72 +52,289 @@ typedef struct {
     Py_ssize_t n_cols;
 } Matrix;
 
+/* The magnitude of a cell as limbs; a small value is copied into buf. */
+typedef struct {
+    const limb *d;
+    Py_ssize_t n;
+    int neg;
+    limb buf[2];
+} View;
+
 static inline int is_zero(const Cell *c)
 {
-    return c->big == NULL && c->v == 0;
+    return c->size == 0 && c->v == 0;
 }
 
 static inline int is_one(const Cell *c)
 {
-    return c->big == NULL && c->v == 1;
+    return c->size == 0 && c->v == 1;
 }
 
-static PyObject *to_object(const Cell *c)
+static inline int is_negative(const Cell *c)
 {
-    if (c->big != NULL) {
-        Py_INCREF(c->big);
-        return c->big;
-    }
-    return PyLong_FromLongLong(c->v);
+    return c->size ? c->size < 0 : c->v < 0;
 }
 
-/* Store obj (a new reference, or NULL on error) into c; small when it fits. */
-static int store(Cell *c, PyObject *obj)
+static inline void negate(Cell *c)
 {
-    if (obj == NULL)
-        return -1;
-    int overflow;
-    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
-    if (v == -1 && PyErr_Occurred()) {
-        Py_DECREF(obj);
+    if (c->size)
+        c->size = -c->size;
+    else
+        c->v = -c->v;
+}
+
+static void view(View *w, const Cell *c)
+{
+    if (c->size) {
+        w->d = c->d;
+        w->n = c->size < 0 ? -c->size : c->size;
+        w->neg = c->size < 0;
+        return;
+    }
+    unsigned long long a = c->v < 0 ? 0ULL - (unsigned long long)c->v : (unsigned long long)c->v;
+    w->buf[0] = (limb)a;
+    w->buf[1] = (limb)(a >> LIMB_BITS);
+    w->d = w->buf;
+    w->n = w->buf[1] ? 2 : w->buf[0] ? 1 : 0;
+    w->neg = c->v < 0;
+}
+
+/* Room for n limbs in c->d, keeping the ones in use. */
+static int reserve(Cell *c, Py_ssize_t n)
+{
+    if (n <= c->cap)
+        return 0;
+    if (n > INT_MAX / 2) {
+        PyErr_NoMemory();
         return -1;
     }
-    Py_CLEAR(c->big);
-    if (!overflow && v >= -SMALL_MAX && v <= SMALL_MAX) {
-        c->v = v;
-        Py_DECREF(obj);
+    int cap = (int)(n + n / 2);
+    limb *d = PyMem_Realloc(c->d, (size_t)cap * sizeof(limb));
+    if (d == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
-    else {
-        c->v = 0;
-        c->big = obj;
+    c->d = d;
+    c->cap = cap;
+    return 0;
+}
+
+/* c gets the sign neg and the first n limbs of c->d: small when it fits. */
+static void settle(Cell *c, int neg, Py_ssize_t n)
+{
+    while (n > 0 && c->d[n - 1] == 0)
+        n--;
+    if (n <= 1 || (n == 2 && c->d[1] < (1u << (62 - LIMB_BITS)))) {
+        unsigned long long a = n == 0 ? 0 : c->d[0];
+        if (n == 2)
+            a |= (unsigned long long)c->d[1] << LIMB_BITS;
+        c->v = neg ? -(long long)a : (long long)a;
+        c->size = 0;
+    }
+    else
+        c->size = (int)(neg ? -n : n);
+}
+
+/* 1 if |a| < |b|; both are large. */
+static int abs_less(const Cell *a, const Cell *b)
+{
+    int na = a->size < 0 ? -a->size : a->size;
+    int nb = b->size < 0 ? -b->size : b->size;
+    if (na != nb)
+        return na < nb;
+    for (int k = na - 1; k >= 0; k--) {
+        if (a->d[k] != b->d[k])
+            return a->d[k] < b->d[k];
     }
     return 0;
 }
 
-static int is_negative(const Cell *c)
+/* r[0..n) += q * f[0..nf), n > nf; the carry stays inside r. */
+static void addmul_1(limb *r, Py_ssize_t n, const limb *f, Py_ssize_t nf, limb q)
 {
-    if (c->big == NULL)
-        return c->v < 0;
-    int overflow;
-    long long v = PyLong_AsLongLongAndOverflow(c->big, &overflow);
-    return overflow ? overflow < 0 : v < 0;
+    uint64_t c = 0;
+    Py_ssize_t k = 0;
+    for (; k < nf; k++) {
+        c += (uint64_t)f[k] * q + r[k];
+        r[k] = (limb)c;
+        c >>= LIMB_BITS;
+    }
+    for (; c && k < n; k++) {
+        c += r[k];
+        r[k] = (limb)c;
+        c >>= LIMB_BITS;
+    }
 }
 
-/* 1 if |a| < |b|, 0 if not, -1 on error; both are large. */
-static int abs_less(PyObject *a, PyObject *b)
+/* r[0..n) -= q * f[0..nf) modulo 2**(32 n), n > nf; 1 if that wrapped. */
+static int submul_1(limb *r, Py_ssize_t n, const limb *f, Py_ssize_t nf, limb q)
 {
-    PyObject *x = PyNumber_Absolute(a);
-    if (x == NULL)
+    uint64_t b = 0;  /* at most q, so it fits a limb */
+    Py_ssize_t k = 0;
+    for (; k < nf; k++) {
+        uint64_t t = (uint64_t)f[k] * q + b;
+        limb lo = (limb)t;
+        b = (t >> LIMB_BITS) + (r[k] < lo);
+        r[k] -= lo;
+    }
+    for (; b && k < n; k++) {
+        limb lo = (limb)b;
+        b = r[k] < lo;
+        r[k] -= lo;
+    }
+    return b != 0;
+}
+
+/* e += (-1)**neg * |q| * |f| on limbs: a schoolbook product with one
+   multiply-accumulate pass per limb of q.  A difference is formed modulo
+   2**(32 n); it wraps at most once, and then the two's complement gives
+   its magnitude. */
+static int accumulate(Cell *e, int neg, const View *q, const View *f)
+{
+    View ev;
+    view(&ev, e);
+    Py_ssize_t ne = ev.n;
+    int e_neg = ev.neg;
+    Py_ssize_t n = (ne > q->n + f->n ? ne : q->n + f->n) + 1;
+    if (reserve(e, n) < 0)
         return -1;
-    PyObject *y = PyNumber_Absolute(b);
-    if (y == NULL) {
-        Py_DECREF(x);
+    limb *r = e->d;
+    if (e->size == 0)
+        memcpy(r, ev.buf, sizeof ev.buf);  /* n >= 3: q and f are nonzero */
+    for (Py_ssize_t k = ne; k < n; k++)
+        r[k] = 0;
+    if (ne == 0)
+        e_neg = neg;
+    if (e_neg == neg) {
+        for (Py_ssize_t k = 0; k < q->n; k++)
+            addmul_1(r + k, n - k, f->d, f->n, q->d[k]);
+    }
+    else {
+        int wrapped = 0;
+        for (Py_ssize_t k = 0; k < q->n; k++)
+            wrapped |= submul_1(r + k, n - k, f->d, f->n, q->d[k]);
+        if (wrapped) {
+            Py_ssize_t k = 0;
+            while (r[k] == 0)
+                k++;
+            r[k] = 0u - r[k];
+            for (k++; k < n; k++)
+                r[k] = ~r[k];
+            e_neg = !e_neg;
+        }
+    }
+    settle(e, e_neg, n);
+    return 0;
+}
+
+/* e += f */
+static int add(Cell *e, const Cell *f)
+{
+    if (is_zero(f))
+        return 0;
+    if (e->size == 0 && f->size == 0) {
+        long long r = e->v + f->v;
+        if (r >= -SMALL_MAX && r <= SMALL_MAX) {
+            e->v = r;
+            return 0;
+        }
+    }
+    static const limb one_limb = 1;
+    View one = {&one_limb, 1, 0, {0, 0}}, fv;
+    view(&fv, f);
+    return accumulate(e, fv.neg, &one, &fv);
+}
+
+/* e -= q * f; qv is the view of q */
+static int submul(Cell *e, const Cell *q, const View *qv, const Cell *f)
+{
+    if (is_zero(f))
+        return 0;
+    if (e->size == 0 && q->size == 0 && f->size == 0) {
+        long long a = q->v < 0 ? -q->v : q->v;
+        long long b = f->v < 0 ? -f->v : f->v;
+        /* |q * f| <= SMALL_MAX, so the product and the difference fit */
+        if ((a < HALF_BOUND && b < HALF_BOUND) || a == 0 || b <= SMALL_MAX / a) {
+            long long r = e->v - q->v * f->v;
+            if (r >= -SMALL_MAX && r <= SMALL_MAX) {
+                e->v = r;
+                return 0;
+            }
+        }
+    }
+    View fv;
+    view(&fv, f);
+    return accumulate(e, qv->neg == fv.neg, qv, &fv);
+}
+
+/* Python int (a new reference) for a cell. */
+static PyObject *to_object(const Cell *c)
+{
+    if (c->size == 0)
+        return PyLong_FromLongLong(c->v);
+    static const char hex[] = "0123456789abcdef";
+    Py_ssize_t n = c->size < 0 ? -c->size : c->size;
+    char local[256];
+    size_t len = (size_t)n * (LIMB_BITS / 4) + 2;
+    char *buf = len <= sizeof local ? local : PyMem_Malloc(len);
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    char *p = buf;
+    if (c->size < 0)
+        *p++ = '-';
+    int s = LIMB_BITS - 4;
+    while ((c->d[n - 1] >> s) == 0)  /* the top limb is nonzero */
+        s -= 4;
+    for (; s >= 0; s -= 4)
+        *p++ = hex[(c->d[n - 1] >> s) & 0xf];
+    for (Py_ssize_t k = n - 2; k >= 0; k--) {
+        for (s = LIMB_BITS - 4; s >= 0; s -= 4)
+            *p++ = hex[(c->d[k] >> s) & 0xf];
+    }
+    *p = '\0';
+    PyObject *obj = PyLong_FromString(buf, NULL, 16);
+    if (buf != local)
+        PyMem_Free(buf);
+    return obj;
+}
+
+static int hex_digit(char ch)
+{
+    return ch <= '9' ? ch - '0' : ch - 'a' + 10;
+}
+
+/* Store the Python int obj (borrowed) into c; small when it fits. */
+static int from_object(Cell *c, PyObject *obj)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (!overflow && v >= -SMALL_MAX && v <= SMALL_MAX) {
+        c->v = v;
+        c->size = 0;
+        return 0;
+    }
+    PyObject *text = PyNumber_ToBase(obj, 16);  /* "0x..." or "-0x..." */
+    if (text == NULL)
+        return -1;
+    Py_ssize_t len;
+    const char *s = PyUnicode_AsUTF8AndSize(text, &len);
+    if (s == NULL || reserve(c, (len + 7) / 8) < 0) {
+        Py_DECREF(text);
         return -1;
     }
-    int lt = PyObject_RichCompareBool(x, y, Py_LT);
-    Py_DECREF(x);
-    Py_DECREF(y);
-    return lt;
+    int neg = s[0] == '-';
+    Py_ssize_t first = neg + 2, n = 0;
+    for (Py_ssize_t end = len; end > first; end -= 8) {
+        limb x = 0;
+        for (Py_ssize_t k = end - 8 > first ? end - 8 : first; k < end; k++)
+            x = x << 4 | (limb)hex_digit(s[k]);
+        c->d[n++] = x;
+    }
+    c->size = (int)(neg ? -n : n);
+    Py_DECREF(text);
+    return 0;
 }
 
 /* Apply a binary number-protocol function to two cells, result into out. */
@@ -120,26 +352,21 @@ static int slow_binary(Cell *out, const Cell *a, const Cell *b,
     PyObject *r = op(x, y);
     Py_DECREF(x);
     Py_DECREF(y);
-    return store(out, r);
-}
-
-static int negate(Cell *c)
-{
-    if (c->big == NULL) {
-        c->v = -c->v;
-        return 0;
-    }
-    return store(c, PyNumber_Negative(c->big));
+    if (r == NULL)
+        return -1;
+    int status = from_object(out, r);
+    Py_DECREF(r);
+    return status;
 }
 
 /* out = a // b (floor division, as Python's //); b is nonzero. */
 static int floor_div(Cell *out, const Cell *a, const Cell *b)
 {
-    if (a->big == NULL && b->big == NULL) {
+    if (a->size == 0 && b->size == 0) {
         long long q = a->v / b->v;
         if (a->v % b->v != 0 && (a->v < 0) != (b->v < 0))
             q--;
-        Py_CLEAR(out->big);
+        out->size = 0;
         out->v = q;
         return 0;
     }
@@ -149,61 +376,19 @@ static int floor_div(Cell *out, const Cell *a, const Cell *b)
 /* 1 if a % b is nonzero, 0 if not, -1 on error; b is nonzero. */
 static int has_remainder(const Cell *a, const Cell *b)
 {
-    if (a->big == NULL && b->big == NULL)
+    if (a->size == 0 && b->size == 0)
         return a->v % b->v != 0;
-    Cell r = {0, NULL};
-    if (slow_binary(&r, a, b, PyNumber_Remainder) < 0)
-        return -1;
-    int nonzero = !is_zero(&r);
-    Py_CLEAR(r.big);
-    return nonzero;
-}
-
-/* e += f */
-static int add(Cell *e, const Cell *f)
-{
-    if (is_zero(f))
-        return 0;
-    if (e->big == NULL && f->big == NULL) {
-        long long r = e->v + f->v;
-        if (r >= -SMALL_MAX && r <= SMALL_MAX) {
-            e->v = r;
-            return 0;
-        }
-    }
-    return slow_binary(e, e, f, PyNumber_Add);
-}
-
-/* e -= q * f */
-static int submul(Cell *e, const Cell *q, const Cell *f)
-{
-    if (is_zero(f))
-        return 0;
-    if (e->big == NULL && q->big == NULL && f->big == NULL) {
-        long long a = q->v < 0 ? -q->v : q->v;
-        long long b = f->v < 0 ? -f->v : f->v;
-        /* |q * f| <= SMALL_MAX, so the product and the difference fit */
-        if ((a < HALF_BOUND && b < HALF_BOUND) || a == 0 || b <= SMALL_MAX / a) {
-            long long r = e->v - q->v * f->v;
-            if (r >= -SMALL_MAX && r <= SMALL_MAX) {
-                e->v = r;
-                return 0;
-            }
-        }
-    }
-    Cell p = {0, NULL};
-    if (slow_binary(&p, q, f, PyNumber_Multiply) < 0)
-        return -1;
-    int status = slow_binary(e, e, &p, PyNumber_Subtract);
-    Py_CLEAR(p.big);
-    return status;
+    Cell r = {0, NULL, 0, 0};
+    int status = slow_binary(&r, a, b, PyNumber_Remainder);
+    PyMem_Free(r.d);
+    return status < 0 ? -1 : !is_zero(&r);
 }
 
 static void matrix_free(Matrix *m)
 {
     if (m->cells != NULL) {
         for (Py_ssize_t k = 0; k < m->n_rows * m->n_cols; k++)
-            Py_XDECREF(m->cells[k].big);
+            PyMem_Free(m->cells[k].d);
     }
     PyMem_Free(m->cells);
     PyMem_Free(m->row);
@@ -244,15 +429,18 @@ static int identity(Matrix *m, Py_ssize_t n)
 /* The input contract of abelian._int_rows, row by row: each row any
    sequence, all as long as the first, every entry exactly an int.  The
    matrix and its rows are copied to new lists first, as in Python, so code
-   run while iterating one row cannot resize another under us. */
+   run while iterating one row cannot resize another under us.  Each row is
+   stored as soon as it passes, so a refusal can come after large cells are
+   loaded; the caller frees m either way. */
 static int load(PyObject *mat, Matrix *m)
 {
     PyObject *rows = PySequence_List(mat);
     if (rows == NULL)
         return -1;
     Py_ssize_t n_rows = PyList_GET_SIZE(rows);
-    Py_ssize_t n_cols = 0;
     int status = -1;
+    if (n_rows == 0 && matrix_alloc(m, 0, 0) < 0)
+        goto out;
     for (Py_ssize_t i = 0; i < n_rows; i++) {
         PyObject *original = PyList_GET_ITEM(rows, i);
         PyObject *row = PySequence_List(original);
@@ -261,9 +449,11 @@ static int load(PyObject *mat, Matrix *m)
         PyList_SET_ITEM(rows, i, row);  /* the copy replaces the original */
         Py_DECREF(original);
         Py_ssize_t n = PyList_GET_SIZE(row);
-        if (i == 0)
-            n_cols = n;
-        else if (n != n_cols) {
+        if (i == 0) {
+            if (matrix_alloc(m, n_rows, n) < 0)
+                goto out;
+        }
+        else if (n != m->n_cols) {
             PyErr_SetString(PyExc_ValueError, "ragged matrix");
             goto out;
         }
@@ -274,16 +464,7 @@ static int load(PyObject *mat, Matrix *m)
                              Py_TYPE(e)->tp_name);
                 goto out;
             }
-        }
-    }
-    if (matrix_alloc(m, n_rows, n_cols) < 0)
-        goto out;
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        PyObject *row = PyList_GET_ITEM(rows, i);
-        for (Py_ssize_t j = 0; j < n_cols; j++) {
-            PyObject *e = PyList_GET_ITEM(row, j);
-            Py_INCREF(e);
-            if (store(&m->row[i][j], e) < 0)
+            if (from_object(&m->row[i][j], e) < 0)
                 goto out;
         }
     }
@@ -294,8 +475,7 @@ out:
 }
 
 /* Smallest nonzero |entry| in the trailing submatrix, first in row-major
-   order on ties.  1 with *pi, *pj set, 0 if the submatrix is zero, -1 on
-   error. */
+   order on ties.  1 with *pi, *pj set, 0 if the submatrix is zero. */
 static int pivot(const Matrix *m, Py_ssize_t t, Py_ssize_t *pi, Py_ssize_t *pj)
 {
     const Cell *best = NULL;
@@ -305,25 +485,21 @@ static int pivot(const Matrix *m, Py_ssize_t t, Py_ssize_t *pi, Py_ssize_t *pj)
         for (Py_ssize_t j = t; j < m->n_cols; j++) {
             const Cell *e = &mi[j];
             int better;
-            if (e->big == NULL) {
+            if (e->size == 0) {
                 if (e->v == 0)
                     continue;
                 long long a = e->v < 0 ? -e->v : e->v;
-                better = best == NULL || best->big != NULL || a < best_abs;
+                better = best == NULL || best->size != 0 || a < best_abs;
                 if (better)
                     best_abs = a;
             }
-            else if (best == NULL)
-                better = 1;
-            else if (best->big == NULL)
-                better = 0;
-            else if ((better = abs_less(e->big, best->big)) < 0)
-                return -1;
+            else
+                better = best == NULL || (best->size != 0 && abs_less(e, best));
             if (better) {
                 best = e;
                 *pi = i;
                 *pj = j;
-                if (e->big == NULL && best_abs == 1)
+                if (e->size == 0 && best_abs == 1)
                     return 1;
             }
         }
@@ -331,13 +507,10 @@ static int pivot(const Matrix *m, Py_ssize_t t, Py_ssize_t *pi, Py_ssize_t *pj)
     return best != NULL;
 }
 
-static int negate_row(Cell *row, Py_ssize_t n)
+static void negate_row(Cell *row, Py_ssize_t n)
 {
-    for (Py_ssize_t k = 0; k < n; k++) {
-        if (negate(&row[k]) < 0)
-            return -1;
-    }
-    return 0;
+    for (Py_ssize_t k = 0; k < n; k++)
+        negate(&row[k]);
 }
 
 static void swap_columns(Matrix *m, Py_ssize_t a, Py_ssize_t b)
@@ -353,8 +526,10 @@ static void swap_columns(Matrix *m, Py_ssize_t a, Py_ssize_t b)
 static int row_submul(Matrix *m, Py_ssize_t dst, const Cell *q, Py_ssize_t src)
 {
     Cell *d = m->row[dst], *s = m->row[src];
+    View qv;
+    view(&qv, q);
     for (Py_ssize_t k = 0; k < m->n_cols; k++) {
-        if (submul(&d[k], q, &s[k]) < 0)
+        if (submul(&d[k], q, &qv, &s[k]) < 0)
             return -1;
     }
     return 0;
@@ -363,8 +538,10 @@ static int row_submul(Matrix *m, Py_ssize_t dst, const Cell *q, Py_ssize_t src)
 /* column dst -= q * column src, over all rows */
 static int column_submul(Matrix *m, Py_ssize_t dst, const Cell *q, Py_ssize_t src)
 {
+    View qv;
+    view(&qv, q);
     for (Py_ssize_t r = 0; r < m->n_rows; r++) {
-        if (submul(&m->row[r][dst], q, &m->row[r][src]) < 0)
+        if (submul(&m->row[r][dst], q, &qv, &m->row[r][src]) < 0)
             return -1;
     }
     return 0;
@@ -386,14 +563,11 @@ static int smith(Matrix *m, Matrix *u, Matrix *v)
     Py_ssize_t rows = m->n_rows, cols = m->n_cols;
     Py_ssize_t limit = rows < cols ? rows : cols;
     Py_ssize_t t = 0;
-    Cell q = {0, NULL};
+    Cell q = {0, NULL, 0, 0};
     int status = -1;
     while (t < limit) {
         Py_ssize_t pi = 0, pj = 0;
-        int found = pivot(m, t, &pi, &pj);
-        if (found < 0)
-            goto out;
-        if (!found)
+        if (!pivot(m, t, &pi, &pj))
             break;
         if (pi != t) {
             Cell *tmp = m->row[t];
@@ -411,10 +585,9 @@ static int smith(Matrix *m, Matrix *u, Matrix *v)
                 swap_columns(v, t, pj);
         }
         if (is_negative(&m->row[t][t])) {
-            if (negate_row(m->row[t], cols) < 0)
-                goto out;
-            if (u != NULL && negate_row(u->row[t], rows) < 0)
-                goto out;
+            negate_row(m->row[t], cols);
+            if (u != NULL)
+                negate_row(u->row[t], rows);
         }
         const Cell *p = &m->row[t][t];
         int dirty = 0;
@@ -475,7 +648,7 @@ static int smith(Matrix *m, Matrix *u, Matrix *v)
     }
     status = 0;
 out:
-    Py_CLEAR(q.big);
+    PyMem_Free(q.d);
     return status;
 }
 
@@ -503,7 +676,7 @@ static PyObject *to_lists(const Matrix *m)
     return out;
 }
 
-static PyObject *smith_py(PyObject *self, PyObject *args)
+static PyObject *smith_py(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *mat;
     int track;

@@ -30,7 +30,6 @@ from .gadgets import (
     whitehead_gadget,
 )
 from .presentations import Presentation, TietzeBudget, parse, serialize, tietze_neighbors
-from .presentations import _quote
 from .recognize import (
     DEFAULT_ELIMINATION_LETTERS,
     artin_check,
@@ -40,6 +39,7 @@ from .recognize import (
     two_knot_check,
     verify_identity,
 )
+from .words import _quote
 
 SCHEMA_VERSION = 1
 BUDGET_ENV = "KNOTPRES_MAX_COSETS"
@@ -54,6 +54,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int(text):
+    """argparse's ``type=int`` with the refused value's quote cut short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %s" % _quote(text)) from None
 
 
 def _default_budget():
@@ -288,7 +296,7 @@ def build_parser():
     sp.set_defaults(handler=_cmd_snf)
 
     sp = sub.add_parser("fold", help="fold subgroup generators in a free group")
-    sp.add_argument("--alphabet", type=int, required=True, help="free rank")
+    sp.add_argument("--alphabet", type=_int, required=True, help="free rank")
     sp.add_argument(
         "--words", required=True, help="comma-separated words over x1..xn"
     )
@@ -300,7 +308,7 @@ def build_parser():
     _add_presentation_source(sp)
     sp.add_argument("--subgroup", help="comma-separated subgroup generator words")
     sp.add_argument(
-        "--max", type=int, help="live-coset budget (default %s or $%s)"
+        "--max", type=_int, help="live-coset budget (default %s or $%s)"
         % (DEFAULT_MAX_COSETS, BUDGET_ENV)
     )
     sp.add_argument(
@@ -333,18 +341,18 @@ def build_parser():
     sp.add_argument(
         "--addendum", action="store_true", help="extra graded row (prop1 only)"
     )
-    sp.add_argument("--max", type=int, help="coset budget for audits")
+    sp.add_argument("--max", type=_int, help="coset budget for audits")
     _add_format(sp)
     sp.set_defaults(handler=_cmd_construct)
 
     sp = sub.add_parser("check", help="run a shape recognizer")
     sp.add_argument("kind", choices=("wirtinger", "artin", "twoknot", "kervaire"))
     _add_presentation_source(sp)
-    sp.add_argument("--h", type=int, default=0, help="pair count (twoknot)")
+    sp.add_argument("--h", type=_int, default=0, help="pair count (twoknot)")
     sp.add_argument("--candidates", help="comma-separated words (kervaire)")
     sp.add_argument(
         "--budget",
-        type=int,
+        type=_int,
         help="elimination letters (twoknot) or coset budget (kervaire)",
     )
     sp.add_argument(
@@ -366,14 +374,14 @@ def build_parser():
     sp = sub.add_parser(
         "enumerate", help="stream weight-one presentations with witnesses"
     )
-    sp.add_argument("--budget", type=int, default=10, help="number of emissions")
+    sp.add_argument("--budget", type=_int, default=10, help="number of emissions")
     _add_format(sp)
     sp.set_defaults(handler=_cmd_enumerate)
 
     sp = sub.add_parser("tietze", help="list budgeted presentation rewrites")
     _add_presentation_source(sp)
     sp.add_argument(
-        "--max-relator-len", type=int, default=12, help="relator length cap"
+        "--max-relator-len", type=_int, default=12, help="relator length cap"
     )
     _add_format(sp)
     sp.set_defaults(handler=_cmd_tietze)

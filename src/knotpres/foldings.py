@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from . import words as _words
-from .words import Word
+from .words import Word, _quote
 
 
 class SubgroupGraph:
@@ -58,7 +58,7 @@ class SubgroupGraph:
 
     def add_loop(self, w: Word) -> None:
         if w.max_generator() > self.alphabet_size:
-            raise ValueError(f"word {w!r} uses a generator outside the alphabet")
+            raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
         v = self.base
         letters = w.letters
         for i, k in enumerate(letters):

@@ -25,12 +25,11 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
-from .words import EMPTY, Word, _trusted, commutator
+from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted, commutator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(<|>|\||,|\^|\(|\)|-?\d+|[A-Za-z][A-Za-z0-9_]*)")
 MAX_WORD_LETTERS = 1_000_000
-QUOTE_CHARS = 60  # longest input text or repr an error message quotes whole
 
 
 class Presentation:
@@ -48,7 +47,7 @@ class Presentation:
         rels = tuple(r if isinstance(r, Word) else Word(r) for r in relators)
         for r in rels:
             if r.max_generator() > len(gens):
-                raise ValueError(f"relator {r!r} uses a generator outside the alphabet")
+                raise ValueError(f"relator {_quote(r)} uses a generator outside the alphabet")
         self.generators = gens
         self.relators = rels
 
@@ -140,12 +139,6 @@ def _where(text: str, at: int) -> str:
         return f"in {text!r}"
     lo = min(max(at - QUOTE_CHARS // 2, 0), len(text) - QUOTE_CHARS)
     return f"at character {at} of {len(text)}, near {text[lo:lo + QUOTE_CHARS]!r}"
-
-
-def _quote(value) -> str:
-    """``repr(value)`` for an error message, cut after QUOTE_CHARS characters."""
-    text = repr(value)
-    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
 def _tokenize(text: str) -> _Tokens:
@@ -282,7 +275,7 @@ def hnn_extension(
 ) -> Presentation:
     """Adjoin a stable letter with relators ``stable^-1 u stable v^-1``."""
     if stable in p.generators:
-        raise ValueError(f"stable letter {stable!r} collides with a generator")
+        raise ValueError(f"stable letter {_quote(stable)} collides with a generator")
     ngens = len(p.generators)
     s = ngens + 1
     rels = list(p.relators)
@@ -297,7 +290,7 @@ def quotient(p: Presentation, extra: Iterable[Word]) -> Presentation:
     extra = tuple(w if isinstance(w, Word) else Word(w) for w in extra)
     for w in extra:
         if w.max_generator() > len(p.generators):
-            raise ValueError(f"relator {w!r} uses a generator outside the alphabet")
+            raise ValueError(f"relator {_quote(w)} uses a generator outside the alphabet")
     return Presentation(p.generators, p.relators + extra)
 
 

@@ -11,12 +11,20 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
+QUOTE_CHARS = 60  # longest input text or repr an error message quotes whole
+
+
+def _quote(value) -> str:
+    """``repr(value)`` for an error message, cut after QUOTE_CHARS characters."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
+
 
 def _reduced(letters: Iterable[int]) -> Tuple[int, ...]:
     stack: list[int] = []
     for k in letters:
         if not isinstance(k, int) or k == 0:
-            raise ValueError(f"bad letter {k!r}: letters are nonzero integers")
+            raise ValueError(f"bad letter {_quote(k)}: letters are nonzero integers")
         if stack and stack[-1] == -k:
             stack.pop()
         else:

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -229,7 +231,8 @@ def test_snf_ragged_matrix_is_a_value_error(mat):
 
 def _kernel_matrices():
     """The parity corpus: the shapes the benchmark decides, every degenerate
-    shape, rank deficiency, negative pivots and entries beyond 64 bits."""
+    shape, rank deficiency, negative pivots, entries beyond 64 bits and the
+    paths of the compiled kernel's limb arithmetic."""
     rng = random.Random(7919)
     out = []
     for n in range(3, 26):
@@ -261,6 +264,36 @@ def _kernel_matrices():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         bound = rng.choice((2**63, 2**70, 2**130))
         out.append([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+    # The compiled kernel's limb tier.  A small pivot under large entries
+    # gives quotients of two limbs (above 2**32) and of more (above 2**62),
+    # which multiply large transform entries.
+    for bits in (33, 40, 61, 63, 64, 100):
+        for _ in range(8):
+            rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+            m = [[rng.choice((1, -1)) * rng.randint(2**bits // 2, 2**bits) for _ in range(cols)]
+                 for _ in range(rows)]
+            m[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((1, -1, 2, 3, -5))
+            out.append(m)
+    out += [[[1, 0], [2**100, 1]], [[1, 0, 0], [2**40 + 1, 1, 0], [-(2**70), 2**35, 1]],
+            [[2, 2**80 + 1], [2**90 - 1, -3]]]
+    # entries of the matrix itself that cross 2**62 during elimination
+    for _ in range(24):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        out.append([[rng.choice((1, -1)) * rng.randint(2**60, 2**62 - 1) if rng.random() < 0.7
+                     else rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    # entries of 2**200 and more with mixed signs, where floor division of a
+    # negative entry differs from truncation
+    for _ in range(24):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        out.append([[rng.choice((1, -1)) * rng.randint(2**200, 2**260) if rng.random() < 0.6
+                     else rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)])
+    out += [[[-(2**200) - 1, 2**201 + 3], [7, 2**200]], [[3, 0], [-(2**250), 5]]]
+    # values at limb boundaries
+    limbs = [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96, 2**96 - 1]
+    limbs += [-e for e in limbs] + [1, -1, 2, 3, 0]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        out.append([[rng.choice(limbs) for _ in range(cols)] for _ in range(rows)])
     return out
 
 
@@ -288,7 +321,8 @@ def test_compiled_smith_gives_the_same_invariant_factors(compiled_smith, monkeyp
     monkeypatch.setattr(abelian, "_kernel", abelian._smith)
     expected = [invariant_factors(m) for m in corpus]
     monkeypatch.setattr(abelian, "_kernel", compiled_smith)
-    assert [invariant_factors(m) for m in corpus] == expected
+    for m, factors in zip(corpus, expected):
+        assert invariant_factors(m) == factors, m
 
 
 def test_compiled_smith_transforms_certify_big_entries(compiled_smith):
@@ -340,6 +374,33 @@ def test_compiled_smith_still_works_after_refusing_input(compiled_smith):
         with pytest.raises(ValueError):
             compiled_smith([[1, 2], [3, 2**70], [1.0, 2]], True)
     assert compiled_smith([[2, 0], [0, 3]], True)[0] == [[1, 0], [0, 6]]
+
+
+def test_compiled_smith_returns_every_block(compiled_smith):
+    # Limb buffers come from PyMem_*, which sys.getallocatedblocks counts.
+    rng = random.Random(25)
+    dense = [[rng.randint(-9, 9) for _ in range(25)] for _ in range(25)]
+    # large entries take floor division and remainder through Python ints,
+    # and the second matrix's sweep has a remainder beyond 2**62
+    large = ([[2, 2**100 + 1, 5], [2**90, -(2**100) - 3, 7], [3**70, 11, -(2**64)]],
+             [[2**100, 0], [0, 2**150 + 2**80]])
+    refused = [[2**200, -(2**300), 2**70 + 1], [2**64, 5, 1.0]]  # refused at 1.0
+
+    def calls(dense_calls, refused_calls):
+        for _ in range(dense_calls):
+            compiled_smith(dense, True)
+            for m in large:
+                compiled_smith(m, False)
+        for _ in range(refused_calls):
+            with pytest.raises(ValueError):
+                compiled_smith(refused, True)
+
+    calls(3, 3)  # the first calls may grow the interpreter's own caches
+    gc.collect()
+    before = sys.getallocatedblocks()
+    calls(2000, 200)
+    gc.collect()
+    assert abs(sys.getallocatedblocks() - before) < 50
 
 
 def test_backend_names_the_kernels_in_use():

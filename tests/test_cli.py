@@ -277,6 +277,40 @@ def test_error_messages_quote_long_tokens_in_part(capsys, argv, fragment):
     assert err.startswith("error: " + fragment) and len(err) < 200, err[:300]
 
 
+# Values int() refuses: a number with a trailing letter, a long name, and a
+# 10,000-digit number wherever the int string-conversion digit limit is on.
+BAD_INTS = {"number_letter": LONG_NUMBER + "x", "name": LONG_NAME}
+if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_NUMBER):
+    BAD_INTS["digits"] = LONG_NUMBER
+
+
+@pytest.mark.parametrize("value", list(BAD_INTS.values()), ids=list(BAD_INTS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fold", "--alphabet", None, "--words", "x1"],
+        ["coset-enum", "< x | x >", "--max", None],
+        ["construct", "prop1", "< x | x >", "--max", None],
+        ["check", "twoknot", "< x | x >", "--h", None],
+        ["check", "twoknot", "< x | x >", "--budget", None],
+        ["enumerate", "--budget", None],
+        ["tietze", "< x | x >", "--max-relator-len", None],
+    ],
+    ids=["fold_alphabet", "coset_enum_max", "construct_max", "check_h", "check_budget",
+         "enumerate_budget", "tietze_max_relator_len"],
+)
+def test_int_options_quote_a_refused_value_in_part(capsys, argv, value):
+    option = argv[argv.index(None) - 1]
+    code, out, err = run(capsys, *[value if a is None else a for a in argv])
+    assert code == 3 and out == ""
+    assert ("error: argument %s: invalid int value: " % option) in err
+    assert len(err) < 200, err[:300]
+    # a short value keeps argparse's own message
+    code, out, err = run(capsys, *["abc" if a is None else a for a in argv])
+    assert code == 3 and out == ""
+    assert err.endswith("error: argument %s: invalid int value: 'abc'\n" % option), err
+
+
 def test_negative_tietze_budget_is_a_usage_error(capsys):
     code, out, err = run(capsys, "tietze", "< x | x >", "--max-relator-len", "-1")
     assert code == 3 and out == ""

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from knotpres.abelian import h1
+from knotpres.foldings import fold
 from knotpres.presentations import (
     MAX_WORD_LETTERS,
     IdentitySequence,
@@ -100,6 +101,24 @@ def test_parse_errors_quote_long_input_in_part():
     msg = message("< x | x $" + "y" * 10_000 + " >")
     assert len(msg) < 200 and "at character 8 of 10011" in msg
     assert len(message("< x | " + "x " * 10_000)) < 200
+
+
+def test_library_errors_quote_long_values_in_part():
+    long_word = Word([1] * 10_000 + [2])  # generator 2 is outside a 1-letter alphabet
+    long_name = "a" * 10_000
+    cases = [
+        (lambda: Presentation(("a",), [long_word]), "relator Word([1, 1, "),
+        (lambda: quotient(Presentation(("a",), []), [long_word]), "relator Word([1, 1, "),
+        (lambda: Word([1] * 10_000 + [long_name]), "bad letter 'aaa"),
+        (lambda: fold(1, [long_word]), "word Word([1, 1, "),
+        (lambda: hnn_extension(Presentation((long_name,), []), long_name, []),
+         "stable letter 'aaa"),
+    ]
+    for call, start in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        msg = str(err.value)
+        assert msg.startswith(start) and len(msg) < 200, msg[:300]
 
 
 def test_parse_bounds_word_length_before_building():
