@@ -78,6 +78,32 @@ CASES = (
         ["construct", "ms", "< x | >", "--max", "2"],
         ["verify-identity", "< x | x >", "--pi", '[["x", 0, 2]]'],
     ]
+    # parse errors, one per kind; long inputs give an offset, not the text
+    + [
+        ["h1", "< x | x $ >"],
+        ["h1", "< x | x $" + "y" * 100 + " >"],
+        ["h1", "< x | x"],
+        ["h1", "< x | " + "x " * 40],
+        ["h1", "< x | x^"],
+        ["h1", "< x | (x, >"],
+        ["h1", "< x | " + "(" * 40 + "x" + ")" * 39 + " >"],
+        ["h1", "< x | x ) >"],
+        ["h1", "< x y | >"],
+        ["h1", "< 1 | >"],
+        ["h1", "< x | y >"],
+        ["h1", "< x | 1^2 >"],
+        ["h1", "< x | () >"],
+        ["h1", "< x | x^y >"],
+        ["h1", "< x | x > junk"],
+        ["h1", "< x | x^1000001 >"],
+        ["h1", "< x | x^600000 x^-600000 >"],
+        ["h1", "< x, y | ((x y)^1000)^1001 >"],
+        ["h1", "< x, x | y >"],
+        ["h1", "< x, x | x >"],
+        ["coset-enum", "< x | x^2 >", "--subgroup", "x, y"],
+        ["construct", "weight", "< u | >", "--w", "u )"],
+        ["fold", "--alphabet", "1", "--words", "x1, (x1"],
+    ]
 )
 
 
