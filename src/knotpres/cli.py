@@ -94,8 +94,14 @@ def _load_presentation(args):
     return parse(_read_source(args.presentation, args.input, "presentation"))
 
 
-def _split_words(text):
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _words(p, text):
+    """The comma-separated words of ``text``, their letters bounded together."""
+    words, used = [], 0
+    for part in map(str.strip, text.split(",")):
+        if part:
+            words.append(p.word(part, used))
+            used += len(words[-1])
+    return words
 
 
 def _cmd_h1(args):
@@ -131,7 +137,7 @@ def _cmd_snf(args):
 def _cmd_fold(args):
     names = tuple("x%d" % (i + 1) for i in range(args.alphabet))
     scratch = Presentation(names)
-    words = [scratch.word(t) for t in _split_words(args.words)]
+    words = _words(scratch, args.words)
     graph = fold(args.alphabet, words)
     rank = graph.rank()
     ok = rank == len(words)
@@ -145,9 +151,7 @@ def _cmd_fold(args):
 
 def _cmd_coset_enum(args):
     p = _load_presentation(args)
-    subgroup = []
-    if args.subgroup:
-        subgroup = [p.word(t) for t in _split_words(args.subgroup)]
+    subgroup = _words(p, args.subgroup or "")
     budget = args.max if args.max is not None else _default_budget()
     res = enumerate_cosets(p, subgroup, budget)
     payload = res.to_json_dict()
@@ -205,9 +209,7 @@ def _cmd_construct(args):
 def _cmd_check(args):
     p = _load_presentation(args)
     if args.kind == "kervaire":
-        candidates = []
-        if args.candidates:
-            candidates = [p.word(t) for t in _split_words(args.candidates)]
+        candidates = _words(p, args.candidates or "")
         budget = args.budget if args.budget is not None else _default_budget()
         payload = evidence = kervaire_report(p, candidates, max_cosets=budget)
     else:
@@ -238,14 +240,15 @@ def _cmd_verify_identity(args):
         raise ValueError("identity sequence must be JSON: %s" % exc)
     if not isinstance(entries, list):
         raise ValueError("identity sequence must be a JSON array")
-    triples = []
+    triples, used = [], 0
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each entry must be [conjugator, relator, sign]")
         conj, index, sign = entry
         if not isinstance(conj, str):
             raise ValueError("conjugator must be a word string, got %s" % _quote(conj))
-        triples.append((p.word(conj), index, sign))
+        triples.append((p.word(conj, used), index, sign))
+        used += len(triples[-1][0])
     ok = verify_identity(p, triples)
     return (0 if ok else 1), {"verified": ok}, ["true" if ok else "false"]
 

@@ -13,7 +13,7 @@ still finishing inside it.
 import os
 
 from .outcomes import CheckOutcome
-from .presentations import Presentation, quotient
+from .presentations import quotient
 from .words import Word, _directions
 
 if os.environ.get("KNOTPRES_PURE") == "1":

@@ -10,11 +10,7 @@ yes or unknown, since they bound a search that may not finish.
 """
 
 from .abelian import h1, h1_is_infinite_cyclic, is_perfect
-from .coset import (
-    is_trivial_bounded,
-    weight_one_witness_check,
-    word_is_trivial_in_finite,
-)
+from .coset import weight_one_witness_check, word_is_trivial_in_finite
 from .presentations import (
     Presentation,
     direct_product,

@@ -10,8 +10,10 @@ or ``'(' word ')' ['^'int]``, and ``1`` denotes the empty word.  Parentheses
 may nest to any depth.
 
 No parsed word, and no power or product formed on the way to it, may have
-more than ``MAX_WORD_LETTERS`` (one million) letters before free reduction;
-longer input raises ValueError before the word is built.  A parse error
+more than ``MAX_WORD_LETTERS`` (one million) letters before free reduction,
+nor the words of one input (a presentation's relators, or a list of words)
+more than ``MAX_INPUT_LETTERS`` (four million) in all; longer input raises
+ValueError before the word that passes a bound is built.  A parse error
 quotes the input whole when it is at most ``QUOTE_CHARS`` (60) characters
 long, and otherwise gives the offset of the failure and the 60 characters
 around it; a token or value it names is cut to its first 60 characters.
@@ -22,14 +24,16 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
 from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted, commutator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"\s*(<|>|\||,|\^|\(|\)|-?\d+|[A-Za-z][A-Za-z0-9_]*)")
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|[<>|,^()]|-?\d+)|\S)")
 MAX_WORD_LETTERS = 1_000_000
+MAX_INPUT_LETTERS = 4_000_000
 
 
 class Presentation:
@@ -80,168 +84,176 @@ class Presentation:
     def __str__(self) -> str:
         return serialize(self)
 
-    def word(self, text: str) -> Word:
-        """Parse a word in this presentation's alphabet."""
-        tokens = _tokenize(text)
-        w = _parse_word(tokens, {n: i for i, n in enumerate(self.generators)})
-        if tokens.peek() is not None:
-            raise ValueError(f"trailing input after word: {_quote(tokens.peek())}")
-        return w
+    def word(self, text: str, used: int = 0) -> Word:
+        """Parse a word in this alphabet, after ``used`` letters of one input."""
+        toks = _tokenize(text)
+        index = {name: k for k, name in enumerate(self.generators, 1)}
+        letters, i = _read_word(text, toks, 0, index, used)
+        if toks[i] is not None:
+            raise ValueError(f"trailing input after word: {_quote(toks[i])}")
+        return _trusted(letters)
 
     def spell(self, w: Word) -> str:
         """Render a word with this presentation's generator names."""
         if not w:
             return "1"
-        parts = []
-        for gen, exp in w.to_pairs():
-            name = self.generators[gen]
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return " ".join(parts)
+        names = self.generators
+        return " ".join([names[g] if e == 1 else f"{names[g]}^{e}" for g, e in w.to_pairs()])
 
 
-class _Tokens:
-    def __init__(self, items: List[str], text: str):
-        self.items = items
-        self.pos = 0
-        self.text = text
-
-    def peek(self) -> Optional[str]:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of input {_where(self.text, len(self.text))}")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            at = _token_start(self.text, self.pos - 1)
-            raise ValueError(f"expected {tok!r}, got {_quote(got)} {_where(self.text, at)}")
+def _tokenize(text: str) -> List[Optional[str]]:
+    """All tokens of ``text``, then None."""
+    toks = _TOKEN_RE.findall(text)
+    if "" in toks:  # a character that starts no token, matched as one
+        at = _token_start(text, toks.index(""))
+        rest = text[at:].rstrip()
+        if len(rest) <= QUOTE_CHARS:
+            raise ValueError(f"cannot tokenize {rest!r}")
+        raise ValueError(f"cannot tokenize the input {_where(text, at)}")
+    toks.append(None)
+    return toks
 
 
 def _token_start(text: str, i: int) -> int:
-    """The offset of token ``i`` in ``text``; found again on the error path
-    so that tokenizing records no offsets."""
-    pos = 0
-    for _ in range(i):
-        pos = _TOKEN_RE.match(text, pos).end()
-    return _TOKEN_RE.match(text, pos).start(1)
+    """The offset of token ``i`` in ``text``, found again on the error path."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None))
+    return m.end() - len(m.group().lstrip())
 
 
 def _where(text: str, at: int) -> str:
-    """Where a parse error is, for its message: the whole text when it is at
-    most QUOTE_CHARS long, else the offset ``at`` and the QUOTE_CHARS
-    characters around it."""
+    """Where a parse error is: the whole text when it is at most QUOTE_CHARS
+    long, else the offset ``at`` and the QUOTE_CHARS characters around it."""
     if len(text) <= QUOTE_CHARS:
         return f"in {text!r}"
     lo = min(max(at - QUOTE_CHARS // 2, 0), len(text) - QUOTE_CHARS)
     return f"at character {at} of {len(text)}, near {text[lo:lo + QUOTE_CHARS]!r}"
 
 
-def _tokenize(text: str) -> _Tokens:
-    items = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            if len(rest) <= QUOTE_CHARS:
-                raise ValueError(f"cannot tokenize {rest!r}")
-            at = len(text) - len(text[pos:].lstrip())
-            raise ValueError(f"cannot tokenize the input {_where(text, at)}")
-        items.append(m.group(1))
-        pos = m.end()
-    return _Tokens(items, text)
+def _end(text: str) -> None:
+    raise ValueError(f"unexpected end of input {_where(text, len(text))}")
 
 
-def _parse_word(tokens: _Tokens, index: dict) -> Word:
-    """Read one word, up to a ',', '|', '>' or unmatched ')'.  Open groups
-    wait on a list, not on the call stack, so nesting depth is unlimited."""
-    outer: List[Optional[Word]] = []  # running words of the enclosing groups
-    w: Optional[Word] = None  # running word of the current group
+def _expect(text: str, toks: List[Optional[str]], i: int, tok: str) -> int:
+    """The index after token ``i``, which must be ``tok``."""
+    if toks[i] != tok:
+        if toks[i] is None:
+            _end(text)
+        at = _token_start(text, i)
+        raise ValueError(f"expected {tok!r}, got {_quote(toks[i])} {_where(text, at)}")
+    return i + 1
+
+
+def _push(text: str, toks: list, i: int, stack: list, group: list, floor, cap, used) -> int:
+    """Push the reduced ``group``, to the exponent if token ``i`` is a '^',
+    onto ``stack``, cancelling down to ``floor``; return the index after it.
+    Refused before it is built if the power, group or input passes its bound."""
+    e = 1
+    if toks[i] == "^":
+        if toks[i + 1] is None:
+            _end(text)
+        try:
+            e = int(toks[i + 1])
+        except ValueError:
+            raise ValueError(f"bad exponent {_quote(toks[i + 1])}") from None
+        i += 2
+        if e < 0:
+            group = [-k for k in reversed(group)]
+            e = -e
+    size = len(group)
+    p = 0  # group is p letters, a cyclically reduced core and their inverses,
+    while e > 1 and p < size and group[p] == -group[-1 - p]:
+        p += 1  # so its power repeats only the core and is reduced
+    letters = size + (size - 2 * p) * (e - 1)
+    top = len(stack)
+    if size * e > MAX_WORD_LETTERS or top + letters > cap:
+        word = size * e if size * e > MAX_WORD_LETTERS else top - floor + letters
+        if word > MAX_WORD_LETTERS:
+            raise ValueError(f"word of {word} letters exceeds the limit of {MAX_WORD_LETTERS}")
+        total = used + top + letters
+        raise ValueError(f"words of {total} letters in all exceed the limit of {MAX_INPUT_LETTERS}")
+    if e != 1:
+        group = group[:p] + group[p:size - p] * e + group[size - p:] if p else group * e
+    j = 0
+    while j < letters and len(stack) > floor and stack[-1] == -group[j]:
+        stack.pop()
+        j += 1
+    stack += group[j:] if j else group
+    return i
+
+
+def _read_word(text: str, toks: List[Optional[str]], i: int, index: dict, used: int):
+    """Read one word from token ``i`` to a ',', '|', '>', unmatched ')' or the
+    end; return its reduced letters and the index after it.  Letters go on one
+    stack, cancelling down to ``floor``, where the innermost open group starts;
+    its ')' takes it off and pushes its power back.  ``used`` letters came before."""
+    stack: List[int] = []
+    floors: List[int] = []  # where each enclosing group starts
+    floor, room = 0, MAX_INPUT_LETTERS - used
+    cap = min(MAX_WORD_LETTERS, room)  # the stack length within both bounds
     while True:
-        tok = tokens.next()
-        if tok == "(":
-            outer.append(w)
-            w = None
-            continue
-        if tok == "1":
-            f = EMPTY
-        elif _NAME_RE.fullmatch(tok):
-            if tok not in index:
-                raise ValueError(f"unknown generator {_quote(tok)}")
-            f = _power(tokens, Word([index[tok] + 1]))
-        else:
-            raise ValueError(f"unexpected token {_quote(tok)} in word")
-        while True:
-            if w is None:
-                w = f
+        tok = toks[i]
+        i += 1
+        k = index.get(tok)
+        if k is not None:
+            if toks[i] == "^" or len(stack) >= cap:
+                i = _push(text, toks, i, stack, [k], floor, cap, used)
+            elif len(stack) > floor and stack[-1] == -k:
+                stack.pop()
             else:
-                _check_length(len(w) + len(f))
-                w = w * f
-            if tokens.peek() not in (None, ",", "|", ">", ")"):
-                break
-            if not outer:
-                return w
-            tokens.expect(")")
-            f = _power(tokens, w)
-            w = outer.pop()
-
-
-def _power(tokens: _Tokens, base: Word) -> Word:
-    """``base`` raised to the exponent that follows it, if one does."""
-    if tokens.peek() != "^":
-        return base
-    tokens.next()
-    exp_tok = tokens.next()
-    try:
-        exp = int(exp_tok)
-    except ValueError:
-        raise ValueError(f"bad exponent {_quote(exp_tok)}") from None
-    _check_length(len(base) * abs(exp))
-    return base**exp
-
-
-def _check_length(letters: int) -> None:
-    if letters > MAX_WORD_LETTERS:
-        raise ValueError(
-            f"word of {letters} letters exceeds the limit of {MAX_WORD_LETTERS}"
-        )
+                stack.append(k)
+        elif tok == "(":
+            floors.append(floor)
+            floor = len(stack)
+            cap = min(floor + MAX_WORD_LETTERS, room)
+            continue
+        elif tok != "1":
+            if tok is None:
+                _end(text)
+            if _NAME_RE.fullmatch(tok):
+                raise ValueError(f"unknown generator {_quote(tok)}")
+            raise ValueError(f"unexpected token {_quote(tok)} in word")
+        # A factor ended; so do the groups that close right after it.
+        while toks[i] in {",", "|", ">", ")", None}:
+            if not floors:
+                return tuple(stack), i
+            i = _expect(text, toks, i, ")")
+            group = stack[floor:]
+            del stack[floor:]
+            floor = floors.pop()
+            cap = min(floor + MAX_WORD_LETTERS, room)
+            i = _push(text, toks, i, stack, group, floor, cap, used)
 
 
 def parse(text: str) -> Presentation:
-    tokens = _tokenize(text)
-    tokens.expect("<")
+    toks = _tokenize(text)
+    i = _expect(text, toks, 0, "<")
     gens: List[str] = []
-    if tokens.peek() != "|":
-        while True:
-            name = tokens.next()
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"bad generator name {_quote(name)}")
-            gens.append(name)
-            if tokens.peek() == ",":
-                tokens.next()
-            else:
-                break
-    tokens.expect("|")
-    index = {n: i for i, n in enumerate(gens)}
+    more = toks[i] != "|"
+    while more:
+        if toks[i] is None:
+            _end(text)
+        if not _NAME_RE.fullmatch(toks[i]):
+            raise ValueError(f"bad generator name {_quote(toks[i])}")
+        gens.append(toks[i])
+        more = toks[i + 1] == ","
+        i += 1 + more
+    i = _expect(text, toks, i, "|")
+    index = {name: k for k, name in enumerate(gens, 1)}
     rels: List[Word] = []
-    if tokens.peek() != ">":
-        while True:
-            rels.append(_parse_word(tokens, index))
-            if tokens.peek() == ",":
-                tokens.next()
-            else:
-                break
-    tokens.expect(">")
-    if tokens.peek() is not None:
-        raise ValueError(f"trailing input {_quote(tokens.peek())}")
-    return Presentation(gens, rels)
+    used = 0
+    more = toks[i] != ">"
+    while more:
+        letters, i = _read_word(text, toks, i, index, used)
+        used += len(letters)
+        rels.append(_trusted(letters))
+        more = toks[i] == ","
+        i += more
+    i = _expect(text, toks, i, ">")
+    if toks[i] is not None:
+        raise ValueError(f"trailing input {_quote(toks[i])}")
+    if len(set(gens)) != len(gens):
+        raise ValueError("duplicate generator names")
+    return Presentation._trusted(tuple(gens), tuple(rels))
 
 
 def serialize(p: Presentation) -> str:
@@ -270,9 +282,7 @@ def direct_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = (""
     return Presentation(out.generators, rels)
 
 
-def hnn_extension(
-    p: Presentation, stable: str, pairs: Sequence[Tuple[Word, Word]]
-) -> Presentation:
+def hnn_extension(p: Presentation, stable: str, pairs: Sequence[Tuple[Word, Word]]) -> Presentation:
     """Adjoin a stable letter with relators ``stable^-1 u stable v^-1``."""
     if stable in p.generators:
         raise ValueError(f"stable letter {_quote(stable)} collides with a generator")
@@ -315,10 +325,7 @@ def drop_deficiency(p: Presentation) -> Presentation:
     n = len(p.generators)
     z1 = fresh_name("z1", p.generators)
     z2 = fresh_name("z2", tuple(p.generators) + (z1,))
-    rels = list(p.relators)
-    rels.append(Word([n + 1]))
-    rels.append(Word([n + 2] * 3))
-    rels.append(Word([n + 2, n + 1, n + 2]))
+    rels = list(p.relators) + [Word([n + 1]), Word([n + 2] * 3), Word([n + 2, n + 1, n + 2])]
     return Presentation(p.generators + (z1, z2), rels)
 
 
@@ -380,10 +387,8 @@ _set_certificate = TietzeMove.certificate.__set__
 
 
 def _identity(entries: Tuple[Tuple[Word, int, int], ...]) -> IdentitySequence:
-    """``IdentitySequence(entries)`` without the dataclass __init__.
-
-    Private: only for entry tuples the consequence search built.
-    """
+    """``IdentitySequence(entries)`` without the dataclass __init__.  Private:
+    only for entry tuples the consequence search built."""
     seq = object.__new__(IdentitySequence)
     _set_entries(seq, entries)
     return seq
@@ -409,9 +414,7 @@ def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
 
     Letter order: 1, -1, 2, -2, ...
     """
-    alphabet = []
-    for g in range(1, ngens + 1):
-        alphabet.extend([g, -g])
+    alphabet = [k for g in range(1, ngens + 1) for k in (g, -g)]
     level: List[Tuple[int, ...]] = [()]
     yield EMPTY
     for _ in range(maxlen):
@@ -544,10 +547,7 @@ def _eliminate(
 
 
 def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence:
-    entries = tuple(
-        (g, j if j < removed else j - 1, s) for g, j, s in cert.entries
-    )
-    return _identity(entries)
+    return _identity(tuple((g, j if j < removed else j - 1, s) for g, j, s in cert.entries))
 
 
 def tietze_neighbors(

@@ -1,8 +1,10 @@
 """Independent helpers the tests check the library against.
 
-None of these is used by the library itself.
+None of these is used by the library itself, and the presentation reader
+at the end uses nothing from it.
 """
 
+import re
 from collections import deque
 
 from knotpres.presentations import (
@@ -180,3 +182,105 @@ def tietze_neighbors(p, budget):
             out.append((Presentation(p.generators + (name,), rels + (Word([ngens + 1]) * ~w,)),
                         move))
     return out
+
+
+_READER_TOKEN = re.compile(r"\s*(-?[0-9]+|[A-Za-z][A-Za-z0-9_]*|[<>|,^()])")
+
+
+class _Reader:
+    """Recursive descent over a token list for the presentation grammar,
+    built from its description alone: words are read unreduced and reduced
+    once at the end.  Any malformed input raises ValueError."""
+
+    def __init__(self, text):
+        self.toks, pos, text = [], 0, text.rstrip()
+        while pos < len(text):
+            m = _READER_TOKEN.match(text, pos)
+            if m is None:
+                raise ValueError("cannot tokenize")
+            self.toks.append(m.group(1))
+            pos = m.end()
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None or expected not in (None, tok):
+            raise ValueError("unexpected token")
+        self.pos += 1
+        return tok
+
+    def word(self, names):
+        letters = self.factor(names)
+        while self.peek() not in (None, ",", "|", ">", ")"):
+            letters += self.factor(names)
+        return letters
+
+    def factor(self, names):
+        tok = self.take()
+        if tok == "1":
+            return []
+        if tok == "(":
+            base = self.word(names)
+            self.take(")")
+        elif tok in names:
+            base = [names.index(tok) + 1]
+        else:
+            raise ValueError("not a factor")
+        exp = 1
+        if self.peek() == "^":
+            self.take()
+            exp = int(self.take())
+        if exp < 0:
+            base, exp = [-k for k in reversed(base)], -exp
+        return base * exp
+
+    def done(self):
+        if self.peek() is not None:
+            raise ValueError("trailing input")
+
+
+def _free_reduce(letters):
+    out = []
+    for k in letters:
+        if out and out[-1] == -k:
+            out.pop()
+        else:
+            out.append(k)
+    return tuple(out)
+
+
+def read_presentation(text):
+    """``(generator names, relator letter tuples)`` of a presentation text."""
+    reader = _Reader(text)
+    reader.take("<")
+    names = []
+    if reader.peek() != "|":
+        names.append(reader.take())
+        while reader.peek() == ",":
+            reader.take()
+            names.append(reader.take())
+    if any(not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", n) for n in names):
+        raise ValueError("bad generator name")
+    reader.take("|")
+    rels = []
+    if reader.peek() != ">":
+        rels.append(_free_reduce(reader.word(names)))
+        while reader.peek() == ",":
+            reader.take()
+            rels.append(_free_reduce(reader.word(names)))
+    reader.take(">")
+    reader.done()
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate generator names")
+    return tuple(names), rels
+
+
+def read_word(text, names):
+    """The letters of one word over ``names``."""
+    reader = _Reader(text)
+    letters = _free_reduce(reader.word(list(names)))
+    reader.done()
+    return letters

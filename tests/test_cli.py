@@ -248,6 +248,23 @@ def test_huge_exponent_is_a_usage_error(capsys):
     assert "exceeds the limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h1", "< x | " + ", ".join(["x^1000000"] * 300) + " >"],
+        ["fold", "--alphabet", "1", "--words", ", ".join(["x1^1000000"] * 300)],
+        ["coset-enum", "< x | >", "--subgroup", ", ".join(["x^1000000"] * 300)],
+        ["check", "kervaire", "< x | >", "--candidates", ", ".join(["x^1000000"] * 300)],
+        ["verify-identity", "< x | x >", "--pi", json.dumps([["x^1000000", 0, 1]] * 300)],
+    ],
+    ids=["relators", "words", "subgroup", "candidates", "conjugators"],
+)
+def test_many_long_words_are_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: words of 5000000 letters in all exceed the limit of 4000000\n"
+
+
 LONG_NAME = "y" * 10_000
 LONG_NUMBER = "2" * 10_000
 

@@ -7,6 +7,7 @@ import pytest
 from knotpres.abelian import h1
 from knotpres.foldings import fold
 from knotpres.presentations import (
+    MAX_INPUT_LETTERS,
     MAX_WORD_LETTERS,
     IdentitySequence,
     Presentation,
@@ -27,6 +28,7 @@ from knotpres.presentations import (
 )
 from knotpres.words import EMPTY, Word
 from oracles import eliminate as eliminate_oracle
+from oracles import read_presentation, read_word
 from oracles import tietze_neighbors as tietze_neighbors_oracle
 
 
@@ -140,6 +142,97 @@ def test_parse_bounds_word_length_before_building():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert len(parse("< x | x^%d >" % MAX_WORD_LETTERS).relators[0]) == MAX_WORD_LETTERS
+
+
+def test_parse_bounds_all_letters_before_building():
+    # Each input would hold 300 million letters; reading stops at the fifth
+    # million, before that word is built, with at most four held.
+    many = ", ".join(["x^1000000"] * 300)
+    texts = ["< x | %s >" % many, "< x | " + "x^1000000 (" * 300 + "x" + ")" * 300 + " >"]
+    refused = "^words of 5000000 letters in all exceed the limit of 4000000$"
+    p = Presentation(("x",))
+    tracemalloc.start()
+    try:
+        for text in texts:
+            with pytest.raises(ValueError, match=refused):
+                parse(text)
+        with pytest.raises(ValueError, match=refused):
+            p.word("x^1000000", MAX_INPUT_LETTERS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # the word limit still wins, and the bound itself is allowed
+    with pytest.raises(ValueError, match="^word of 1000001 letters"):
+        p.word("x^1000001", MAX_INPUT_LETTERS)
+    assert len(p.word("x", MAX_INPUT_LETTERS - 1)) == 1
+
+
+def _word_text(rng, names, depth=0):
+    """A random word: names, '1' factors, nested groups, exponents from -3
+    to 3 with or without spaces around '^', and factors with no space
+    between them wherever the tokens stay apart."""
+    text, last = "", None  # what the text ends with: ')', a number or a name
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.1:
+            factor, end = "1", "number"
+        elif roll < 0.35 and depth < 4:
+            factor, end = "(" + _word_text(rng, names, depth + 1) + ")", ")"
+        else:
+            factor, end = rng.choice(names), "name"
+        if factor != "1" and rng.random() < 0.5:
+            factor += rng.choice(["^", " ^", "^ ", " ^ "]) + str(rng.randint(-3, 3))
+            end = "number"
+        glued = (last == ")" or (last == "number" and not factor[0].isdigit())
+                 or (last == "name" and factor[0] == "("))
+        text += (rng.choice(["", " "]) if glued else rng.choice([" ", "  ", "\t"])) + factor
+        last = end
+    return text.strip()
+
+
+def test_parse_matches_the_reference_reader():
+    rng = random.Random(20261018)
+    pool = ["a", "b", "x1", "y_2", "Z"]
+    for _ in range(3000):
+        names = rng.sample(pool, rng.randint(0, 3))
+        rels = [_word_text(rng, names) for _ in range(rng.randint(0, 3))] if names else []
+        text = "< %s | %s >" % (", ".join(names), ", ".join(rels))
+        p = parse(text)
+        expected = read_presentation(text)
+        assert (p.generators, [r.letters for r in p.relators]) == expected, text
+        if names:
+            word = _word_text(rng, names)
+            assert p.word(word).letters == read_word(word, names), word
+
+
+SOUP = ["<", ">", "|", ",", "^", "(", ")", "x", "y", "1", "2", "-1", "0", "-", "$", " "]
+
+
+def test_token_soup_raises_only_value_error():
+    rng = random.Random(7)
+    p = parse("< x, y | >")
+    for _ in range(4000):
+        text = ""
+        for _ in range(rng.randint(0, 16)):
+            tok = rng.choice(SOUP)
+            # a space after each number keeps exponents small
+            text += (" " if text[-1:].isdigit() else rng.choice(["", " "])) + tok
+        if rng.random() < 0.5:
+            text = "< x, y |" + text + ">"
+        for read, reference in ((parse, read_presentation),
+                                (p.word, lambda t: read_word(t, p.generators))):
+            try:
+                reference(text)
+                accepted = True
+            except ValueError:
+                accepted = False
+            try:
+                read(text)
+            except ValueError:
+                assert not accepted, text
+            else:
+                assert accepted, text
 
 
 def test_relators_stored_reduced():
