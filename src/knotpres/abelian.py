@@ -5,19 +5,19 @@ Matrices are plain lists of lists of Python ints, so entries never overflow.
 row and column transforms; ``h1`` reads the abelianization of a presentation
 off the relation matrix.
 
-The elimination runs in a compiled extension when one was built and in the
-pure-Python reference ``_smith`` otherwise (KNOTPRES_PURE=1 forces it).  The
-two return identical D, U and V, which the test suite checks directly.  The
-compiled kernel holds an entry as a C integer up to 2**62 - 1 and as a
-vector of 32-bit limbs of its own beyond that, so the steps that grow the
-transforms U and V never make a Python int.  Only a floor division or
-remainder with an operand beyond 2**62, which happens in the matrix being
-eliminated and rarely, makes a round trip through Python ints.
+The elimination runs in a compiled extension when one was built; the
+fallback, the pure-Python reference ``_smith``, runs when the extension is
+not built.  The two return identical D, U and V, which the test suite
+checks directly.  The compiled kernel holds an entry as a C integer up to
+2**62 - 1 and as a vector of 32-bit limbs of its own beyond that, so the
+steps that grow the transforms U and V never make a Python int.  Only a
+floor division or remainder with an operand beyond 2**62, which happens in
+the matrix being eliminated and rarely, makes a round trip through Python
+ints.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -139,17 +139,13 @@ def _smith(mat: IntMatrix, track: bool):
     return m, u, v
 
 
-if os.environ.get("KNOTPRES_PURE") == "1":
+try:
+    from ._abelian_speedup import smith as _kernel
+
+    BACKEND = "compiled"
+except ImportError:
     _kernel = _smith
     BACKEND = "pure"
-else:
-    try:
-        from ._abelian_speedup import smith as _kernel
-
-        BACKEND = "compiled"
-    except ImportError:
-        _kernel = _smith
-        BACKEND = "pure"
 
 
 def smith_normal_form(mat: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:

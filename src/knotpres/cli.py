@@ -165,18 +165,17 @@ def _cmd_coset_enum(args):
 
 
 def _cmd_construct(args):
+    # the count is checked before any file is read or any text parsed
+    paths = args.input or []
+    count = 3 if args.kind == "homology" else 1
+    got = len(args.presentations) + len(paths)
+    if got != count:
+        raise _UsageError(
+            "construct %s needs %d presentation(s), got %d" % (args.kind, count, got)
+        )
     texts = list(args.presentations)
-    for path in args.input or []:
-        texts.append(_read_source(None, path, "presentation"))
+    texts += [_read_source(None, path, "presentation") for path in paths]
     inputs = [parse(t) for t in texts]
-
-    def take(count):
-        if len(inputs) != count:
-            raise _UsageError(
-                "construct %s needs %d presentation(s), got %d"
-                % (args.kind, count, len(inputs))
-            )
-        return inputs
 
     def word_over(p):
         if args.w is None:
@@ -184,24 +183,23 @@ def _cmd_construct(args):
         return p.word(args.w)
 
     budget = args.max if args.max is not None else _default_budget()
+    p = inputs[0]
     if args.kind == "prop1":
-        rep = perfect_embed(take(1)[0], addendum=args.addendum)
+        rep = perfect_embed(p, addendum=args.addendum)
     elif args.kind == "k3embed":
-        rep = k3_embed(take(1)[0], audit_budget=budget)
+        rep = k3_embed(p, audit_budget=budget)
     elif args.kind == "k3k2":
-        rep = k3_minus_k2(take(1)[0])
+        rep = k3_minus_k2(p)
     elif args.kind == "sk3":
-        rep = s_minus_k3(take(1)[0], audit_budget=budget)
+        rep = s_minus_k3(p, audit_budget=budget)
     elif args.kind == "ms":
-        rep = m_minus_s(take(1)[0], audit_budget=budget)
+        rep = m_minus_s(p, audit_budget=budget)
     elif args.kind == "weight":
-        u = take(1)[0]
-        rep = weight_gadget(u, word_over(u))
+        rep = weight_gadget(p, word_over(p))
     elif args.kind == "homology":
-        g, u, y = take(3)
+        g, u, y = inputs
         rep = homology_gadget(g, u, y, word_over(u))
     else:
-        p = take(1)[0]
         rep = whitehead_gadget(p, word_over(p))
     return 0, rep.to_json_dict(), None
 

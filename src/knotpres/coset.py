@@ -1,34 +1,27 @@
 """Coset enumeration over finite presentations.
 
-The heavy loop lives in a compiled extension when one was built; otherwise a
-pure-Python kernel with the same behaviour takes over.  Set KNOTPRES_PURE=1
-to force the fallback.  Both kernels are deterministic and produce identical
-tables, which the test suite checks directly.
+The heavy loop lives in a compiled extension when one was built; the
+fallback, a pure-Python kernel with the same behaviour, runs when the
+extension is not built.  Both kernels are deterministic and produce
+identical tables, which the test suite checks directly.
 
 Enumeration is budgeted by the number of simultaneously live cosets, so a
 run that collapses heavily may define far more cosets than the budget while
 still finishing inside it.
 """
 
-import os
-
 from .outcomes import CheckOutcome
 from .presentations import quotient
 from .words import Word, _directions
 
-if os.environ.get("KNOTPRES_PURE") == "1":
+try:
+    from . import _coset_speedup as _kernel
+
+    BACKEND = "compiled"
+except ImportError:
     from . import _coset_py as _kernel
 
     BACKEND = "pure"
-else:
-    try:
-        from . import _coset_speedup as _kernel
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _coset_py as _kernel
-
-        BACKEND = "pure"
 
 DEFAULT_MAX_COSETS = 100_000
 

@@ -77,17 +77,6 @@ def _fresh_names(bases, used):
     return out
 
 
-def _safe_tags(p, q, base=("_1", "_2")):
-    """Copy tags that keep tagged generator names disjoint."""
-    t0, t1 = base
-    while True:
-        names = [n + t0 for n in p.generators] + [n + t1 for n in q.generators]
-        if len(set(names)) == len(names):
-            return (t0, t1)
-        t0 = "_" + t0
-        t1 = "_" + t1
-
-
 def _identity_map(g, shift=0):
     return {name: Word([i + 1 + shift]) for i, name in enumerate(g.generators)}
 
@@ -145,7 +134,7 @@ def _square_embed(g, addendum=False):
     """Direct square of the perfect embedding, with the embedding's
     generator count."""
     P = perfect_embed(g, addendum).output
-    return len(P.generators), direct_product(P, P, _safe_tags(P, P))
+    return len(P.generators), direct_product(P, P, ("_1", "_2"))
 
 
 def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
@@ -194,7 +183,7 @@ def k3_minus_k2(g):
         pp, s_name, [(Word([k + j + 1]), Word([j + 1])) for j in range(k)]
     )
     nq = 2 * k + 1
-    qq = free_product(q, q, _safe_tags(q, q))
+    qq = free_product(q, q, ("_1", "_2"))
     # the distinguished element (a in one factor, alpha in the other)
     q_elem = Word([m + 1, k + m + 2])
     s1 = Word([nq])

@@ -297,11 +297,7 @@ def hnn_extension(p: Presentation, stable: str, pairs: Sequence[Tuple[Word, Word
 
 
 def quotient(p: Presentation, extra: Iterable[Word]) -> Presentation:
-    extra = tuple(w if isinstance(w, Word) else Word(w) for w in extra)
-    for w in extra:
-        if w.max_generator() > len(p.generators):
-            raise ValueError(f"relator {_quote(w)} uses a generator outside the alphabet")
-    return Presentation(p.generators, p.relators + extra)
+    return Presentation(p.generators, p.relators + tuple(extra))
 
 
 def deficiency(p: Presentation) -> int:

@@ -405,8 +405,9 @@ def test_compiled_smith_returns_every_block(compiled_smith):
 
 def test_backend_names_the_kernels_in_use():
     import knotpres
-    from knotpres import abelian, coset
+    from knotpres import _coset_py, abelian, coset
 
     assert (abelian._kernel is abelian._smith) == (abelian.BACKEND == "pure")
+    assert (coset._kernel is _coset_py) == (coset.BACKEND == "pure")
     both = abelian.BACKEND == coset.BACKEND == "compiled"
     assert knotpres.BACKEND == ("compiled" if both else "pure")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -146,6 +147,28 @@ def test_construct_homology_needs_three_inputs(capsys):
     )
     assert code == 0
     assert json.loads(out)["provenance"] == "homology_gadget"
+
+
+def test_construct_checks_the_count_before_reading_any_input(capsys, tmp_path):
+    # 60 inputs of 4 million letters each would exhaust memory if parsed.
+    long_text = "< x | x^1000000, x^1000000, x^1000000, x^1000000 >"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "construct", "prop1", *[long_text] * 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.endswith("\nerror: construct prop1 needs 1 presentation(s), got 60\n")
+    assert peak < 16 * 2**20
+    missing = str(tmp_path / "missing.txt")
+    code, _, err = run(capsys, "construct", "prop1", "< x | >", "--input", missing)
+    assert code == 3
+    assert err.endswith("\nerror: construct prop1 needs 1 presentation(s), got 2\n")
+    # the count error wins over a malformed text
+    code, _, err = run(capsys, "construct", "homology", "< x | x", "< y | >")
+    assert code == 3
+    assert err.endswith("\nerror: construct homology needs 3 presentation(s), got 2\n")
 
 
 def test_construct_missing_word_flag(capsys):

@@ -333,8 +333,9 @@ def _stable_letter_collapse():
     return quotient(out, [Word([len(out.generators)])])
 
 
-# The three cases of benchmarks/bench_coset.py: the first compacts the
-# compiled kernel's table mid-run, the last needs lookahead and compaction.
+# Three enumerations that are also coset_enum jobs in perfbench: the first
+# compacts the compiled kernel's table mid-run, the last needs lookahead and
+# compaction.
 @pytest.mark.parametrize(
     "make, budget, index",
     [
