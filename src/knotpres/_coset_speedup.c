@@ -409,7 +409,7 @@ done:
     return rows;
 }
 
-static PyObject *run(PyObject *self, PyObject *args)
+static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args)
 {
     long num_gens;
     PyObject *relators, *subgroup, *budget;

@@ -13,7 +13,6 @@ stderr, and identical invocations print identical bytes.
 
 import argparse
 import json
-import os
 import sys
 
 from .abelian import h1, smith_normal_form
@@ -42,7 +41,6 @@ from .recognize import (
 from .words import _quote
 
 SCHEMA_VERSION = 1
-BUDGET_ENV = "KNOTPRES_MAX_COSETS"
 
 _EXIT = {"yes": 0, "no": 1, "unknown": 2}
 
@@ -62,19 +60,6 @@ def _int(text):
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %s" % _quote(text)) from None
-
-
-def _default_budget():
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_MAX_COSETS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError("%s must be an integer, got %s" % (BUDGET_ENV, _quote(raw)))
-    if value < 1:
-        raise _UsageError("%s must be positive" % BUDGET_ENV)
-    return value
 
 
 def _read_source(inline, path, what):
@@ -152,8 +137,7 @@ def _cmd_fold(args):
 def _cmd_coset_enum(args):
     p = _load_presentation(args)
     subgroup = _words(p, args.subgroup or "")
-    budget = args.max if args.max is not None else _default_budget()
-    res = enumerate_cosets(p, subgroup, budget)
+    res = enumerate_cosets(p, subgroup, args.max)
     payload = res.to_json_dict()
     if not res.finite:
         return 2, payload, ["Exhausted(%d)" % res.cosets_used]
@@ -182,18 +166,17 @@ def _cmd_construct(args):
             raise _UsageError("construct %s needs --w" % args.kind)
         return p.word(args.w)
 
-    budget = args.max if args.max is not None else _default_budget()
     p = inputs[0]
     if args.kind == "prop1":
         rep = perfect_embed(p, addendum=args.addendum)
     elif args.kind == "k3embed":
-        rep = k3_embed(p, audit_budget=budget)
+        rep = k3_embed(p, audit_budget=args.max)
     elif args.kind == "k3k2":
         rep = k3_minus_k2(p)
     elif args.kind == "sk3":
-        rep = s_minus_k3(p, audit_budget=budget)
+        rep = s_minus_k3(p, audit_budget=args.max)
     elif args.kind == "ms":
-        rep = m_minus_s(p, audit_budget=budget)
+        rep = m_minus_s(p, audit_budget=args.max)
     elif args.kind == "weight":
         rep = weight_gadget(p, word_over(p))
     elif args.kind == "homology":
@@ -208,7 +191,7 @@ def _cmd_check(args):
     p = _load_presentation(args)
     if args.kind == "kervaire":
         candidates = _words(p, args.candidates or "")
-        budget = args.budget if args.budget is not None else _default_budget()
+        budget = DEFAULT_MAX_COSETS if args.budget is None else args.budget
         payload = evidence = kervaire_report(p, candidates, max_cosets=budget)
     else:
         if args.kind == "wirtinger":
@@ -216,9 +199,7 @@ def _cmd_check(args):
         elif args.kind == "artin":
             out = artin_check(p)
         else:
-            budget = (
-                args.budget if args.budget is not None else DEFAULT_ELIMINATION_LETTERS
-            )
+            budget = DEFAULT_ELIMINATION_LETTERS if args.budget is None else args.budget
             out = two_knot_check(p, args.h, budget)
         payload, evidence = out.to_json_dict(), out.evidence
     lines = [payload["verdict"].capitalize()]
@@ -309,8 +290,8 @@ def build_parser():
     _add_presentation_source(sp)
     sp.add_argument("--subgroup", help="comma-separated subgroup generator words")
     sp.add_argument(
-        "--max", type=_int, help="live-coset budget (default %s or $%s)"
-        % (DEFAULT_MAX_COSETS, BUDGET_ENV)
+        "--max", type=_int, default=DEFAULT_MAX_COSETS,
+        help="live-coset budget (default %(default)s)",
     )
     sp.add_argument(
         "--dump-table", action="store_true", help="print the coset table as JSON"
@@ -342,7 +323,10 @@ def build_parser():
     sp.add_argument(
         "--addendum", action="store_true", help="extra graded row (prop1 only)"
     )
-    sp.add_argument("--max", type=_int, help="coset budget for audits")
+    sp.add_argument(
+        "--max", type=_int, default=DEFAULT_MAX_COSETS,
+        help="coset budget for audits (default %(default)s)",
+    )
     _add_format(sp)
     sp.set_defaults(handler=_cmd_construct)
 
@@ -382,7 +366,8 @@ def build_parser():
     sp = sub.add_parser("tietze", help="list budgeted presentation rewrites")
     _add_presentation_source(sp)
     sp.add_argument(
-        "--max-relator-len", type=_int, default=12, help="relator length cap"
+        "--max-relator-len", type=_int, default=TietzeBudget.max_relator_len,
+        help="relator length cap (default %(default)s)",
     )
     _add_format(sp)
     sp.set_defaults(handler=_cmd_tietze)
@@ -421,6 +406,9 @@ def main(argv=None):
         return 3
     except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -111,6 +111,17 @@ def _perfecting_rows(m, addendum=False, word=None):
     return rels
 
 
+def _perfected(g, provenance, addendum=False, word=None):
+    """The input's generators and relators with the perfecting generators
+    and rows adjoined, audited perfect."""
+    names = _fresh_names(_PERFECTING_NAMES, g.generators)
+    rels = list(g.relators) + _perfecting_rows(len(g.generators), addendum, word)
+    out = Presentation(tuple(g.generators) + tuple(names), rels)
+    if not is_perfect(out):
+        raise RuntimeError("%s produced a non-perfect output" % provenance)
+    return GadgetReport(out, provenance, _identity_map(g), [("h1_trivial", "yes")])
+
+
 def perfect_embed(g, addendum=False):
     """Embed the presented group into a perfect one.
 
@@ -120,21 +131,19 @@ def perfect_embed(g, addendum=False):
     (with no input generator in it) is added, which makes the second
     homology infinite for nontrivial inputs.
     """
-    names = _fresh_names(_PERFECTING_NAMES, g.generators)
-    rels = list(g.relators) + _perfecting_rows(len(g.generators), addendum)
-    out = Presentation(tuple(g.generators) + tuple(names), rels)
-    if not is_perfect(out):
-        raise RuntimeError("perfecting construction produced a non-perfect output")
-    return GadgetReport(
-        out, "perfect_embed", _identity_map(g), [("h1_trivial", "yes")]
-    )
+    return _perfected(g, "perfect_embed", addendum)
 
 
 def _square_embed(g, addendum=False):
-    """Direct square of the perfect embedding, with the embedding's
-    generator count."""
+    """Direct square of the perfect embedding with a stable letter s that
+    flips its factors, and the embedding's generator count k; s is
+    generator 2k + 1."""
     P = perfect_embed(g, addendum).output
-    return len(P.generators), direct_product(P, P, ("_1", "_2"))
+    k = len(P.generators)
+    pp = direct_product(P, P, ("_1", "_2"))
+    s_name = fresh_name("s", pp.generators)
+    flips = [(Word([k + j + 1]), Word([j + 1])) for j in range(k)]
+    return k, hnn_extension(pp, s_name, flips)
 
 
 def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
@@ -145,14 +154,10 @@ def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     embedding: s flips the factors one way, t folds the second factor onto
     the diagonal, and u squares both s and t.
     """
-    k, pp = _square_embed(g)
-    s_name = fresh_name("s", pp.generators)
-    q1 = hnn_extension(
-        pp, s_name, [(Word([k + j + 1]), Word([j + 1])) for j in range(k)]
-    )
-    t_name = fresh_name("t", q1.generators)
+    k, q = _square_embed(g)
+    t_name = fresh_name("t", q.generators)
     q2 = hnn_extension(
-        q1, t_name, [(Word([k + j + 1]), Word([j + 1, k + j + 1])) for j in range(k)]
+        q, t_name, [(Word([k + j + 1]), Word([j + 1, k + j + 1])) for j in range(k)]
     )
     u_name = fresh_name("u", q2.generators)
     s = Word([2 * k + 1])
@@ -177,20 +182,12 @@ def k3_minus_k2(g):
     their diagonals.
     """
     m = len(g.generators)
-    k, pp = _square_embed(g, addendum=True)
-    s_name = fresh_name("s", pp.generators)
-    q = hnn_extension(
-        pp, s_name, [(Word([k + j + 1]), Word([j + 1])) for j in range(k)]
-    )
+    k, q = _square_embed(g, addendum=True)
     nq = 2 * k + 1
     qq = free_product(q, q, ("_1", "_2"))
     # the distinguished element (a in one factor, alpha in the other)
     q_elem = Word([m + 1, k + m + 2])
-    s1 = Word([nq])
-    q1 = q_elem
-    s2 = Word([2 * nq])
-    q2 = q_elem.shift(nq)
-    r = quotient(qq, [s1 * ~q2, q1 * ~s2])
+    r = quotient(qq, [Word([nq]) * ~q_elem.shift(nq), q_elem * ~Word([2 * nq])])
     pairs = []
     for off in (0, nq):
         for j in range(k):
@@ -337,9 +334,7 @@ def homology_gadget(g, u, y, w):
         )
     if w.max_generator() > len(u.generators):
         raise ValueError("word uses a generator missing from the second input")
-    names = []
-    for nm in tuple(g.generators) + tuple(u.generators) + tuple(y.generators):
-        names.append(fresh_name(nm, names))
+    names = _fresh_names(g.generators + u.generators + y.generators, ())
     m = len(g.generators)
     p = len(u.generators)
     rels = [r.shift(m) for r in u.relators]
@@ -363,14 +358,6 @@ def whitehead_gadget(p, w):
     first homology of the output is always trivial; the output group is
     trivial exactly when the word is trivial in the input group.
     """
-    m = len(p.generators)
-    if w.max_generator() > m:
+    if w.max_generator() > len(p.generators):
         raise ValueError("word uses a generator missing from the presentation")
-    names = _fresh_names(_PERFECTING_NAMES, p.generators)
-    rels = list(p.relators) + _perfecting_rows(m, word=w)
-    out = Presentation(tuple(p.generators) + tuple(names), rels)
-    if not is_perfect(out):
-        raise RuntimeError("word-perfecting construction left homology behind")
-    return GadgetReport(
-        out, "whitehead_gadget", _identity_map(p), [("h1_trivial", "yes")]
-    )
+    return _perfected(p, "whitehead_gadget", word=w)

@@ -139,12 +139,13 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
 
     Returns ``(core, peel)``.
     """
-    letters = list(w.letters)
-    peel: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        peel.append(letters[0])
-        letters = letters[1:-1]
-    return Word(letters), Word(peel)
+    letters = w.letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    # slices of a reduced word are reduced
+    return _trusted(letters[i:j]), _trusted(letters[:i])
 
 
 def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:

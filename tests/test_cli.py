@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
-from knotpres.cli import main
-from knotpres.presentations import parse
+from knotpres.cli import build_parser, main
+from knotpres.coset import DEFAULT_MAX_COSETS
+from knotpres.presentations import TietzeBudget, parse
 from oracles import matrix_multiply
 
 TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
@@ -410,12 +411,22 @@ def test_usage_errors_exit_three(capsys):
     assert "error:" in err
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("KNOTPRES_MAX_COSETS", "5")
+def test_each_budget_flag_defaults_to_the_library_budget(capsys):
     code, out, _ = run(capsys, "coset-enum", "< x | >")
-    assert code == 2
-    monkeypatch.setenv("KNOTPRES_MAX_COSETS", "junk")
-    assert run(capsys, "coset-enum", "< x | >")[0] == 3
+    assert (code, out) == (2, "Exhausted(%d)\n" % DEFAULT_MAX_COSETS)
+    parser = build_parser()
+    assert parser.parse_args(["construct", "prop1"]).max == DEFAULT_MAX_COSETS
+    args = parser.parse_args(["tietze", "< x | >"])
+    assert args.max_relator_len == TietzeBudget().max_relator_len
+
+
+def test_out_of_memory_is_exit_2_not_a_traceback(capsys, monkeypatch):
+    def exhausted(p):
+        raise MemoryError
+
+    monkeypatch.setattr("knotpres.cli.h1", exhausted)
+    code, out, err = run(capsys, "h1", TREFOIL)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_input_file_and_repeatability(tmp_path, capsys):

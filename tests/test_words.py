@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -73,6 +74,14 @@ def test_cyclic_reduce():
     assert core2 == Word([A, B]) and peel2 == EMPTY
     core3, _ = cyclic_reduce(EMPTY)
     assert core3 == EMPTY
+    # a long peel costs linear time, not a copy of the word per peeled pair
+    n = 40_000
+    w = Word([-A] * (n + 1) + [B] + [A] * n)
+    start = time.perf_counter()
+    core4, peel4 = cyclic_reduce(w)
+    elapsed = time.perf_counter() - start
+    assert core4 == Word([-A, B]) and peel4 == Word([-A] * n)
+    assert elapsed < 0.5
 
 
 def test_conjugacy_witness_examples():
