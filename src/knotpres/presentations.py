@@ -22,9 +22,9 @@ around it; a token or value it names is cut to its first 60 characters.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, fields
 from itertools import islice
+from operator import eq, neg
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
@@ -173,11 +173,14 @@ def _push(text: str, toks: list, i: int, stack: list, group: list, floor, cap, u
         raise ValueError(f"words of {total} letters in all exceed the limit of {MAX_INPUT_LETTERS}")
     if e != 1:
         group = group[:p] + group[p:size - p] * e + group[size - p:] if p else group * e
-    j = 0
-    while j < letters and len(stack) > floor and stack[-1] == -group[j]:
-        stack.pop()
-        j += 1
-    stack += group[j:] if j else group
+    if letters and top > floor and stack[-1] == -group[0]:
+        # j letters cancel: the stack's top, read down, matches -group[:j] (in C)
+        same = list(map(eq, reversed(stack[max(floor, top - letters):]), map(neg, group)))
+        same.append(False)
+        j = same.index(False)
+        del stack[top - j:]
+        group = group[j:]
+    stack += group
     return i
 
 
@@ -357,6 +360,8 @@ class TietzeBudget:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, got {_quote(value)}")
             if value < 0:
                 raise ValueError(f"{f.name} must be at least 0, got {_quote(value)}")
 
@@ -443,9 +448,14 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
 
     With a target, returns the first certificate reaching it (or None).
     Without one, returns {letters: certificate entries} for every reachable
-    nonempty word.  The search runs on reduced letter tuples.
+    nonempty word.  The search runs on reduced letter tuples.  A certificate
+    is the first path in BFS order, each step by the earliest block with its
+    letters, so a later block with the same letters is never expanded.
     """
-    longest = max((len(b[0]) for b in blocks), default=0)
+    first = {}  # letters -> the entry of the first block with them
+    for body, entry in blocks:
+        first.setdefault(body, entry)
+    longest = max(map(len, first), default=0)
     cap = budget.max_relator_len + longest
     goal = None
     if target is not None:
@@ -453,46 +463,48 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
         goal = target.letters
         if goal == ():
             return _identity(())
-        first = {}
-        for body, entry in blocks:
-            first.setdefault(body, entry)
-    last = budget.max_products  # depth of the last level; children there are not queued
+    last = budget.max_products  # depth of the last level; its words are not expanded
     found = {(): ()}
-    queue = deque([((), (), 0)] if last else ())  # no products: nothing to expand
-    while queue:
-        w, path, depth = queue.popleft()
+    level = [()]
+    depth = 0
+    while level and depth != last:
         depth += 1  # of the children
-        if depth == last and goal is not None:
-            # Free reduction is unique, so w * body == goal exactly when body
-            # is the reduced w^-1 goal, in which the common prefix of w and
-            # goal cancels.  The first block with those letters is the one a
-            # loop over the blocks would reach first; the goal is never in
-            # found, and len(goal) <= cap.
-            c = 0
-            while c < len(w) and c < len(goal) and w[c] == goal[c]:
-                c += 1
-            entry = first.get(tuple(-k for k in reversed(w[c:])) + goal[c:])
-            if entry is not None:
-                return _identity(path + (entry,))
-            continue
-        for body, entry in blocks:
-            # w * body, cancelling at the seam (both are reduced)
-            if w and body and w[-1] == -body[0]:
-                i, j, n = len(w) - 1, 1, len(body)
-                while i and j < n and w[i - 1] == -body[j]:
-                    i -= 1
-                    j += 1
-                nw = w[:i] + body[j:]
-            else:
-                nw = w + body
-            if len(nw) > cap or nw in found:
-                continue
-            npath = path + (entry,)
-            found[nw] = npath
-            if nw == goal:
-                return _identity(npath)
-            if depth != last:
-                queue.append((nw, npath, depth))
+        if depth == last:
+            if goal is not None:
+                # Free reduction is unique, so w * body == goal exactly when body
+                # is the reduced w^-1 goal, in which the common prefix of w and
+                # goal cancels; the goal is never in found, and len(goal) <= cap.
+                for w in level:
+                    c = 0
+                    while c < len(w) and c < len(goal) and w[c] == goal[c]:
+                        c += 1
+                    entry = first.get(tuple(-k for k in reversed(w[c:])) + goal[c:])
+                    if entry is not None:
+                        return _identity(found[w] + (entry,))
+                return None
+            cap = budget.max_relator_len  # a longer last-level word is never used
+        nxt = []
+        for w in level:
+            path = found[w]
+            for body, entry in first.items():
+                # w * body, cancelling at the seam (both are reduced)
+                i, j, n = len(w), 0, len(body)
+                if i and n and w[-1] == -body[0]:
+                    i, j = i - 1, 1
+                    while i and j < n and w[i - 1] == -body[j]:
+                        i -= 1
+                        j += 1
+                if i + n - j > cap:
+                    continue
+                nw = w[:i] + body[j:] if j else w + body
+                if nw in found:
+                    continue
+                npath = path + (entry,)
+                found[nw] = npath
+                if nw == goal:
+                    return _identity(npath)
+                nxt.append(nw)
+        level = nxt
     if goal is not None:
         return None
     del found[()]
@@ -552,8 +564,9 @@ def tietze_neighbors(
     """Presentations one certified Tietze move away, in deterministic order.
 
     Emission order: relator removals by index, generator removals by
-    (generator, relator), relator additions length-lex by the new word,
-    generator additions length-lex by the defining word.
+    (generator, relator), relator additions by length and then by the tuple
+    order of the letter ints (x^-1 before x, unlike ``words_up_to``'s 1, -1,
+    2, -2), generator additions in ``words_up_to`` order of the defining word.
     """
     ngens = len(p.generators)
     blocks = _certificate_blocks(p, budget)
@@ -579,14 +592,29 @@ def tietze_neighbors(
             yield Presentation._trusted(names, rest), move
 
     reachable = _consequence_search(blocks, budget, target=None)
-    short = [w for w in reachable if len(w) <= budget.max_relator_len]
-    # length-lex: both sorts are stable
-    short.sort()
-    short.sort(key=len)
-    for letters in short:
-        w = _trusted(letters)
-        move = _move("add-relator", None, None, None, w, _identity(reachable[letters]))
-        yield Presentation._trusted(p.generators, p.relators + (w,)), move
+    by_len = {}
+    for letters in reachable:
+        if len(letters) <= budget.max_relator_len:
+            by_len.setdefault(len(letters), []).append(letters)
+    # each neighbor built inline: a helper call per object costs more than the object
+    new, gens, rels = object.__new__, p.generators, p.relators
+    for n in sorted(by_len):
+        for letters in sorted(by_len[n]):
+            w = new(Word)
+            w.letters = letters
+            cert = new(IdentitySequence)
+            _set_entries(cert, reachable[letters])
+            move = new(TietzeMove)
+            _set_kind(move, "add-relator")
+            _set_index(move, None)
+            _set_relator_index(move, None)
+            _set_name(move, None)
+            _set_word(move, w)
+            _set_certificate(move, cert)
+            q = new(Presentation)
+            q.generators = gens
+            q.relators = rels + (w,)
+            yield q, move
 
     name = fresh_name("y", p.generators)
     gens = p.generators + (name,)

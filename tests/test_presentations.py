@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -82,6 +84,11 @@ def test_parse_errors():
 def test_tietze_budget_rejects_negative_fields(field):
     with pytest.raises(ValueError, match=f"^{field} must be at least 0, got -1$"):
         TietzeBudget(**{field: -1})
+    # Only an int is a count: no depth ever equals max_products=2.5, so that
+    # search would never stop, and True would be taken as 1.
+    for value in (2.5, True, "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
+            TietzeBudget(**{field: value})
     assert getattr(TietzeBudget(**{field: 0}), field) == 0
 
 
@@ -166,6 +173,25 @@ def test_parse_bounds_all_letters_before_building():
     with pytest.raises(ValueError, match="^word of 1000001 letters"):
         p.word("x^1000001", MAX_INPUT_LETTERS)
     assert len(p.word("x", MAX_INPUT_LETTERS - 1)) == 1
+
+
+def test_parse_cancels_a_long_seam_in_linear_time():
+    # Each seam cancels 400,000 letters or more; one letter at a time that
+    # took 0.15-0.2 s per text.  Best of three, against a noisy host.
+    cases = [
+        ("< x | x^400000 x^-400000 >", EMPTY),
+        ("< x, y | (x y)^200000 (y^-1 x^-1)^200000 >", EMPTY),
+        ("< x, y | y x^400000 x^-400001 y >", Word([2, -1, 2])),
+        ("< x, y | y (x^400000 (x^-400000 y^-1)) y >", Word([2])),
+    ]
+    for text, want in cases:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            p = parse(text)
+            best = min(best, time.perf_counter() - start)
+        assert p.relators == (want,), text
+        assert best < 0.1, (text, best)
 
 
 def _word_text(rng, names, depth=0):
@@ -573,6 +599,29 @@ def test_tietze_moves_and_certificates_stay_frozen_values():
                 cert.entries = ()
     assert built["remove-relator"].certificate is not None
     assert built["add-relator"].certificate is not None
+
+
+def test_tietze_huge_budgets_cost_what_saturating_ones_do():
+    # A search stops at its first empty level, however many products it may
+    # take, and additions are ordered without a list per allowed length: each
+    # stream equals the one at a budget just large enough to saturate (one
+    # less gives a shorter stream), within a second.
+    cases = [
+        ("< a | a^2 >", {}, "max_products", 6),
+        ("< a, b | a^2, b^3 >", {"max_relator_len": 4}, "max_products", 2),
+        ("< a, b | a^2, b^3 >", {}, "max_relator_len", 10),
+    ]
+    for text, base, field, enough in cases:
+        p = parse(text)
+        saturated = list(tietze_neighbors(p, TietzeBudget(**base, **{field: enough})))
+        short = list(tietze_neighbors(p, TietzeBudget(**base, **{field: enough - 1})))
+        assert len(short) < len(saturated), (text, field)
+        huge = 10**9 if field == "max_products" else 10**8
+        start = time.perf_counter()
+        got = list(tietze_neighbors(p, TietzeBudget(**base, **{field: huge})))
+        elapsed = time.perf_counter() - start
+        assert got == saturated and repr(got) == repr(saturated), (text, field)
+        assert elapsed < 1.0, (text, field, elapsed)
 
 
 def test_tietze_determinism():
