@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from itertools import islice
-from operator import eq, neg
+from itertools import compress, count, islice
+from operator import ne, neg
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
@@ -174,10 +174,10 @@ def _push(text: str, toks: list, i: int, stack: list, group: list, floor, cap, u
     if e != 1:
         group = group[:p] + group[p:size - p] * e + group[size - p:] if p else group * e
     if letters and top > floor and stack[-1] == -group[0]:
-        # j letters cancel: the stack's top, read down, matches -group[:j] (in C)
-        same = list(map(eq, reversed(stack[max(floor, top - letters):]), map(neg, group)))
-        same.append(False)
-        j = same.index(False)
+        # j letters cancel: where the stack, read down from its top, first
+        # differs from the negated group letters, found by C iterators that stop there
+        unlike = map(ne, islice(reversed(stack), top - floor), map(neg, group))
+        j = next(compress(count(), unlike), min(letters, top - floor))
         del stack[top - j:]
         group = group[j:]
     stack += group
@@ -447,8 +447,9 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
     """Bounded BFS over products of the given conjugated-relator blocks.
 
     With a target, returns the first certificate reaching it (or None).
-    Without one, returns {letters: certificate entries} for every reachable
-    nonempty word.  The search runs on reduced letter tuples.  A certificate
+    Without one, returns {letters: certificate entries} for reachable
+    nonempty words, every one of at most ``budget.max_relator_len`` letters
+    among them.  The search runs on reduced letter tuples.  A certificate
     is the first path in BFS order, each step by the earliest block with its
     letters, so a later block with the same letters is never expanded.
     """

@@ -176,8 +176,9 @@ def test_parse_bounds_all_letters_before_building():
 
 
 def test_parse_cancels_a_long_seam_in_linear_time():
-    # Each seam cancels 400,000 letters or more; one letter at a time that
-    # took 0.15-0.2 s per text.  Best of three, against a noisy host.
+    # Each seam cancels 400,000 letters or more; one letter per loop step
+    # that took 0.15-0.2 s per text.  Best of three runs, so that one slow
+    # moment of a shared machine does not fail it.
     cases = [
         ("< x | x^400000 x^-400000 >", EMPTY),
         ("< x, y | (x y)^200000 (y^-1 x^-1)^200000 >", EMPTY),
