@@ -174,8 +174,8 @@ def _push(text: str, toks: list, i: int, stack: list, group: list, floor, cap, u
     if e != 1:
         group = group[:p] + group[p:size - p] * e + group[size - p:] if p else group * e
     if letters and top > floor and stack[-1] == -group[0]:
-        # j letters cancel: where the stack, read down from its top, first
-        # differs from the negated group letters, found by C iterators that stop there
+        # j letters cancel: where the stack, read down from its top, first differs
+        # from the negated group letters, found by C iterators that stop there
         unlike = map(ne, islice(reversed(stack), top - floor), map(neg, group))
         j = next(compress(count(), unlike), min(letters, top - floor))
         del stack[top - j:]
