@@ -149,7 +149,9 @@ def _cmd_coset_enum(args):
 
 
 def _cmd_construct(args):
-    # the count is checked before any file is read or any text parsed
+    # the budget and count are checked before any file is read or any text parsed
+    if args.max < 1:
+        raise ValueError("coset budget must be positive")
     paths = args.input or []
     count = 3 if args.kind == "homology" else 1
     got = len(args.presentations) + len(paths)

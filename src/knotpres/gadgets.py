@@ -77,7 +77,7 @@ def _fresh_names(bases, used):
     return out
 
 
-def _identity_map(g, shift=0):
+def _inclusion_map(g, shift=0):
     return {name: Word([i + 1 + shift]) for i, name in enumerate(g.generators)}
 
 
@@ -119,7 +119,7 @@ def _perfected(g, provenance, addendum=False, word=None):
     out = Presentation(tuple(g.generators) + tuple(names), rels)
     if not is_perfect(out):
         raise RuntimeError("%s produced a non-perfect output" % provenance)
-    return GadgetReport(out, provenance, _identity_map(g), [("h1_trivial", "yes")])
+    return GadgetReport(out, provenance, _inclusion_map(g), [("h1_trivial", "yes")])
 
 
 def perfect_embed(g, addendum=False):
@@ -168,7 +168,7 @@ def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     audit = [("h1_infinite_cyclic", "yes")]
     witness = weight_one_witness_check(out, Word([2 * k + 3]), audit_budget)
     audit.append(("normal_closure_collapses:" + u_name, witness.verdict))
-    return GadgetReport(out, "k3_embed", _identity_map(g), audit)
+    return GadgetReport(out, "k3_embed", _inclusion_map(g), audit)
 
 
 def k3_minus_k2(g):
@@ -201,7 +201,7 @@ def k3_minus_k2(g):
     return GadgetReport(
         out,
         "k3_minus_k2",
-        _identity_map(g),
+        _inclusion_map(g),
         [("h1_infinite_cyclic", "yes")],
     )
 
@@ -245,7 +245,7 @@ def s_minus_k3(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     if not check.is_yes:
         raise RuntimeError("central square identity failed in the order-120 group")
     audit.append(("central_square_is_commutator", "yes"))
-    return GadgetReport(out, "s_minus_k3", _identity_map(g, shift=1), audit)
+    return GadgetReport(out, "s_minus_k3", _inclusion_map(g, shift=1), audit)
 
 
 def m_minus_s(g, audit_budget=DEFAULT_AUDIT_BUDGET):
@@ -272,7 +272,7 @@ def m_minus_s(g, audit_budget=DEFAULT_AUDIT_BUDGET):
             % witness.verdict
         )
     audit.append(("normal_closure_collapses:" + s_name, "yes"))
-    return GadgetReport(out, "m_minus_s", _identity_map(g), audit)
+    return GadgetReport(out, "m_minus_s", _inclusion_map(g), audit)
 
 
 def weight_gadget(u, w):
@@ -309,7 +309,7 @@ def weight_gadget(u, w):
     g0 = fresh_name("g0", d_w.generators)
     out = free_product(Presentation((g0,)), d_w)
     audit = [("h1", str(h1(out)))]
-    return GadgetReport(out, "weight_gadget", _identity_map(u, shift=1), audit)
+    return GadgetReport(out, "weight_gadget", _inclusion_map(u, shift=1), audit)
 
 
 def homology_gadget(g, u, y, w):
@@ -345,7 +345,7 @@ def homology_gadget(g, u, y, w):
         rels.append(g.relators[i - 1] * ~commutator(w_in, yi))
     out = Presentation(names, rels)
     audit = [("h1", str(h1(out)))]
-    gen_map = _identity_map(g)
+    gen_map = _inclusion_map(g)
     return GadgetReport(out, "homology_gadget", gen_map, audit)
 
 

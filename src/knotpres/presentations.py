@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, fields
 from itertools import compress, count, islice
 from operator import ne, neg
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
 from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted, commutator
@@ -328,8 +328,7 @@ def drop_deficiency(p: Presentation) -> Presentation:
     return Presentation(p.generators + (z1, z2), rels)
 
 
-@dataclass(frozen=True, slots=True)
-class IdentitySequence:
+class IdentitySequence(NamedTuple):
     """A product of conjugated relators: entries are (conjugator, index, sign)."""
 
     entries: Tuple[Tuple[Word, int, int], ...]
@@ -366,48 +365,15 @@ class TietzeBudget:
                 raise ValueError(f"{f.name} must be at least 0, got {_quote(value)}")
 
 
-@dataclass(frozen=True, slots=True)
-class TietzeMove:
+class TietzeMove(NamedTuple):
+    """One move of ``tietze_neighbors``; ``index`` shadows ``tuple.index``."""
+
     kind: str
     index: Optional[int] = None
     relator_index: Optional[int] = None
     name: Optional[str] = None
     word: Optional[Word] = None
     certificate: Optional[IdentitySequence] = None
-
-
-# The frozen dataclasses' __init__ sets each field through object.__setattr__
-# by name; the trusted builders below store through the slot descriptors.
-_set_entries = IdentitySequence.entries.__set__
-_set_kind = TietzeMove.kind.__set__
-_set_index = TietzeMove.index.__set__
-_set_relator_index = TietzeMove.relator_index.__set__
-_set_name = TietzeMove.name.__set__
-_set_word = TietzeMove.word.__set__
-_set_certificate = TietzeMove.certificate.__set__
-
-
-def _identity(entries: Tuple[Tuple[Word, int, int], ...]) -> IdentitySequence:
-    """``IdentitySequence(entries)`` without the dataclass __init__.  Private:
-    only for entry tuples the consequence search built."""
-    seq = object.__new__(IdentitySequence)
-    _set_entries(seq, entries)
-    return seq
-
-
-def _move(kind: str, index: Optional[int], relator_index: Optional[int],
-          name: Optional[str], word: Optional[Word],
-          certificate: Optional[IdentitySequence]) -> TietzeMove:
-    """``TietzeMove(...)`` with every field given, without the dataclass
-    __init__.  Private: only for the moves ``tietze_neighbors`` makes."""
-    move = object.__new__(TietzeMove)
-    _set_kind(move, kind)
-    _set_index(move, index)
-    _set_relator_index(move, relator_index)
-    _set_name(move, name)
-    _set_word(move, word)
-    _set_certificate(move, certificate)
-    return move
 
 
 def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
@@ -463,7 +429,7 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
         cap = max(cap, len(target) + longest)
         goal = target.letters
         if goal == ():
-            return _identity(())
+            return IdentitySequence(())
     last = budget.max_products  # depth of the last level; its words are not expanded
     found = {(): ()}
     level = [()]
@@ -481,7 +447,7 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
                         c += 1
                     entry = first.get(tuple(-k for k in reversed(w[c:])) + goal[c:])
                     if entry is not None:
-                        return _identity(found[w] + (entry,))
+                        return IdentitySequence(found[w] + (entry,))
                 return None
             cap = budget.max_relator_len  # a longer last-level word is never used
         nxt = []
@@ -503,7 +469,7 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
                 npath = path + (entry,)
                 found[nw] = npath
                 if nw == goal:
-                    return _identity(npath)
+                    return IdentitySequence(npath)
                 nxt.append(nw)
         level = nxt
     if goal is not None:
@@ -556,7 +522,7 @@ def _eliminate(
 
 
 def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence:
-    return _identity(tuple((g, j if j < removed else j - 1, s) for g, j, s in cert.entries))
+    return IdentitySequence(tuple((g, j if j < removed else j - 1, s) for g, j, s in cert.entries))
 
 
 def tietze_neighbors(
@@ -578,8 +544,8 @@ def tietze_neighbors(
         if cert is None:
             continue
         rest = p.relators[:i] + p.relators[i + 1 :]
-        move = _move("remove-relator", i, None, None, p.relators[i],
-                     _remap_certificate(cert, i))
+        move = TietzeMove("remove-relator", i, None, None, p.relators[i],
+                          _remap_certificate(cert, i))
         yield Presentation._trusted(p.generators, rest), move
 
     for g in range(ngens):
@@ -589,7 +555,7 @@ def tietze_neighbors(
             if step is None:
                 continue
             rep, rest = step
-            move = _move("remove-generator", g, ri, p.generators[g], rep, None)
+            move = TietzeMove("remove-generator", g, ri, p.generators[g], rep)
             yield Presentation._trusted(names, rest), move
 
     reachable = _consequence_search(blocks, budget, target=None)
@@ -603,15 +569,7 @@ def tietze_neighbors(
         for letters in sorted(by_len[n]):
             w = new(Word)
             w.letters = letters
-            cert = new(IdentitySequence)
-            _set_entries(cert, reachable[letters])
-            move = new(TietzeMove)
-            _set_kind(move, "add-relator")
-            _set_index(move, None)
-            _set_relator_index(move, None)
-            _set_name(move, None)
-            _set_word(move, w)
-            _set_certificate(move, cert)
+            move = TietzeMove("add-relator", None, None, None, w, IdentitySequence(reachable[letters]))
             q = new(Presentation)
             q.generators = gens
             q.relators = rels + (w,)
@@ -623,7 +581,7 @@ def tietze_neighbors(
         if not w:
             continue
         rel = _trusted((ngens + 1,) + (~w).letters)
-        move = _move("add-generator", None, None, name, w, None)
+        move = TietzeMove("add-generator", None, None, name, w)
         yield Presentation._trusted(gens, p.relators + (rel,)), move
 
 

@@ -20,7 +20,7 @@ from .presentations import (
     _eliminate,
     tietze_neighbors,
 )
-from .words import EMPTY, Word, cyclic_reduce
+from .words import EMPTY, Word, _quote, cyclic_reduce
 
 DEFAULT_ELIMINATION_LETTERS = 2048
 
@@ -202,10 +202,10 @@ def replay_elimination(ngens, relators, trace, names=None):
     """Check an elimination trace: re-run each step with the elimination
     ``two_knot_check`` runs, and confirm that no relators are left.
 
-    Each step must name a live relator position and a generator occurring
-    exactly once in that relator.  When a step carries a recorded word, it
-    must match the recomputed defining word: a ``Word`` as it is, a string
-    as spelled in ``names`` (one per generator) with the eliminated
+    Each step must name, as ints, a live relator position and a generator
+    occurring exactly once in that relator.  When a step carries a recorded
+    word, it must match the recomputed defining word: a ``Word`` as it is, a
+    string as spelled in ``names`` (one per generator) with the eliminated
     generators dropped, as ``two_knot_check`` publishes it.  A string word
     without ``names``, or a word of any other type, fails the replay.
     """
@@ -216,7 +216,8 @@ def replay_elimination(ngens, relators, trace, names=None):
     rels = [r for r in relators if r]
     for entry in trace:
         ri, g = entry[0], entry[1]
-        if not (0 <= ri < len(rels)) or not (1 <= g <= count):
+        if (type(ri) is not int or type(g) is not int
+                or not (0 <= ri < len(rels)) or not (1 <= g <= count)):
             return False
         step = _eliminate(rels, ri, g)
         if step is None:
@@ -247,6 +248,8 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
     presentations; that search is bounded, so the outcome may be Unknown,
     but a Yes always ships a replayable elimination trace.
     """
+    if type(budget) is not int or budget < 0:
+        raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))
     n = len(p.generators)
     if h < 0 or 2 * h > n:
         raise ValueError("pair count out of range for %d generators" % n)
@@ -360,6 +363,8 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
     span the relation kernel; otherwise it is reported as not determined,
     never guessed.
     """
+    if max_cosets < 1:
+        raise ValueError("coset budget must be positive")
     h1_ok = h1_is_infinite_cyclic(p)
     report = {"h1_infinite_cyclic": "yes" if h1_ok else "no"}
     weight = []

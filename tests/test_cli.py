@@ -359,6 +359,25 @@ def test_negative_tietze_budget_is_a_usage_error(capsys):
     assert run(capsys, "tietze", "< x | x >", "--max-relator-len", "0")[0] == 0
 
 
+def test_negative_check_budget_is_a_usage_error(capsys):
+    trefoil2 = "< x1, x2 | x2 x1 x2 x1^-1 x2^-1 x1^-1, x2^-1 x1 x2 x1 x2^-1 x1^-1 >"
+    code, out, err = run(capsys, "check", "twoknot", trefoil2, "--budget", "-7")
+    assert code == 3 and out == ""
+    assert "budget must be an int, 0 or more, got -7" in err
+    assert run(capsys, "check", "twoknot", trefoil2, "--budget", "0")[0] == 2
+    for extra in ((), ("--candidates", "x")):
+        code, out, err = run(capsys, "check", "kervaire", "< x | >", "--budget", "-3", *extra)
+        assert code == 3 and out == "" and "coset budget must be positive" in err
+
+
+def test_negative_construct_max_is_a_usage_error(capsys):
+    for kind in ("prop1", "k3embed", "k3k2", "sk3", "ms"):
+        code, out, err = run(capsys, "construct", kind, "< x | >", "--max", "-4")
+        assert code == 3 and out == "" and "coset budget must be positive" in err
+    code, out, err = run(capsys, "construct", "weight", "< x | >", "--w", "x", "--max", "0")
+    assert code == 3 and out == "" and "coset budget must be positive" in err
+
+
 def test_deep_nesting_parses_or_exits_3(tmp_path, capsys):
     def h1_of(text):
         path = tmp_path / "deep.txt"

@@ -244,6 +244,27 @@ def test_replay_elimination_refuses_bad_traces():
     assert not replay_elimination(3, rels, [])
 
 
+def test_replay_elimination_refuses_steps_that_are_not_ints():
+    rels = [Word([1])]
+    assert replay_elimination(1, rels, [[0, 1]])
+    for step in ([0.0, 1], [0, 1.0], [False, 1], [0, True], ["0", 1], [0, None]):
+        assert not replay_elimination(1, rels, [step]), step
+
+
+def test_bad_budgets_are_refused_whether_or_not_the_run_uses_them():
+    spun = Presentation(("x1", "x2"), [Word([-1, 2]), EMPTY, EMPTY])
+    short = Presentation(("x1", "x2"), [Word([-1, 2])])  # refused on shape alone
+    assert not two_knot_check(short, 1, 0).is_yes
+    for p in (spun, short):
+        for bad in (-1, True, 1.5, "8"):
+            with pytest.raises(ValueError, match="budget must be an int"):
+                two_knot_check(p, 1, bad)
+    for bad in (0, -3):
+        for candidates in ((), [Word([1])]):
+            with pytest.raises(ValueError, match="coset budget must be positive"):
+                kervaire_report(parse("< x | >"), candidates, max_cosets=bad)
+
+
 def test_artin_and_two_knot_share_the_companion_checks():
     names = ("x1", "x2")
     # both companions are generators, but x2 x1 is not x1 x2
