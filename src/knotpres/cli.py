@@ -16,7 +16,7 @@ import json
 import sys
 
 from .abelian import h1, smith_normal_form
-from .coset import DEFAULT_MAX_COSETS, enumerate_cosets
+from .coset import DEFAULT_MAX_COSETS, _check_max_cosets, enumerate_cosets
 from .foldings import fold
 from .gadgets import (
     homology_gadget,
@@ -150,8 +150,7 @@ def _cmd_coset_enum(args):
 
 def _cmd_construct(args):
     # the budget and count are checked before any file is read or any text parsed
-    if args.max < 1:
-        raise ValueError("coset budget must be positive")
+    _check_max_cosets(args.max)
     paths = args.input or []
     count = 3 if args.kind == "homology" else 1
     got = len(args.presentations) + len(paths)

@@ -12,7 +12,7 @@ still finishing inside it.
 
 from .outcomes import CheckOutcome
 from .presentations import quotient
-from .words import Word, _directions
+from .words import Word, _directions, _quote
 
 try:
     from . import _coset_speedup as _kernel
@@ -99,12 +99,19 @@ class EnumerationResult:
         return out
 
 
+def _check_max_cosets(max_cosets):
+    """Refuse a coset budget that is not an int (bool included) of at least 1."""
+    if type(max_cosets) is not int:
+        raise ValueError("coset budget must be an int, got %s" % _quote(max_cosets))
+    if max_cosets < 1:
+        raise ValueError("coset budget must be positive")
+
+
 def enumerate_cosets(p, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate the cosets of the subgroup generated by subgroup_words in
     the group presented by p.  With no subgroup words this computes the
     order of the group, when finite within budget."""
-    if max_cosets < 1:
-        raise ValueError("coset budget must be positive")
+    _check_max_cosets(max_cosets)
     for w in subgroup_words:
         if w.max_generator() > len(p.generators):
             raise ValueError("subgroup word uses a generator not in the presentation")

@@ -22,12 +22,6 @@ class SubgroupGraph:
         self.parent: List[int] = [0]
         self.out: List[Dict[int, int]] = [{}]
 
-    def _new_vertex(self) -> int:
-        v = len(self.parent)
-        self.parent.append(v)
-        self.out.append({})
-        return v
-
     def _find(self, x: int) -> int:
         p = self.parent
         while p[x] != x:
@@ -60,11 +54,14 @@ class SubgroupGraph:
         if w.max_generator() > self.alphabet_size:
             raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
         v = self.base
-        letters = w.letters
-        for i, k in enumerate(letters):
-            nxt = self.base if i == len(letters) - 1 else self._new_vertex()
-            self._insert(self._find(v), _words._direction(k), self._find(nxt))
+        for k in w.letters[:-1]:
+            nxt = len(self.parent)
+            self.parent.append(nxt)
+            self.out.append({})
+            self._insert(v, _words._direction(k), nxt)
             v = nxt
+        if w.letters:
+            self._insert(v, _words._direction(w.letters[-1]), self.base)
 
     def contains(self, w: Word) -> bool:
         """Membership: the word must trace a closed path at the base."""
@@ -76,37 +73,15 @@ class SubgroupGraph:
             v = self._find(t)
         return v == self._find(self.base)
 
-    def _live_slots(self) -> Dict[int, Dict[int, int]]:
-        slots: Dict[int, Dict[int, int]] = {}
-        for v in range(len(self.parent)):
-            if self._find(v) == v:
-                slots[v] = {d: self._find(t) for d, t in self.out[v].items()}
-        return slots
-
     def rank(self) -> int:
-        """Free rank of the subgroup: cycles of the pruned core graph."""
-        slots = self._live_slots()
-        degree = {v: len(dd) for v, dd in slots.items()}
-        leaves = [v for v, deg in degree.items() if deg <= 1]
-        dead = set()
-        while leaves:
-            v = leaves.pop()
-            if v in dead:
-                continue
-            dead.add(v)
-            for d, t in slots[v].items():
-                if t in dead or t == v:
-                    continue
-                del slots[t][d ^ 1]
-                degree[t] -= 1
-                if degree[t] <= 1:
-                    leaves.append(t)
-            slots[v] = {}
-            degree[v] = 0
-        vertices = sum(1 for v in slots if v not in dead)
-        edges = sum(len(dd) for v, dd in slots.items() if v not in dead) // 2
-        if vertices == 0:
-            return 0
+        """Free rank of the subgroup: E - V + 1 of the connected folded graph.
+
+        Only live vertices hold slots, each edge fills two of them (a loop
+        its two directions at one vertex), and hanging trees add as many
+        vertices as edges, so they need no pruning.
+        """
+        edges = sum(map(len, self.out)) // 2
+        vertices = sum(1 for v, p in enumerate(self.parent) if v == p)
         return edges - vertices + 1
 
 

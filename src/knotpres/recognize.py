@@ -11,7 +11,7 @@ from collections import deque
 from itertools import product
 
 from .abelian import h1_is_infinite_cyclic, invariant_factors, relation_matrix
-from .coset import DEFAULT_MAX_COSETS, weight_one_witness_check
+from .coset import DEFAULT_MAX_COSETS, _check_max_cosets, weight_one_witness_check
 from .outcomes import CheckOutcome
 from .presentations import (
     IdentitySequence,
@@ -202,12 +202,13 @@ def replay_elimination(ngens, relators, trace, names=None):
     """Check an elimination trace: re-run each step with the elimination
     ``two_knot_check`` runs, and confirm that no relators are left.
 
-    Each step must name, as ints, a live relator position and a generator
-    occurring exactly once in that relator.  When a step carries a recorded
-    word, it must match the recomputed defining word: a ``Word`` as it is, a
-    string as spelled in ``names`` (one per generator) with the eliminated
-    generators dropped, as ``two_knot_check`` publishes it.  A string word
-    without ``names``, or a word of any other type, fails the replay.
+    Each step must be a list or tuple naming, as ints, a live relator
+    position and a generator occurring exactly once in that relator.  When a
+    step carries a recorded word, it must match the recomputed defining word:
+    a ``Word`` as it is, a string as spelled in ``names`` (one per generator)
+    with the eliminated generators dropped, as ``two_knot_check`` publishes
+    it.  A string word without ``names``, or a word of any other type, fails
+    the replay.
     """
     if names is not None and len(names) != ngens:
         raise ValueError("names must give one name per generator")
@@ -215,6 +216,8 @@ def replay_elimination(ngens, relators, trace, names=None):
     count = ngens
     rels = [r for r in relators if r]
     for entry in trace:
+        if not isinstance(entry, (list, tuple)) or len(entry) < 2:
+            return False
         ri, g = entry[0], entry[1]
         if (type(ri) is not int or type(g) is not int
                 or not (0 <= ri < len(rels)) or not (1 <= g <= count)):
@@ -363,8 +366,7 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
     span the relation kernel; otherwise it is reported as not determined,
     never guessed.
     """
-    if max_cosets < 1:
-        raise ValueError("coset budget must be positive")
+    _check_max_cosets(max_cosets)
     h1_ok = h1_is_infinite_cyclic(p)
     report = {"h1_infinite_cyclic": "yes" if h1_ok else "no"}
     weight = []
@@ -396,13 +398,16 @@ def enumerate_weight_one(budget, moves=TietzeBudget()):
     Walks move-certified rewrites of the one-relator collapse <x | x> in
     breadth-first order; every node presents the trivial group, so deleting
     its first relator leaves a presentation normally generated by that
-    relator.  Stops after ``budget`` emissions.
+    relator.  Stops after ``budget`` emissions, an int of 0 or more (bool
+    refused); any other budget raises ValueError when the stream is read.
 
     Expansion is lazy: once the queue holds enough nodes with relators to
     reach ``budget``, the rest of the neighbors could only be queued behind
     every node still to be emitted, so they are never generated.
     """
-    if budget <= 0:
+    if type(budget) is not int or budget < 0:
+        raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))
+    if budget == 0:
         return
     seed = Presentation(("x",), [Word([1])])
     seen = {seed}

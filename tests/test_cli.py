@@ -370,6 +370,13 @@ def test_negative_check_budget_is_a_usage_error(capsys):
         assert code == 3 and out == "" and "coset budget must be positive" in err
 
 
+def test_negative_enumerate_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--budget", "-5")
+    assert code == 3 and out == ""
+    assert "budget must be an int, 0 or more, got -5" in err
+    assert run(capsys, "enumerate", "--budget", "0") == (0, "", "")
+
+
 def test_negative_construct_max_is_a_usage_error(capsys):
     for kind in ("prop1", "k3embed", "k3k2", "sk3", "ms"):
         code, out, err = run(capsys, "construct", kind, "< x | >", "--max", "-4")

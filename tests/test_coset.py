@@ -22,6 +22,7 @@ from knotpres.coset import (
 )
 from knotpres.gadgets import m_minus_s
 from knotpres.presentations import parse, quotient
+from knotpres.recognize import kervaire_report
 from knotpres.words import Word
 
 
@@ -259,6 +260,21 @@ def test_validation_errors():
         word_is_trivial_in_finite(p, Word([3]))
     with pytest.raises(TypeError):
         weight_one_witness_check(p, "x")
+    calls = (
+        lambda b: enumerate_cosets(p, [], b),
+        lambda b: order(p, b),
+        lambda b: is_trivial_bounded(p, b),
+        lambda b: weight_one_witness_check(p, Word([1]), b),
+        lambda b: kervaire_report(p, [Word([1])], max_cosets=b),
+    )
+    for call in calls:
+        for bad in (True, False, 2.5, "8", None):
+            with pytest.raises(ValueError, match="coset budget must be an int, got "):
+                call(bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="coset budget must be positive"):
+                call(bad)
+        call(1)
 
 
 def test_no_generators():

@@ -1,6 +1,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from knotpres.coset import enumerate_cosets
 from knotpres.foldings import SubgroupGraph, contains, fold, is_basis, rank
 from knotpres.presentations import parse
@@ -163,21 +165,38 @@ def test_products_always_members_randomized():
             assert graph.contains(w)
 
 
-def test_foldings_and_coset_tables_share_the_direction_encoding():
+H235 = "< a, b | a^2, b^3, (a b)^5 >"  # the icosahedral group, order 60
+A3 = "< a, b, c | a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^2 >"  # Coxeter A3, order 24
+
+
+@pytest.mark.parametrize(
+    "text, subgroup, index, members_range",
+    [
+        pytest.param(H235, ["b"], 20, (100, 300), id="235-over-b"),
+        pytest.param(H235, ["a"], 30, (60, 200), id="235-over-a"),
+        pytest.param(H235, [], 60, (30, 150), id="235-trivial"),
+        pytest.param(A3, [], 24, (30, 150), id="A3-trivial"),
+    ],
+)
+def test_foldings_and_coset_tables_share_the_direction_encoding(
+    text, subgroup, index, members_range
+):
     # Column d of a coset table and edge slot d of a folded graph both carry
     # the letter that words._directions maps to d.  Read the table's Schreier
     # generators through that map: their folded graph is the table itself,
     # so its rank is the Schreier index formula and its membership test is
     # the table's trace back to coset 0.
-    ngens = 2
-    letter = {_directions(Word([k]))[0]: k for g in (1, 2) for k in (g, -g)}
+    p = parse(text)
+    ngens = len(p.generators)
+    letters = [k for g in range(1, ngens + 1) for k in (g, -g)]
+    letter = {_directions(Word([k]))[0]: k for k in letters}
     assert sorted(letter) == list(range(2 * ngens))
-    p = parse("< a, b | a^2, b^3, (a b)^5 >")
-    table = enumerate_cosets(p, [p.word("b")]).table
-    index = len(table)
-    assert index == 20
-    columns = table.to_json_dict(["a", "b"])["columns"]
-    assert [columns[d] for d in sorted(letter)] == ["a", "a^-1", "b", "b^-1"]
+    table = enumerate_cosets(p, [p.word(w) for w in subgroup]).table
+    assert len(table) == index
+    columns = table.to_json_dict(list(p.generators))["columns"]
+    assert [columns[d] for d in sorted(letter)] == [
+        name + inv for name in p.generators for inv in ("", "^-1")
+    ]
     path = {0: EMPTY}
     frontier = [0]
     while frontier:
@@ -197,8 +216,9 @@ def test_foldings_and_coset_tables_share_the_direction_encoding():
     rng = random.Random(60)
     members = 0
     for _ in range(400):
-        w = Word([rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12))])
+        w = Word([rng.choice(letters) for _ in range(rng.randint(0, 12))])
         inside = table.trace(0, w) == 0
         assert graph.contains(w) == inside
         members += inside
-    assert 100 <= members <= 300
+    lo, hi = members_range
+    assert lo <= members <= hi

@@ -246,8 +246,9 @@ def test_replay_elimination_refuses_bad_traces():
 
 def test_replay_elimination_refuses_steps_that_are_not_ints():
     rels = [Word([1])]
-    assert replay_elimination(1, rels, [[0, 1]])
-    for step in ([0.0, 1], [0, 1.0], [False, 1], [0, True], ["0", 1], [0, None]):
+    assert replay_elimination(1, rels, [[0, 1]]) and replay_elimination(1, rels, [(0, 1)])
+    for step in ([0.0, 1], [0, 1.0], [False, 1], [0, True], ["0", 1], [0, None],
+                 [0], [], (), 5, None, "01", Word([1, 1]), {0: 0, 1: 1}):
         assert not replay_elimination(1, rels, [step]), step
 
 
@@ -426,6 +427,13 @@ def test_enumerator_first_emission_and_budget():
     first_p, first_w = got[0]
     assert str(first_p) == "< x | >"
     assert first_w == Word([1])
+
+
+def test_enumerator_refuses_a_budget_that_is_not_a_count():
+    assert list(enumerate_weight_one(0)) == []
+    for bad in (-1, True, 1.5, "3", None):
+        with pytest.raises(ValueError, match="budget must be an int, 0 or more"):
+            list(enumerate_weight_one(bad))
 
 
 def test_enumerator_witness_quotients_never_refute():
