@@ -6,11 +6,17 @@ FIFO queue, merging the larger coset index into the smaller.  The budget
 counts live cosets, never definitions, so collapses may define and discard
 far more cosets than the budget.
 
-When a definition would break the budget, a lookahead pass rescans every
-live coset without defining anything; that closes ripe relator cycles and
-lets coincidence cascades free rows.  Enumeration keeps going as long as
-lookahead recovers at least five percent of the budget, and gives up
-otherwise.
+A lookahead pass scans every relator at each live coset from the main
+loop's position on, without defining anything; that closes ripe relator
+cycles and lets coincidence cascades free rows.  Cosets behind the position
+are skipped: each had every relator scanned with fill, so its cycles are
+closed and a rescan finds nothing.  The main loop runs a pass whenever the
+live count reaches a threshold, which starts at 64 and is reset to eight
+times the live count after every pass, so a collapse that is ripe at a few
+hundred live cosets is found there and not at the budget.  A pass also runs
+when a definition would break the budget; enumeration then keeps going as
+long as lookahead recovers at least five percent of the budget, and gives
+up otherwise.
 
 Words arrive as tuples of direction indices (2g for generator g, 2g+1 for
 its inverse).  The compiled kernel implements the identical algorithm; both
@@ -33,6 +39,7 @@ def run(num_gens, relators, subgroup, max_live):
     live = 1
     total = 1
     max_total = 1000 * max_live
+    next_lookahead = 64
 
     def find(x):
         while parent[x] != x:
@@ -116,8 +123,9 @@ def run(num_gens, relators, subgroup, max_live):
             f = define(f, word[i])
             i += 1
 
-    def lookahead():
-        x = 0
+    def lookahead(start):
+        nonlocal next_lookahead
+        x = start
         while x < len(rows):
             if parent[x] == x:
                 for rel in relators:
@@ -125,10 +133,11 @@ def run(num_gens, relators, subgroup, max_live):
                     if parent[x] != x:
                         break
             x += 1
+        next_lookahead = 8 * live
 
     def process(c, fn):
-        """Run fn(c) to completion, inserting lookahead passes while they
-        keep recovering a usable slice of the budget."""
+        """Run fn(c) to completion, inserting lookahead passes from c on
+        while they keep recovering a usable slice of the budget."""
         while True:
             try:
                 fn(c)
@@ -136,7 +145,7 @@ def run(num_gens, relators, subgroup, max_live):
             except _Exhausted:
                 if total >= max_total:
                     return False
-                lookahead()
+                lookahead(c)
                 if max_live - live < max(1, max_live // 20):
                     return False
 
@@ -163,6 +172,8 @@ def run(num_gens, relators, subgroup, max_live):
     c = 0
     while c < len(rows):
         if parent[c] == c:
+            if live >= next_lookahead:
+                lookahead(c)
             if not process(c, coset_step):
                 return False, live, None
         c += 1

@@ -2,10 +2,13 @@
 
    Same algorithm as the pure-Python module (_coset_py): HLT scanning with
    row fill, FIFO coincidence merging into the smaller index, budget counted
-   in live cosets, lookahead passes when the budget is hit.  The flat table
-   additionally compacts dead rows away between cosets of the main loop;
-   renumbering preserves relative order, so both kernels return identical
-   tables.
+   in live cosets.  Lookahead passes scan only the cosets from the main
+   loop's position on (those behind it have closed relator cycles); the
+   main loop runs one whenever the live count reaches a threshold that
+   starts at 64 and is reset to eight times the live count after every
+   pass, and one runs when the budget is hit.  The flat table additionally
+   compacts dead rows away between cosets of the main loop; renumbering
+   preserves relative order, so both kernels return identical tables.
 
    Inside the kernel every step returns a status: 0 to go on, EXHAUSTED when
    a definition would break the budget, NOMEM when an allocation failed.
@@ -29,6 +32,7 @@ typedef struct {
     long total;
     long max_live;
     long max_total;
+    long next_lookahead; /* live count at which the main loop looks ahead */
     int width;
     long *queue;  /* pending coincidences, as pairs */
     long qcap;
@@ -196,9 +200,10 @@ static int scan_word(State *st, long c, const Words *w, long k, int fill)
     return scan(st, c, w->data + w->off[k], w->off[k + 1] - w->off[k], fill);
 }
 
-static int lookahead(State *st, const Words *rels)
+/* Scan every relator without fill at each live coset from start on. */
+static int lookahead(State *st, const Words *rels, long start)
 {
-    for (long x = 0; x < st->n; x++) {
+    for (long x = start; x < st->n; x++) {
         if (st->parent[x] != x)
             continue;
         for (long j = 0; j < rels->count; j++) {
@@ -209,6 +214,7 @@ static int lookahead(State *st, const Words *rels)
                 break;
         }
     }
+    st->next_lookahead = 8 * st->live;
     return 0;
 }
 
@@ -275,8 +281,8 @@ static long compact(State *st, long pos)
 }
 
 /* Run step (the subgroup word k, or coset c's relator scans) to completion,
-   inserting lookahead passes while they keep recovering a usable slice of
-   the budget. */
+   inserting lookahead passes from c on while they keep recovering a usable
+   slice of the budget. */
 static int with_lookahead(State *st, const Words *rels, const Words *subs, long k, long c)
 {
     for (;;) {
@@ -285,7 +291,7 @@ static int with_lookahead(State *st, const Words *rels, const Words *subs, long 
             : process_coset(st, c, rels);
         if (status != EXHAUSTED || st->total >= st->max_total)
             return status;
-        status = lookahead(st, rels);
+        status = lookahead(st, rels, c);
         if (status < 0)
             return status;
         if (!retry_slack(st))
@@ -303,8 +309,14 @@ static int enumerate(State *st, const Words *rels, const Words *subs)
             c = compact(st, c);
             if (c < 0)
                 return NOMEM;
+            /* Every coset from the old position on was dead. */
+            if (c == st->n)
+                break;
         }
-        status = with_lookahead(st, rels, NULL, 0, c);
+        if (st->parent[c] == c && st->live >= st->next_lookahead)
+            status = lookahead(st, rels, c);
+        if (status == 0)
+            status = with_lookahead(st, rels, NULL, 0, c);
     }
     if (status == 0 && compact(st, st->n) < 0)
         return NOMEM;
@@ -437,6 +449,7 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args)
     st.live = 1;
     st.total = 1;
     st.max_live = max_live;
+    st.next_lookahead = 64;
     /* 1000 * max_live without overflow; a budget below one stops at once. */
     st.max_total = max_live > LONG_MAX / 1000 ? LONG_MAX : max_live < 0 ? 0 : 1000 * max_live;
     st.table = malloc(st.cap * width * sizeof(int) + 1);

@@ -17,6 +17,8 @@ from .words import Word, _quote
 
 class SubgroupGraph:
     def __init__(self, alphabet_size: int):
+        if type(alphabet_size) is not int or alphabet_size < 0:
+            raise ValueError("alphabet size must be an int, 0 or more, got %s" % _quote(alphabet_size))
         self.alphabet_size = alphabet_size
         self.base = 0
         self.parent: List[int] = [0]

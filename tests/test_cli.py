@@ -377,6 +377,13 @@ def test_negative_enumerate_budget_is_a_usage_error(capsys):
     assert run(capsys, "enumerate", "--budget", "0") == (0, "", "")
 
 
+def test_negative_fold_alphabet_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fold", "--alphabet", "-3", "--words", "")
+    assert code == 3 and out == ""
+    assert "alphabet size must be an int, 0 or more, got -3" in err
+    assert run(capsys, "fold", "--alphabet", "0", "--words", "")[:2] == (0, "rank: 0\nbasis: yes\n")
+
+
 def test_negative_construct_max_is_a_usage_error(capsys):
     for kind in ("prop1", "k3embed", "k3k2", "sk3", "ms"):
         code, out, err = run(capsys, "construct", kind, "< x | >", "--max", "-4")

@@ -20,7 +20,7 @@ from knotpres.coset import (
     weight_one_witness_check,
     word_is_trivial_in_finite,
 )
-from knotpres.gadgets import m_minus_s
+from knotpres.gadgets import k3_embed, m_minus_s
 from knotpres.presentations import parse, quotient
 from knotpres.recognize import kervaire_report
 from knotpres.words import Word
@@ -344,22 +344,46 @@ def test_backends_agree_on_random_presentations(compiled_kernel):
             assert [list(r) for r in a[2]] == [list(r) for r in b[2]]
 
 
-def _stable_letter_collapse():
-    out = m_minus_s(parse("< x, y | x y x y^-1 x^-1 y^-1 >")).output
+TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
+
+
+def _weight_one_quotient(gadget):
+    """The gadget's output on the trefoil group with its last generator, the
+    stable letter that witnesses weight one, killed."""
+    out = gadget(parse(TREFOIL)).output
     return quotient(out, [Word([len(out.generators)])])
 
 
-# Three enumerations that are also coset_enum jobs in perfbench: the first
-# compacts the compiled kernel's table mid-run, the last needs lookahead and
-# compaction.
+def _coxeter(n, last_edge):
+    """The Coxeter group of a path of n nodes: every edge is labelled 3
+    except the last, labelled last_edge."""
+    gens = ["s%d" % i for i in range(1, n + 1)]
+    rels = ["%s^2" % g for g in gens]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = 2 if j > i + 1 else last_edge if j == n - 1 else 3
+            rels.append("(%s %s)^%d" % (gens[i], gens[j], m))
+    return parse("< %s | %s >" % (", ".join(gens), ", ".join(rels)))
+
+
+# The first three are also coset_enum jobs in perfbench, and the last two
+# are weight-one collapses of the paper's constructions (the first of them
+# is perfbench's STABLE_LETTER_COLLAPSE).  Each makes one to four lookahead
+# passes, their live counts crossing 64, 512 and 4096 cosets, and the
+# Coxeter groups and the order-10752 group leave more than half of over
+# 4096 rows dead, so the compiled kernel compacts its table mid-run.
 @pytest.mark.parametrize(
     "make, budget, index",
     [
         (lambda: parse("< a, b | a^8, b^7, (a b)^2, (a^-1 b)^3 >"), 60000, 10752),
         (lambda: parse(BINARY_ICOSAHEDRAL), 1000, 120),
-        (_stable_letter_collapse, 10000, 1),
+        (lambda: _coxeter(5, 4), 20000, 3840),
+        (lambda: _coxeter(6, 3), 20000, 5040),
+        (lambda: _weight_one_quotient(m_minus_s), 10000, 1),
+        (lambda: _weight_one_quotient(k3_embed), 10000, 1),
     ],
-    ids=["order-10752", "binary-icosahedral", "stable-letter-collapse"],
+    ids=["order-10752", "binary-icosahedral", "coxeter-B5", "coxeter-A6",
+         "stable-letter-collapse", "k3-embed-collapse"],
 )
 def test_compiled_kernel_matches_pure_on_bench_cases(compiled_kernel, make, budget, index):
     closed, count, rows = _parity(compiled_kernel, make(), [], budget)
@@ -378,6 +402,39 @@ def test_compiled_kernel_counts_live_cosets_on_exhaustion(compiled_kernel):
         p = parse(text)
         closed, count, rows = _parity(compiled_kernel, p, [p.word(s) for s in sub], budget)
         assert not closed and rows is None and 0 < count <= budget
+
+
+INFINITE = {
+    "trefoil": TREFOIL,
+    "Z^2": "< a, b | a b a^-1 b^-1 >",
+    "Z2*Z3": "< a, b | a^2, b^3 >",
+    "BS(1,2)": "< a, b | b^-1 a b a^-2 >",
+}
+
+
+# Budgets on both sides of the first lookahead threshold (64 live cosets)
+# and far past it.  The counts at 20000 are those of coset_enum's
+# known-infinite jobs; no lookahead schedule may move any of them.
+@pytest.mark.parametrize(
+    "group, budget, count",
+    [
+        ("trefoil", 63, 63),
+        ("trefoil", 64, 64),
+        ("trefoil", 65, 65),
+        ("trefoil", 20000, 19967),
+        ("Z^2", 63, 63),
+        ("Z^2", 64, 64),
+        ("Z^2", 65, 65),
+        ("Z^2", 20000, 19913),
+        ("Z2*Z3", 63, 63),
+        ("Z2*Z3", 64, 64),
+        ("Z2*Z3", 65, 65),
+        ("Z2*Z3", 20000, 20000),
+        ("BS(1,2)", 20000, 19812),
+    ],
+)
+def test_exhausted_counts_across_the_lookahead_schedule(compiled_kernel, group, budget, count):
+    assert _parity(compiled_kernel, parse(INFINITE[group]), [], budget) == (False, count, None)
 
 
 @pytest.mark.parametrize(

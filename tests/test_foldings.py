@@ -82,6 +82,22 @@ def test_rank_of_duplicates_and_trivial():
     assert rank(2, [EMPTY]) == 0
 
 
+@pytest.mark.parametrize("size", [-1, -3, 2.5, True, False, "2", None])
+def test_alphabet_size_must_be_a_count(size):
+    with pytest.raises(ValueError, match="alphabet size must be an int, 0 or more"):
+        SubgroupGraph(size)
+    with pytest.raises(ValueError, match="alphabet size must be an int, 0 or more"):
+        fold(size, [Word([A, B])])
+    with pytest.raises(ValueError, match="alphabet size must be an int, 0 or more"):
+        rank(size, [])
+
+
+def test_empty_alphabet_folds_the_trivial_subgroup():
+    g = fold(0, [EMPTY])
+    assert g.rank() == 0 and g.contains(EMPTY)
+    assert is_basis(0, [])
+
+
 def test_is_basis():
     assert is_basis(2, [Word([A]), Word([B])])
     assert is_basis(2, [Word([A, A]), Word([B, B])])
