@@ -7,7 +7,11 @@ identical tables, which the test suite checks directly.
 
 Enumeration is budgeted by the number of simultaneously live cosets, so a
 run that collapses heavily may define far more cosets than the budget while
-still finishing inside it.
+still finishing inside it.  Lookahead passes, which close relator cycles
+without defining cosets, scan only the cosets the main loop has not yet
+processed; they run when the live count reaches 64 and then eight times
+the count after the last pass, and when the budget is hit, so a collapse
+costs about what the group needs rather than what the budget allows.
 """
 
 from .outcomes import CheckOutcome

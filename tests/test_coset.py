@@ -10,6 +10,7 @@ import random
 import pytest
 
 from knotpres import _coset_py
+from knotpres.abelian import h1
 from knotpres.coset import (
     DEFAULT_MAX_COSETS,
     CosetTable,
@@ -389,6 +390,21 @@ def test_compiled_kernel_matches_pure_on_bench_cases(compiled_kernel, make, budg
     closed, count, rows = _parity(compiled_kernel, make(), [], budget)
     assert closed and count == index == len(rows)
     assert all(type(r) is tuple for r in rows)
+
+
+def test_compaction_that_reaches_the_end_of_the_table_ends_the_enumeration(compiled_kernel):
+    # H1 is Z/2, so the group is not trivial.  Processing one coset merges
+    # every coset after it, so the compaction that follows leaves the main
+    # loop's position at the end of the table; the compiled kernel used to
+    # scan the stale row there as a live coset and report index 1.
+    p = parse(
+        "< a, b, c | b c^-1 a^-1 b c^-1 a^2 c a b^-1 a^-1 b, a^2 c a^-1 b, "
+        "b^-1 c^-1 a c^-1 b a, c b^2 c^-2 b a >"
+    )
+    homology = h1(p)
+    assert (homology.free_rank, homology.torsion) == (0, (2,))
+    closed, count, rows = _parity(compiled_kernel, p, [], DEFAULT_MAX_COSETS)
+    assert closed and count == 2
 
 
 def test_compiled_kernel_counts_live_cosets_on_exhaustion(compiled_kernel):
