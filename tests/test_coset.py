@@ -367,7 +367,7 @@ def _coxeter(n, last_edge):
     return parse("< %s | %s >" % (", ".join(gens), ", ".join(rels)))
 
 
-# The first three are also coset_enum jobs in perfbench, and the last two
+# All but the last are also coset_enum jobs in perfbench, and the last two
 # are weight-one collapses of the paper's constructions (the first of them
 # is perfbench's STABLE_LETTER_COLLAPSE).  Each makes one to four lookahead
 # passes, their live counts crossing 64, 512 and 4096 cosets, and the
