@@ -5,11 +5,16 @@ Vertices are integers with 0 the base; edge slots are the direction indices
 of ``words._direction`` (2g for generator g, 2g+1 for its inverse).
 Folding merges vertices into the smaller index, so the result is
 deterministic in the input order.
+
+``contains``, ``rank`` and ``is_basis`` keep the folded graph of the last
+subgroup they were asked about, one entry keyed by the alphabet size and a
+snapshot of the words, and refold only when that key changes.  ``fold``
+always returns a fresh graph of the caller's own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import words as _words
 from .words import Word, _quote
@@ -53,6 +58,8 @@ class SubgroupGraph:
                 stack.append((lo, d2, t2))
 
     def add_loop(self, w: Word) -> None:
+        if not isinstance(w, Word):
+            raise TypeError("subgroup word must be a Word")
         if w.max_generator() > self.alphabet_size:
             raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
         v = self.base
@@ -67,6 +74,10 @@ class SubgroupGraph:
 
     def contains(self, w: Word) -> bool:
         """Membership: the word must trace a closed path at the base."""
+        if not isinstance(w, Word):
+            raise TypeError("probe must be a Word")
+        if w.max_generator() > self.alphabet_size:
+            raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
         v = self._find(self.base)
         for k in w.letters:
             t = self.out[v].get(_words._direction(k))
@@ -94,17 +105,41 @@ def fold(alphabet_size: int, words: Iterable[Word]) -> SubgroupGraph:
     return graph
 
 
+# The (key, graph) pair of the last subgroup folded for the functions below,
+# replaced in one assignment.  The graph never leaves this module.
+_last: Tuple[object, object] = (None, None)
+
+
+def _folded(alphabet_size: int, words: Iterable[Word]) -> SubgroupGraph:
+    """The folded graph of ``words``, shared with the next call on the same
+    subgroup: read it, never change it."""
+    global _last
+    ws = tuple(words)
+    for w in ws:
+        if not isinstance(w, Word):
+            raise TypeError("subgroup word must be a Word")
+    if type(alphabet_size) is not int:
+        return fold(alphabet_size, ws)  # refuses the size
+    key = (alphabet_size, ws)
+    last_key, graph = _last
+    if key != last_key:
+        graph = fold(alphabet_size, ws)
+        _last = key, graph
+    return graph
+
+
 def contains(alphabet_size: int, words: Sequence[Word], w: Word) -> bool:
-    return fold(alphabet_size, words).contains(w)
+    return _folded(alphabet_size, words).contains(w)
 
 
 def rank(alphabet_size: int, words: Sequence[Word]) -> int:
-    return fold(alphabet_size, words).rank()
+    return _folded(alphabet_size, words).rank()
 
 
 def is_basis(alphabet_size: int, words: Sequence[Word]) -> bool:
-    """True when the words freely generate: full rank and no trivial word."""
-    ws = list(words)
-    if any(not w for w in ws):
-        return False
-    return fold(alphabet_size, ws).rank() == len(ws)
+    """True when the words freely generate: full rank and no trivial word.
+
+    A trivial word adds no edge, so it keeps the rank below the count.
+    """
+    ws = tuple(words)
+    return _folded(alphabet_size, ws).rank() == len(ws)

@@ -238,3 +238,117 @@ def test_foldings_and_coset_tables_share_the_direction_encoding(
         members += inside
     lo, hi = members_range
     assert lo <= members <= hi
+
+
+def test_out_of_alphabet_probe_is_refused():
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        contains(2, [Word([A])], Word([5]))
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        fold(2, [Word([A])]).contains(Word([B, 3]))
+    assert not contains(2, [Word([A])], Word([B]))
+
+
+@pytest.mark.parametrize("bad", [[A], (A,), "x1", None])
+def test_words_that_are_not_words_are_refused(bad):
+    with pytest.raises(TypeError, match="must be a Word"):
+        contains(2, [bad], Word([A]))
+    with pytest.raises(TypeError, match="must be a Word"):
+        rank(2, [Word([A]), bad])
+    with pytest.raises(TypeError, match="must be a Word"):
+        is_basis(2, [EMPTY, bad])
+    with pytest.raises(TypeError, match="must be a Word"):
+        fold(2, [bad])
+    with pytest.raises(TypeError, match="must be a Word"):
+        contains(2, [Word([A])], bad)
+    with pytest.raises(TypeError, match="must be a Word"):
+        fold(2, [Word([A])]).contains(bad)
+
+
+def test_is_basis_checks_every_word_even_after_a_trivial_one():
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        is_basis(1, [EMPTY, Word([5])])
+
+
+def _random_subgroup(rng):
+    return [
+        Word([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(0, 4))])
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _answers(size, gens, probes):
+    return rank(size, gens), is_basis(size, gens), [contains(size, gens, w) for w in probes]
+
+
+def _fresh_answers(size, gens, probes):
+    graph = fold(size, gens)
+    r = graph.rank()
+    return r, r == len(gens), [graph.contains(w) for w in probes]
+
+
+def test_one_entry_memo_matches_fresh_folds_and_saturation():
+    # Interleave two subgroups, then mutate the list last asked about in place:
+    # each answer must match a fresh fold and the saturation oracle.
+    rng = random.Random(2718)
+    probes = _all_reduced_words(2, 4)
+
+    def check(gens, truth):
+        got = _answers(2, gens, probes)
+        assert got == _fresh_answers(2, gens, probes), gens
+        assert got[2] == [w in truth for w in probes], gens
+
+    for _ in range(12):
+        a, b = _random_subgroup(rng), _random_subgroup(rng)
+        truth_a, truth_b = subgroup_slice(a, 4), subgroup_slice(b, 4)
+        listed = list(a)
+        check(listed, truth_a)
+        check(b, truth_b)
+        check(listed, truth_a)
+        listed[:] = b
+        check(listed, truth_b)
+
+
+def test_memo_hit_does_not_answer_for_a_bool_alphabet():
+    assert rank(1, [Word([A])]) == 1
+    assert contains(1, [Word([A])], Word([A, A]))
+    with pytest.raises(ValueError, match="alphabet size must be an int, 0 or more"):
+        rank(True, [Word([A])])
+    with pytest.raises(ValueError, match="alphabet size must be an int, 0 or more"):
+        contains(True, [Word([A])], Word([A, A]))
+
+
+def test_out_of_alphabet_subgroup_word_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            contains(1, [Word([A]), Word([B])], Word([A]))
+    assert rank(2, [Word([A]), Word([B])]) == 2
+
+
+def test_changing_a_returned_graph_leaves_later_answers_alone():
+    gens = [Word([A, A])]
+    assert not contains(2, gens, Word([A]))
+    graph = fold(2, gens)
+    graph.add_loop(Word([A]))
+    assert graph.contains(Word([A]))
+    assert not contains(2, gens, Word([A]))
+    assert rank(2, gens) == 1
+
+
+def test_one_fold_per_subgroup(monkeypatch):
+    import knotpres.foldings as foldings
+
+    rank(2, [EMPTY])  # some other subgroup was folded last
+    calls = []
+    real_fold = foldings.fold
+
+    def counting_fold(size, words):
+        calls.append(size)
+        return real_fold(size, words)
+
+    monkeypatch.setattr(foldings, "fold", counting_fold)
+    gens = [Word([A, B]), Word([B, B, A])]
+    probes = [Word([A, B] * k) for k in range(20)]
+    assert rank(2, gens) == 2
+    assert is_basis(2, gens)
+    assert [contains(2, gens, w) for w in probes] == [True] * 20
+    assert len(calls) == 1
