@@ -14,7 +14,7 @@ always returns a fresh graph of the caller's own.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from . import words as _words
 from .words import Word, _quote
@@ -57,11 +57,14 @@ class SubgroupGraph:
             for d2, t2 in dead.items():
                 stack.append((lo, d2, t2))
 
-    def add_loop(self, w: Word) -> None:
+    def _check(self, w: Word, what: str) -> None:
         if not isinstance(w, Word):
-            raise TypeError("subgroup word must be a Word")
+            raise TypeError(f"{what} must be a Word")
         if w.max_generator() > self.alphabet_size:
             raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
+
+    def add_loop(self, w: Word) -> None:
+        self._check(w, "subgroup word")
         v = self.base
         for k in w.letters[:-1]:
             nxt = len(self.parent)
@@ -74,10 +77,7 @@ class SubgroupGraph:
 
     def contains(self, w: Word) -> bool:
         """Membership: the word must trace a closed path at the base."""
-        if not isinstance(w, Word):
-            raise TypeError("probe must be a Word")
-        if w.max_generator() > self.alphabet_size:
-            raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
+        self._check(w, "probe")
         v = self._find(self.base)
         for k in w.letters:
             t = self.out[v].get(_words._direction(k))
@@ -105,9 +105,11 @@ def fold(alphabet_size: int, words: Iterable[Word]) -> SubgroupGraph:
     return graph
 
 
-# The (key, graph) pair of the last subgroup folded for the functions below,
-# replaced in one assignment.  The graph never leaves this module.
-_last: Tuple[object, object] = (None, None)
+# The (key, graph) pair of the last subgroup folded for the functions below.
+# It is replaced in one assignment, so a thread always reads a key with its
+# own graph, and readers only compress union-find paths, which changes no
+# answer.  The graph never leaves this module.
+_last = (None, None)
 
 
 def _folded(alphabet_size: int, words: Iterable[Word]) -> SubgroupGraph:

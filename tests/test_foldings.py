@@ -352,3 +352,33 @@ def test_one_fold_per_subgroup(monkeypatch):
     assert is_basis(2, gens)
     assert [contains(2, gens, w) for w in probes] == [True] * 20
     assert len(calls) == 1
+
+
+def test_memo_shared_by_threads_gives_fresh_fold_answers():
+    import sys
+    import threading
+
+    rng = random.Random(31337)
+    subgroups = [_random_subgroup(rng) for _ in range(3)]
+    probes = _all_reduced_words(2, 3)
+    expected = [_fresh_answers(2, gens, probes) for gens in subgroups]
+    wrong = []
+
+    def worker(offset):
+        for i in range(150):
+            k = (i + offset) % len(subgroups)
+            if _answers(2, subgroups[k], probes) != expected[k]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
