@@ -44,6 +44,13 @@ def _saturated_slice(words, maxlen, cap):
     return {w for w in seen if len(w) <= maxlen}
 
 
+def _random_subgroup(rng):
+    return [
+        Word([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(0, 4))])
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
 def subgroup_slice(words, maxlen):
     """Stable brute-force membership for all words of length <= maxlen."""
     cap = maxlen
@@ -133,11 +140,7 @@ def test_membership_against_saturation_oracle():
     rng = random.Random(424242)
     probes = _all_reduced_words(2, 5)
     for _ in range(15):
-        k = rng.randint(1, 3)
-        gens = [
-            Word([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(0, 4))])
-            for _ in range(k)
-        ]
+        gens = _random_subgroup(rng)
         graph = fold(2, gens)
         truth = subgroup_slice(gens, 5)
         for w in probes:
@@ -147,13 +150,9 @@ def test_membership_against_saturation_oracle():
 def test_rank_invariances_randomized():
     rng = random.Random(11)
     for _ in range(80):
-        k = rng.randint(1, 3)
-        gens = [
-            Word([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(0, 4))])
-            for _ in range(k)
-        ]
+        gens = _random_subgroup(rng)
         r = rank(2, gens)
-        assert 0 <= r <= k
+        assert 0 <= r <= len(gens)
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert rank(2, shuffled) == r
@@ -267,13 +266,6 @@ def test_words_that_are_not_words_are_refused(bad):
 def test_is_basis_checks_every_word_even_after_a_trivial_one():
     with pytest.raises(ValueError, match="outside the alphabet"):
         is_basis(1, [EMPTY, Word([5])])
-
-
-def _random_subgroup(rng):
-    return [
-        Word([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(0, 4))])
-        for _ in range(rng.randint(1, 3))
-    ]
 
 
 def _answers(size, gens, probes):
