@@ -22,6 +22,7 @@ around it; a token or value it names is cut to its first 60 characters.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import compress, count, islice
 from operator import ne, neg
@@ -399,13 +400,13 @@ def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
 def _certificate_blocks(p: Presentation, budget: TietzeBudget):
     """Conjugated-relator building blocks in deterministic order, as pairs
     ``(letters of g^-1 r^s g, certificate entry (g, j, s))``."""
-    conjugators = list(words_up_to(len(p.generators), budget.max_conjugator_len))
+    conjugators = [(~g, g) for g in words_up_to(len(p.generators), budget.max_conjugator_len)]
     blocks = []
     for j, r in enumerate(p.relators):
         for s in (1, -1):
             body = r if s == 1 else ~r
-            for g in conjugators:
-                blocks.append((((~g) * body * g).letters, (g, j, s)))
+            for gi, g in conjugators:
+                blocks.append(((gi * body * g).letters, (g, j, s)))
     return blocks
 
 
@@ -424,12 +425,14 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
         first.setdefault(body, entry)
     longest = max(map(len, first), default=0)
     cap = budget.max_relator_len + longest
-    goal = None
+    goal = ()  # without a target: () is found from the start, so never reached
     if target is not None:
         cap = max(cap, len(target) + longest)
         goal = target.letters
-        if goal == ():
+        if not goal:
             return IdentitySequence(())
+    # an empty body leaves w as it is, and w is already found
+    items = [(body, -body[0], entry) for body, entry in first.items() if body]
     last = budget.max_products  # depth of the last level; its words are not expanded
     found = {(): ()}
     level = [()]
@@ -437,7 +440,7 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
     while level and depth != last:
         depth += 1  # of the children
         if depth == last:
-            if goal is not None:
+            if goal:
                 # Free reduction is unique, so w * body == goal exactly when body
                 # is the reduced w^-1 goal, in which the common prefix of w and
                 # goal cancels; the goal is never in found, and len(goal) <= cap.
@@ -445,34 +448,39 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
                     c = 0
                     while c < len(w) and c < len(goal) and w[c] == goal[c]:
                         c += 1
-                    entry = first.get(tuple(-k for k in reversed(w[c:])) + goal[c:])
+                    entry = first.get(tuple(map(neg, reversed(w[c:]))) + goal[c:])
                     if entry is not None:
                         return IdentitySequence(found[w] + (entry,))
                 return None
             cap = budget.max_relator_len  # a longer last-level word is never used
-        nxt = []
+        start = len(found)
         for w in level:
             path = found[w]
-            for body, entry in first.items():
-                # w * body, cancelling at the seam (both are reduced)
-                i, j, n = len(w), 0, len(body)
-                if i and n and w[-1] == -body[0]:
-                    i, j = i - 1, 1
+            room = cap - len(w)
+            tail = w[-1] if w else 0
+            for body, head, entry in items:
+                if head == tail:
+                    # w * body cancels at the seam (both are reduced)
+                    i, j, n = len(w) - 1, 1, len(body)
                     while i and j < n and w[i - 1] == -body[j]:
                         i -= 1
                         j += 1
-                if i + n - j > cap:
+                    if i + n - j > cap:
+                        continue
+                    nw = w[:i] + body[j:]
+                elif len(body) > room:
                     continue
-                nw = w[:i] + body[j:] if j else w + body
+                else:
+                    nw = w + body
                 if nw in found:
                     continue
                 npath = path + (entry,)
                 found[nw] = npath
                 if nw == goal:
                     return IdentitySequence(npath)
-                nxt.append(nw)
-        level = nxt
-    if goal is not None:
+        if depth != last:
+            level = list(islice(found, start, None))  # this level's new words, in order
+    if goal:
         return None
     del found[()]
     return found
@@ -559,21 +567,21 @@ def tietze_neighbors(
             yield Presentation._trusted(names, rest), move
 
     reachable = _consequence_search(blocks, budget, target=None)
-    by_len = {}
-    for letters in reachable:
-        if len(letters) <= budget.max_relator_len:
-            by_len.setdefault(len(letters), []).append(letters)
-    # each neighbor built inline: a helper call per object costs more than the object
-    new, gens, rels = object.__new__, p.generators, p.relators
-    for n in sorted(by_len):
-        for letters in sorted(by_len[n]):
-            w = new(Word)
-            w.letters = letters
-            move = TietzeMove("add-relator", None, None, None, w, IdentitySequence(reachable[letters]))
-            q = new(Presentation)
-            q.generators = gens
-            q.relators = rels + (w,)
-            yield q, move
+    keys = sorted(reachable)
+    keys.sort(key=len)  # stable: by length, then by letters
+    del keys[bisect_right(keys, budget.max_relator_len, key=len):]
+    # each neighbor built inline: a helper call per object costs more than the
+    # object, and the named tuples' own __new__ only packs its arguments
+    new, tnew, gens, rels = object.__new__, tuple.__new__, p.generators, p.relators
+    for letters in keys:
+        w = new(Word)
+        w.letters = letters
+        cert = tnew(IdentitySequence, (reachable[letters],))
+        move = tnew(TietzeMove, ("add-relator", None, None, None, w, cert))
+        q = new(Presentation)
+        q.generators = gens
+        q.relators = rels + (w,)
+        yield q, move
 
     name = fresh_name("y", p.generators)
     gens = p.generators + (name,)

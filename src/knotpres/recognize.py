@@ -10,7 +10,7 @@ returns Unknown rather than guess when its budget runs out.
 from collections import deque
 from itertools import product
 
-from .abelian import h1_is_infinite_cyclic, invariant_factors, relation_matrix
+from .abelian import h1, invariant_factors
 from .coset import DEFAULT_MAX_COSETS, _check_max_cosets, weight_one_witness_check
 from .outcomes import CheckOutcome
 from .presentations import (
@@ -331,15 +331,16 @@ def verify_identity(p, pi):
     return pi.product(p) == EMPTY
 
 
-def _h2_certified(p, sequences):
+def _h2_certified(p, sequences, kernel_rank):
     """True iff the identity sequences prove H2 = 0.
 
     By Hopf's formula H2 is the integer left kernel of the relation matrix M
     (r rows, one per relator) modulo the signed relator-count vectors of all
     identity sequences, so H2 = 0 once the given vectors span that kernel.
-    A verified sequence's vector lies in it; the kernel has rank r - rank M
-    and a torsion-free cokernel, so the vectors span it exactly when their
-    Smith form is r - rank M ones.
+    A verified sequence's vector lies in it; the kernel has rank
+    ``kernel_rank`` = r - rank M and a torsion-free cokernel, so the vectors
+    span it exactly when their Smith form is ``kernel_rank`` ones.  With no
+    sequences that holds exactly when the kernel is 0.
     """
     r = len(p.relators)
     counts = []
@@ -352,7 +353,8 @@ def _h2_certified(p, sequences):
         for _g, k, sign in seq.entries:
             row[k] += sign
         counts.append(row)
-    kernel_rank = r - len(invariant_factors(relation_matrix(p)))
+    if not counts:
+        return kernel_rank == 0
     return invariant_factors(counts) == (1,) * kernel_rank
 
 
@@ -361,13 +363,15 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
     """Report on the three conditions a higher-knot group must satisfy.
 
     First homology infinite cyclic is decided outright.  Each candidate word
-    gets a bounded normal-closure check.  Second homology vanishing is only
-    ever certified from caller-supplied identity sequences that verify and
-    span the relation kernel; otherwise it is reported as not determined,
-    never guessed.
+    gets a bounded normal-closure check.  Second homology vanishing is
+    certified by Hopf's formula when the left kernel of the relation matrix
+    is 0, or when the identity sequences given (None means none) verify and
+    span that kernel; otherwise it is reported as not determined, never
+    guessed.
     """
     _check_max_cosets(max_cosets)
-    h1_ok = h1_is_infinite_cyclic(p)
+    inv = h1(p)  # one Smith form: rank M = generators - free rank
+    h1_ok = inv.free_rank == 1 and not inv.torsion
     report = {"h1_infinite_cyclic": "yes" if h1_ok else "no"}
     weight = []
     any_weight_yes = False
@@ -379,8 +383,8 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
         weight.append(entry)
         any_weight_yes = any_weight_yes or out.is_yes
     report["candidates"] = weight
-    certified = (identity_sequences is not None
-                 and _h2_certified(p, identity_sequences))
+    kernel_rank = len(p.relators) - len(p.generators) + inv.free_rank
+    certified = _h2_certified(p, identity_sequences or (), kernel_rank)
     report["h2_trivial"] = "certified" if certified else "not determined"
     if not h1_ok:
         report["verdict"] = "no"

@@ -223,11 +223,12 @@ def test_check_kervaire_json(capsys):
         "--format",
         "json",
     )
-    assert code == 2
+    assert code == 0
     payload = json.loads(out)
     assert payload["h1_infinite_cyclic"] == "yes"
     assert payload["candidates"][0]["normal_closure_is_all"] == "yes"
-    assert payload["verdict"] == "unknown"
+    assert payload["h2_trivial"] == "certified"
+    assert payload["verdict"] == "yes"
 
 
 def test_verify_identity_exits(capsys):

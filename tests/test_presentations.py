@@ -545,11 +545,14 @@ def test_tietze_neighbors_match_the_plain_bfs_oracle():
     # Every level of the oracle's search multiplies out every block; the
     # library finds the last product of a removal by lookup.  Budgets cover
     # no products, one, two and three (on the planted three-products only,
-    # to keep the oracle's time down), and conjugator length 0.  The last
-    # relator is empty, a duplicate, or a planted product of two or of three
-    # conjugated relators, in turn.
+    # to keep the oracle's time down), and conjugator lengths 0 and 2 (so
+    # both seams of a block cancel).  Relator caps of 3 and 4 cut words on
+    # both branches of the seam test, on the middle level and the last.  The
+    # last relator is empty, a duplicate, or a planted product of two or of
+    # three conjugated relators, in turn.
     budgets = [TietzeBudget(), TietzeBudget(1, 1, 12, 2), TietzeBudget(3, 1, 8, 2),
-               TietzeBudget(2, 0, 12, 1), TietzeBudget(0, 1, 12, 2)]
+               TietzeBudget(2, 0, 12, 1), TietzeBudget(0, 1, 12, 2),
+               TietzeBudget(2, 2, 6, 2), TietzeBudget(2, 1, 3, 2), TietzeBudget(3, 1, 4, 2)]
     rng = random.Random(2718)
 
     def letters(ngens, count):
@@ -569,7 +572,7 @@ def test_tietze_neighbors_match_the_plain_bfs_oracle():
         presentations.append(Presentation(tuple("abc"[:ngens]), rels))
     products = {}  # certificate length -> removals found with it
     for budget in budgets:
-        for p in presentations[5::4] if budget.max_products == 3 else presentations:
+        for p in presentations[5::4] if budget == TietzeBudget(3, 1, 8, 2) else presentations:
             got = list(tietze_neighbors(p, budget))
             want = tietze_neighbors_oracle(p, budget)
             assert got == want, (p, budget)

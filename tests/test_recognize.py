@@ -314,11 +314,25 @@ def test_two_knot_unknown_when_group_is_not_free():
 
 
 def test_kervaire_trefoil_candidate():
+    # One relator with a nonzero exponent sum: the left kernel of M is 0, so
+    # H2 = 0 by Hopf's formula with no identity sequences at all.
     report = kervaire_report(parse(TREFOIL), [Word([2])])
     assert report["h1_infinite_cyclic"] == "yes"
     assert report["candidates"][0]["normal_closure_is_all"] == "yes"
-    assert report["h2_trivial"] == "not determined"
-    assert report["verdict"] == "unknown"
+    assert report["h2_trivial"] == "certified"
+    assert report["verdict"] == "yes"
+
+
+def test_kervaire_baumslag_solitar_is_certified():
+    # BS(1,2), Fox's 2-knot group: t normally generates, and the 1x2 relation
+    # matrix [-1, 0] has rank 1, so H2 = 0 whether or not identities are given.
+    p = parse("< a, t | t a t^-1 a^-2 >")
+    for identities in (None, []):
+        report = kervaire_report(p, [p.word("t")], identity_sequences=identities)
+        assert report["h1_infinite_cyclic"] == "yes"
+        assert report["candidates"][0]["normal_closure_is_all"] == "yes"
+        assert report["h2_trivial"] == "certified"
+        assert report["verdict"] == "yes"
 
 
 def test_kervaire_torsion_is_negative():
