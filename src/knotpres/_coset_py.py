@@ -135,12 +135,12 @@ def run(num_gens, relators, subgroup, max_live):
             x += 1
         next_lookahead = 8 * live
 
-    def process(c, fn):
-        """Run fn(c) to completion, inserting lookahead passes from c on
+    def process(c, step):
+        """Run step() to completion, inserting lookahead passes from c on
         while they keep recovering a usable slice of the budget."""
         while True:
             try:
-                fn(c)
+                step()
                 return True
             except _Exhausted:
                 if total >= max_total:
@@ -148,9 +148,6 @@ def run(num_gens, relators, subgroup, max_live):
                 lookahead(c)
                 if max_live - live < max(1, max_live // 20):
                     return False
-
-    def subgroup_step(_):
-        scan(find(0), word_holder[0], True)
 
     def coset_step(c):
         if parent[c] != c:
@@ -164,17 +161,15 @@ def run(num_gens, relators, subgroup, max_live):
             if row[d] == -1:
                 define(c, d)
 
-    word_holder = [None]
     for w in subgroup:
-        word_holder[0] = w
-        if not process(0, subgroup_step):
+        if not process(0, lambda: scan(find(0), w, True)):
             return False, live, None
     c = 0
     while c < len(rows):
         if parent[c] == c:
             if live >= next_lookahead:
                 lookahead(c)
-            if not process(c, coset_step):
+            if not process(c, lambda: coset_step(c)):
                 return False, live, None
         c += 1
 

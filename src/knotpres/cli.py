@@ -12,6 +12,7 @@ stderr, and identical invocations print identical bytes.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -148,6 +149,27 @@ def _cmd_coset_enum(args):
     return 0, payload, lines
 
 
+def _designated(args, p):
+    if args.w is None:
+        raise _UsageError("construct %s needs --w" % args.kind)
+    return p.word(args.w)
+
+
+# Each construct kind's builder, called with the parsed arguments and input
+# presentations.  The lambdas look the gadget functions up in this module
+# each time a kind runs, so a later rebinding of those names is seen.
+_CONSTRUCTORS = {
+    "prop1": lambda args, ps: perfect_embed(ps[0], addendum=args.addendum),
+    "k3embed": lambda args, ps: k3_embed(ps[0], audit_budget=args.max),
+    "k3k2": lambda args, ps: k3_minus_k2(ps[0]),
+    "sk3": lambda args, ps: s_minus_k3(ps[0], audit_budget=args.max),
+    "ms": lambda args, ps: m_minus_s(ps[0], audit_budget=args.max),
+    "weight": lambda args, ps: weight_gadget(ps[0], _designated(args, ps[0])),
+    "homology": lambda args, ps: homology_gadget(*ps, _designated(args, ps[1])),
+    "whitehead": lambda args, ps: whitehead_gadget(ps[0], _designated(args, ps[0])),
+}
+
+
 def _cmd_construct(args):
     # the budget and count are checked before any file is read or any text parsed
     _check_max_cosets(args.max)
@@ -160,31 +182,7 @@ def _cmd_construct(args):
         )
     texts = list(args.presentations)
     texts += [_read_source(None, path, "presentation") for path in paths]
-    inputs = [parse(t) for t in texts]
-
-    def word_over(p):
-        if args.w is None:
-            raise _UsageError("construct %s needs --w" % args.kind)
-        return p.word(args.w)
-
-    p = inputs[0]
-    if args.kind == "prop1":
-        rep = perfect_embed(p, addendum=args.addendum)
-    elif args.kind == "k3embed":
-        rep = k3_embed(p, audit_budget=args.max)
-    elif args.kind == "k3k2":
-        rep = k3_minus_k2(p)
-    elif args.kind == "sk3":
-        rep = s_minus_k3(p, audit_budget=args.max)
-    elif args.kind == "ms":
-        rep = m_minus_s(p, audit_budget=args.max)
-    elif args.kind == "weight":
-        rep = weight_gadget(p, word_over(p))
-    elif args.kind == "homology":
-        g, u, y = inputs
-        rep = homology_gadget(g, u, y, word_over(u))
-    else:
-        rep = whitehead_gadget(p, word_over(p))
+    rep = _CONSTRUCTORS[args.kind](args, [parse(t) for t in texts])
     return 0, rep.to_json_dict(), None
 
 
@@ -301,19 +299,7 @@ def build_parser():
     sp.set_defaults(handler=_cmd_coset_enum)
 
     sp = sub.add_parser("construct", help="run a gadget construction")
-    sp.add_argument(
-        "kind",
-        choices=(
-            "prop1",
-            "k3embed",
-            "k3k2",
-            "sk3",
-            "ms",
-            "weight",
-            "homology",
-            "whitehead",
-        ),
-    )
+    sp.add_argument("kind", choices=_CONSTRUCTORS)
     sp.add_argument(
         "presentations", nargs="*", help="input presentation(s), inline"
     )
@@ -376,17 +362,14 @@ def build_parser():
     return parser
 
 
-_parser = None
+# Built on first use, not at import, and reused: parse_args returns a fresh
+# Namespace each call and "append" copies its list, so no call sees another's
+# arguments.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    # Built on first use, not at import, and reused: parse_args returns a
-    # fresh Namespace each call and "append" copies its list, so no call
-    # sees another's arguments.
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    parser = _parser
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         code, payload, lines = args.handler(args)

@@ -81,6 +81,13 @@ def _inclusion_map(g, shift=0):
     return {name: Word([i + 1 + shift]) for i, name in enumerate(g.generators)}
 
 
+def _h1_infinite_cyclic(out, what):
+    """The audit entry for H1(out) = Z; any other H1 raises RuntimeError."""
+    if not h1_is_infinite_cyclic(out):
+        raise RuntimeError("%s lost infinite cyclic homology" % what)
+    return ("h1_infinite_cyclic", "yes")
+
+
 def _perfecting_rows(m, addendum=False, word=None):
     """The five relation families that force every generator to die in the
     abelianisation, over the four generators a, alpha, b, beta adjoined after
@@ -163,9 +170,7 @@ def k3_embed(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     s = Word([2 * k + 1])
     t = Word([2 * k + 2])
     out = hnn_extension(q2, u_name, [(s, s * s), (t, t * t)])
-    if not h1_is_infinite_cyclic(out):
-        raise RuntimeError("tower construction lost infinite cyclic homology")
-    audit = [("h1_infinite_cyclic", "yes")]
+    audit = [_h1_infinite_cyclic(out, "tower construction")]
     witness = weight_one_witness_check(out, Word([2 * k + 3]), audit_budget)
     audit.append(("normal_closure_collapses:" + u_name, witness.verdict))
     return GadgetReport(out, "k3_embed", _inclusion_map(g), audit)
@@ -196,14 +201,8 @@ def k3_minus_k2(g):
             )
     t_name = fresh_name("t", r.generators)
     out = hnn_extension(r, t_name, pairs)
-    if not h1_is_infinite_cyclic(out):
-        raise RuntimeError("glued construction lost infinite cyclic homology")
-    return GadgetReport(
-        out,
-        "k3_minus_k2",
-        _inclusion_map(g),
-        [("h1_infinite_cyclic", "yes")],
-    )
+    audit = [_h1_infinite_cyclic(out, "glued construction")]
+    return GadgetReport(out, "k3_minus_k2", _inclusion_map(g), audit)
 
 
 def s_minus_k3(g, audit_budget=DEFAULT_AUDIT_BUDGET):
@@ -233,9 +232,7 @@ def s_minus_k3(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     reduced = quotient(core, [c * c])
     tau = fresh_name("tau", reduced.generators)
     out = direct_product(Presentation((tau,)), reduced)
-    if not h1_is_infinite_cyclic(out):
-        raise RuntimeError("central extension lost infinite cyclic homology")
-    audit = [("h1_infinite_cyclic", "yes")]
+    audit = [_h1_infinite_cyclic(out, "central extension")]
     sanity = parse(BINARY_ICOSAHEDRAL_TEXT)
     cc = Word([1])
     dd = Word([2])
@@ -261,9 +258,7 @@ def m_minus_s(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     b = Word([m + 3])
     s_name = fresh_name("s", P.generators)
     out = hnn_extension(P, s_name, [(b, b * b)])
-    if not h1_is_infinite_cyclic(out):
-        raise RuntimeError("squaring extension lost infinite cyclic homology")
-    audit = [("h1_infinite_cyclic", "yes")]
+    audit = [_h1_infinite_cyclic(out, "squaring extension")]
     s = Word([len(out.generators)])
     witness = weight_one_witness_check(out, s, audit_budget)
     if not witness.is_yes:

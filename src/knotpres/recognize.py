@@ -160,7 +160,7 @@ def _orbits(n, maps):
     return [sorted(v) for _, v in sorted(buckets.items())]
 
 
-def _eliminate_to_free(ngens, relators, max_letters):
+def _eliminate_to_free(names, relators, max_letters):
     """Bounded generator elimination aiming at a free presentation.
 
     Repeatedly takes the first relator holding a generator that occurs in it
@@ -168,34 +168,24 @@ def _eliminate_to_free(ngens, relators, max_letters):
     substitution would exceed ``max_letters`` in any relator.  Returns
     (True, trace) once no relators are left, else (False, trace); the trace
     lists [relator_pos, generator, word] steps against the surviving
-    presentation at each step, as ``replay_elimination`` reads them.
+    presentation at each step, each word spelled in the names live there, as
+    ``replay_elimination`` reads them.
     """
-    count = ngens
+    live = list(names)
     rels = [r for r in relators if r]
     trace = []
     while rels:
-        for ri, g in product(range(len(rels)), range(1, count + 1)):
+        for ri, g in product(range(len(rels)), range(1, len(live) + 1)):
             step = _eliminate(rels, ri, g, max_letters)
             if step is not None:
                 break
         else:
             return False, trace
         rep, rest = step
-        trace.append([ri, g, rep])
-        count -= 1
+        trace.append([ri, g, Presentation(live).spell(rep)])
+        del live[g - 1]
         rels = [r for r in rest if r]
     return True, trace
-
-
-def _spell_steps(names, trace):
-    """The trace with each step's word spelled in the generator names live
-    at that step: every step drops the name of the generator it eliminates."""
-    live = list(names)
-    steps = []
-    for ri, g, w in trace:
-        steps.append([ri, g, Presentation(live).spell(w)])
-        del live[g - 1]
-    return steps
 
 
 def replay_elimination(ngens, relators, trace, names=None):
@@ -249,13 +239,15 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
     acts transitively.  On top of the decidable shape conditions, both the
     companion family and its derived rewrite must reduce to free
     presentations; that search is bounded, so the outcome may be Unknown,
-    but a Yes always ships a replayable elimination trace.
+    but a Yes always ships a replayable elimination trace.  ``h`` must be an
+    int up to half the generator count, ``budget`` an int; both 0 or more.
     """
     if type(budget) is not int or budget < 0:
         raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))
     n = len(p.generators)
-    if h < 0 or 2 * h > n:
-        raise ValueError("pair count out of range for %d generators" % n)
+    if type(h) is not int or not 0 <= 2 * h <= n:
+        raise ValueError("pair count must be an int from 0 to %d, got %s"
+                         % (n // 2, _quote(h)))
     if len(p.relators) != h + n:
         return CheckOutcome.no(
             evidence={
@@ -298,8 +290,8 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
             derived.append(betas[j - 1])
     plain_rels = [~Word([j + 1]) * beta for j, beta in enumerate(betas)]
     derived_rels = [~Word([j + 1]) * beta for j, beta in enumerate(derived)]
-    ok_plain, trace_plain = _eliminate_to_free(n, plain_rels, budget)
-    ok_derived, trace_derived = _eliminate_to_free(n, derived_rels, budget)
+    ok_plain, trace_plain = _eliminate_to_free(p.generators, plain_rels, budget)
+    ok_derived, trace_derived = _eliminate_to_free(p.generators, derived_rels, budget)
     if not (ok_plain and ok_derived):
         stuck = []
         if not ok_plain:
@@ -317,8 +309,8 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
         evidence={
             "mu": mu,
             "conjugators": [p.spell(w) for w in conjugators],
-            "elimination": _spell_steps(p.generators, trace_plain),
-            "elimination_derived": _spell_steps(p.generators, trace_derived),
+            "elimination": trace_plain,
+            "elimination_derived": trace_derived,
         }
     )
 

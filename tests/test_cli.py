@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -56,6 +57,18 @@ def test_snf_rejects_ragged_matrix(capsys):
     code, _, err = run(capsys, "snf", "[[1,2],[3]]")
     assert code == 3
     assert "same length" in err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("[1,2]", "matrix must be a JSON array of rows"),
+        ("[[1.5]]", "matrix entries must be integers"),
+        ("[[true]]", "matrix entries must be integers"),
+    ],
+)
+def test_snf_rejects_rows_that_are_not_lists_of_ints(capsys, matrix, message):
+    assert run(capsys, "snf", matrix) == (3, "", "error: %s\n" % message)
 
 
 def test_fold_rank_and_basis(capsys):
@@ -212,6 +225,14 @@ def test_check_twoknot_unknown_exit(capsys):
     assert out == "Unknown\n"
 
 
+def test_check_twoknot_refuses_companions_that_are_not_a_permutation(capsys):
+    # both companion words are conjugate to x2
+    code, out, _ = run(capsys, "check", "twoknot", "< x1, x2 | x1^-1 x2, 1 >", "--verbose")
+    assert code == 1
+    evidence = {"mu": [2, 2], "reason": "companion map is not a permutation"}
+    assert out.splitlines() == ["No", json.dumps(evidence)]
+
+
 def test_check_kervaire_json(capsys):
     code, out, _ = run(
         capsys,
@@ -260,6 +281,8 @@ def test_verify_identity_rejects_malformed_entries(capsys):
         '[["x", 0, 2]]',
         '[["x", 0, true]]',
         '[[3, 0, 1]]',
+        '{}',
+        '[[1, 2]]',
     ]
     for pi in bad:
         code, _, err = run(capsys, "verify-identity", "< x | x >", "--pi", pi)
@@ -471,6 +494,21 @@ def test_input_file_and_repeatability(tmp_path, capsys):
     _, second, _ = run(capsys, "coset-enum", "--input", str(path))
     assert first == second == "Finite(60)\n"
     assert run(capsys, "h1", "--input", str(tmp_path / "missing.txt"))[0] == 3
+
+
+def test_inline_text_and_input_file_together_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text(A5, encoding="utf-8")
+    code, out, err = run(capsys, "h1", TREFOIL, "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.endswith("\nerror: give the presentation inline or via --input, not both\n")
+
+
+def test_input_and_pi_dash_read_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(TREFOIL))
+    assert run(capsys, "h1", "--input", "-") == (0, "Z\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO('[["a", 0, 1], ["1", 0, -1]]'))
+    assert run(capsys, "verify-identity", "< a | a^2 >", "--pi", "-") == (0, "true\n", "")
 
 
 def test_stdin_pipe_subprocess():

@@ -13,7 +13,7 @@ import io
 import json
 import os
 
-from knotpres.cli import main
+from knotpres.cli import _CONSTRUCTORS, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -123,7 +123,7 @@ def test_golden_corpus_bytes_twice_in_one_process(monkeypatch):
         golden = json.load(fh)
     assert [entry["argv"] for entry in golden] == CASES
     kinds = {argv[1] for argv in CASES if argv[0] == "construct"}
-    assert len(kinds) == 8
+    assert kinds == set(_CONSTRUCTORS)
     for _ in range(2):
         for entry in golden:
             assert run_case(entry["argv"]) == entry

@@ -313,6 +313,7 @@ def test_backends_produce_identical_tables(compiled_kernel):
         ("< s, t | s^2, t^2, (s t)^3 >", ["s"]),
         ("< a, b | a b a b^-1 a^-1 b^-1 >", ["a b"]),
         ("< x | x^12 >", ["x^4"]),
+        ("< x | 1, x^2 >", []),  # an empty relator
     ]
     for text, sub in texts:
         p = parse(text)
@@ -413,6 +414,10 @@ def test_compiled_kernel_counts_live_cosets_on_exhaustion(compiled_kernel):
         ("< a, b | >", [], 700),
         ("< x, y | x y x y^-1 x^-1 y^-1 >", ["x y"], 300),
         (BINARY_ICOSAHEDRAL, [], 60),
+        # given up while scanning a subgroup word, the second after lookahead
+        ("< a, b | a b a^-1 b^-1 >", ["a^200"], 50),
+        ("< a, b | a b a^-1 b^-1 >", ["a^200", "b^300"], 250),
+        ("< x | >", ["1"], 10),  # an empty subgroup word
     ]
     for text, sub, budget in cases:
         p = parse(text)
@@ -484,6 +489,7 @@ def test_table_equality_and_json():
     p = parse("< x | x^3 >")
     tbl = order(p).table
     assert tbl == CosetTable(1, [list(r) for r in tbl.rows])
+    assert tbl != tbl.rows and tbl.__eq__(tbl.rows) is NotImplemented
     blob = tbl.to_json_dict(["x"])
     assert blob["cosets"] == 3
     assert blob["columns"] == ["x", "x^-1"]

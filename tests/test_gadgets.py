@@ -235,6 +235,9 @@ def test_homology_gadget_errors():
         homology_gadget(parse("< x | x, x^-1 >"), u, parse("< a | >"), EMPTY)
     with pytest.raises(ValueError):
         homology_gadget(parse("< x | x >"), u, y, Word([2]))
+    # two free relators need two generators in the third input
+    with pytest.raises(ValueError, match="third input needs at least 2 generators, has 1"):
+        homology_gadget(parse("< x, z | x, z >"), u, parse("< a | >"), EMPTY)
 
 
 def test_whitehead_gadget_counts_and_collapse():

@@ -322,6 +322,16 @@ def test_hnn_extension():
     assert out.relators == (Word([-2, 1, 2, -1, -1]),)
     with pytest.raises(ValueError):
         hnn_extension(p, "b", [])
+    for pair in ((Word([2]), Word([1])), (Word([1]), Word([-2]))):
+        with pytest.raises(ValueError, match="outside the base alphabet"):
+            hnn_extension(p, "s", [pair])
+
+
+def test_presentation_refuses_bad_and_duplicate_names():
+    with pytest.raises(ValueError, match="bad generator name '1'"):
+        Presentation(["1"])
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        Presentation(["x", "x"])
 
 
 def test_quotient_and_deficiency():

@@ -6,6 +6,7 @@ import pytest
 from knotpres.abelian import h1, h1_is_infinite_cyclic
 from knotpres.coset import is_trivial_bounded
 from knotpres.gadgets import m_minus_s
+from knotpres.outcomes import CheckOutcome
 from knotpres.presentations import (
     IdentitySequence,
     Presentation,
@@ -302,6 +303,21 @@ def test_two_knot_intransitive_orbits():
 def test_two_knot_precondition():
     with pytest.raises(ValueError):
         two_knot_check(parse("< x | 1 >"), 1)
+
+
+def test_two_knot_refuses_a_pair_count_that_is_not_a_count():
+    four = parse("< x1, x2, x3, x4 | >")
+    for bad in (True, False, "1", None, 1.5, -1, 3):
+        with pytest.raises(ValueError, match="pair count must be an int from 0 to 2, got "):
+            two_knot_check(four, bad)
+    # 0, 1 and 2 pass the check and fail on the relator count
+    for h in (0, 1, 2):
+        assert two_knot_check(four, h).evidence["expected"] == 4 + h
+
+
+def test_check_outcome_refuses_an_unknown_verdict():
+    with pytest.raises(ValueError, match="bad verdict 'maybe'"):
+        CheckOutcome("maybe")
 
 
 def test_two_knot_unknown_when_group_is_not_free():
