@@ -23,7 +23,7 @@ def _quote(value) -> str:
 def _reduced(letters: Iterable[int]) -> Tuple[int, ...]:
     stack: list[int] = []
     for k in letters:
-        if not isinstance(k, int) or k == 0:
+        if type(k) is not int or k == 0:
             raise ValueError(f"bad letter {_quote(k)}: letters are nonzero integers")
         if stack and stack[-1] == -k:
             stack.pop()

@@ -1,8 +1,6 @@
 import gc
-import math
 import random
 import sys
-from itertools import combinations
 
 import pytest
 
@@ -18,40 +16,13 @@ from knotpres.abelian import (
 )
 from knotpres.presentations import Presentation, parse
 from knotpres.words import Word
-from oracles import determinant, exponent_sum, matrix_multiply, substitute
-
-
-def _cofactor_det(m):
-    # independent determinant for oracle use
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * _cofactor_det(minor)
-    return total
-
-
-def _gcd_of_minors_factors(m):
-    """Invariant factors via gcd of k x k minors."""
-    rows, cols = len(m), len(m[0]) if m else 0
-    factors = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in combinations(range(rows), k):
-            for ci in combinations(range(cols), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, _cofactor_det(sub))
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return tuple(factors)
+from oracles import (
+    determinant,
+    exponent_sum,
+    gcd_of_minors_factors,
+    matrix_multiply,
+    substitute,
+)
 
 
 def _diag(d):
@@ -123,7 +94,7 @@ def test_snf_matches_gcd_of_minors_oracle():
     rng = random.Random(5)
     for _ in range(150):
         m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-        assert invariant_factors(m) == _gcd_of_minors_factors(m)
+        assert invariant_factors(m) == gcd_of_minors_factors(m)
 
 
 def test_h1_free_group():

@@ -4,13 +4,12 @@ Each test here exercises one headline guarantee of the package at its
 full advertised budget.  The unit tests elsewhere freeze small expected
 values; this module instead re-derives everything it can from
 independent oracles (permutation and matrix closures, gcd-of-minors,
-brute-force subgroup saturation, braid twists applied to free
-generators) so that a regression in the library cannot hide behind the
-library's own arithmetic.  The whole module is meant to finish in well
+an exact closure over a Nielsen-reduced basis for subgroup membership,
+braid twists applied to free generators) so that a regression in the
+library cannot hide behind the library's own arithmetic.  The whole module is meant to finish in well
 under five minutes.
 """
 
-import math
 import random
 from itertools import combinations
 
@@ -42,24 +41,27 @@ from knotpres import (
 )
 from knotpres.abelian import invariant_factors, smith_normal_form
 from knotpres.foldings import fold
-from oracles import matrix_multiply
+from oracles import (
+    A5_C,
+    A5_D,
+    ICO_C,
+    ICO_D,
+    closure,
+    determinant,
+    free_reduce,
+    gcd_of_minors_factors,
+    mat_mul5,
+    mat_of_word,
+    matrix_multiply,
+    perm_compose,
+    perm_of_word,
+    random_presentation,
+    reduced_words,
+    subgroup_ball,
+)
 
 Z = AbelianInvariants(1, ())
 TRIVIAL_H1 = AbelianInvariants(0, ())
-
-
-def _random_presentation(rng, max_gens=4, max_rels=6, max_len=12):
-    n = rng.randint(1, max_gens)
-    names = ["g%d" % i for i in range(n)]
-    rels = []
-    for _ in range(rng.randint(0, max_rels)):
-        length = rng.randint(1, max_len)
-        letters = []
-        for _ in range(length):
-            k = rng.randint(1, n)
-            letters.append(k if rng.random() < 0.5 else -k)
-        rels.append(Word(letters))
-    return Presentation(names, rels)
 
 
 # ------------------------------------------------------- perfect embedding
@@ -69,7 +71,7 @@ def test_perfect_embedding_kills_homology_in_bulk():
     rng = random.Random(101)
     failures = 0
     for _ in range(200):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         if not is_perfect(perfect_embed(g).output):
             failures += 1
     assert failures == 0
@@ -88,7 +90,7 @@ def test_perfect_embedding_collapses_trivial_inputs():
 def test_constructions_have_infinite_cyclic_homology_in_bulk():
     rng = random.Random(202)
     for _ in range(50):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         for build in (
             lambda q: k3_embed(q, audit_budget=300),
             k3_minus_k2,
@@ -101,7 +103,7 @@ def test_constructions_have_infinite_cyclic_homology_in_bulk():
 def test_stable_letter_is_weight_witness_in_bulk():
     rng = random.Random(303)
     for _ in range(50):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         out = m_minus_s(g).output
         s = Word([len(out.generators)])
         assert out.generators[-1] == "s"
@@ -109,78 +111,6 @@ def test_stable_letter_is_weight_witness_in_bulk():
 
 
 # ----------------------------------------------- finite quotients, oracles
-#
-# (1 2)(3 4) and (1 3 5) on five points, zero based, generate the order 60
-# rotation group; the two matrices over the five element field lift them to
-# the order 120 double cover.
-
-
-def _perm_compose(p, q):
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def _closure(gens, compose, identity):
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for hh in gens:
-                e = compose(g, hh)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
-
-
-def _perm_of_word(word, images):
-    n = len(images[0])
-    acc = tuple(range(n))
-    for k in word.letters:
-        g = images[abs(k) - 1]
-        if k < 0:
-            inv = [0] * n
-            for i in range(n):
-                inv[g[i]] = i
-            g = tuple(inv)
-        acc = _perm_compose(acc, g)
-    return acc
-
-
-def _mat_mul5(a, b):
-    return (
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % 5,
-            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % 5,
-        ),
-        (
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % 5,
-            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % 5,
-        ),
-    )
-
-
-def _mat_of_word(word, images):
-    ident = ((1, 0), (0, 1))
-    acc = ident
-    for k in word.letters:
-        m = images[abs(k) - 1]
-        if k < 0:
-            det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % 5
-            dinv = pow(det, -1, 5)
-            m = (
-                ((m[1][1] * dinv) % 5, (-m[0][1] * dinv) % 5),
-                ((-m[1][0] * dinv) % 5, (m[0][0] * dinv) % 5),
-            )
-        acc = _mat_mul5(acc, m)
-    return acc
-
-
-A5_C = (1, 0, 3, 2, 4)
-A5_D = (2, 1, 4, 3, 0)
-ICO_C = ((0, 1), (4, 0))
-ICO_D = ((0, 4), (1, 1))
 
 ICOSAHEDRAL = "< c, d | c^2, d^3, (c d)^5 >"
 BINARY_ICOSAHEDRAL = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
@@ -190,16 +120,16 @@ def test_finite_orders_match_closure_oracles():
     rot = parse(ICOSAHEDRAL)
     ident5 = tuple(range(5))
     for r in rot.relators:
-        assert _perm_of_word(r, [A5_C, A5_D]) == ident5
-    assert len(_closure([A5_C, A5_D], _perm_compose, ident5)) == 60
+        assert perm_of_word(r, [A5_C, A5_D]) == ident5
+    assert len(closure([A5_C, A5_D], perm_compose, ident5)) == 60
     res = order(rot)
     assert res.finite and res.index == 60
 
     binary = parse(BINARY_ICOSAHEDRAL)
     ident = ((1, 0), (0, 1))
     for r in binary.relators:
-        assert _mat_of_word(r, [ICO_C, ICO_D]) == ident
-    assert len(_closure([ICO_C, ICO_D], _mat_mul5, ident)) == 120
+        assert mat_of_word(r, [ICO_C, ICO_D]) == ident
+    assert len(closure([ICO_C, ICO_D], mat_mul5, ident)) == 120
     res = order(binary)
     assert res.finite and res.index == 120
 
@@ -214,41 +144,11 @@ def test_central_square_identity_in_binary_group():
     assert word_is_trivial_in_finite(p, claim).is_yes
     assert word_is_trivial_in_finite(p, c * c).is_no
     # The matrix oracle agrees on both words.
-    assert _mat_of_word(claim, [ICO_C, ICO_D]) == ((1, 0), (0, 1))
-    assert _mat_of_word(c * c, [ICO_C, ICO_D]) != ((1, 0), (0, 1))
+    assert mat_of_word(claim, [ICO_C, ICO_D]) == ((1, 0), (0, 1))
+    assert mat_of_word(c * c, [ICO_C, ICO_D]) != ((1, 0), (0, 1))
 
 
 # ------------------------------------------------------- smith normal form
-
-
-def _det(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
-def _gcd_of_minors_factors(m):
-    rows, cols = len(m), len(m[0]) if m else 0
-    factors = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in combinations(range(rows), k):
-            for ci in combinations(range(cols), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, _det(sub))
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return tuple(factors)
 
 
 def test_smith_forms_are_certified_in_bulk():
@@ -260,13 +160,13 @@ def test_smith_forms_are_certified_in_bulk():
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         d, u, v = smith_normal_form(m)
         assert matrix_multiply(matrix_multiply(u, m), v) == d
-        assert abs(_det(u)) == 1
-        assert abs(_det(v)) == 1
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
         for a, b in zip(diag, diag[1:]):
             assert b == 0 if a == 0 else b % a == 0
         if rows == 4 and cols == 4:
-            assert invariant_factors(m) == _gcd_of_minors_factors(m)
+            assert invariant_factors(m) == gcd_of_minors_factors(m)
             checked_minors += 1
     assert checked_minors > 100
 
@@ -274,109 +174,32 @@ def test_smith_forms_are_certified_in_bulk():
 # ------------------------------------------------------ subgroup foldings
 
 
-def _reduce_tuple(seq):
-    out = []
-    for k in seq:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
-    return tuple(out)
-
-
-def _reduced_words(max_len):
-    """All freely reduced words over two generators, shortest first."""
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for k in (1, -1, 2, -2):
-                if w and w[-1] == -k:
-                    continue
-                nxt.append(w + (k,))
-        words.extend(nxt)
-        frontier = nxt
-    return words
-
-
-def _brute_closure(gens, cap):
-    step = []
-    for g in gens:
-        if g:
-            step.append(g)
-            step.append(tuple(-k for k in reversed(g)))
-    seen = {()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in step:
-                # w and g are both reduced, so only the seam can cancel
-                i, j, n = len(w), 0, len(g)
-                while i and j < n and w[i - 1] == -g[j]:
-                    i -= 1
-                    j += 1
-                prod = w[:i] + g[j:]
-                if len(prod) <= cap and prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
-
-
-def _check_subgroup_against_brute_force(gens, probes):
-    graph = fold(2, [Word(g) for g in gens])
-    brute = _brute_closure(gens, cap=8)
-    retried = None
-    for p in probes:
-        folded = graph.contains(Word(p))
-        direct = p in brute
-        if folded == direct:
-            continue
-        # A saturation this shallow can miss elements whose shortest
-        # expression passes through longer intermediate products, so deepen
-        # once before declaring a mismatch.  The reverse disagreement would
-        # mean the folding claims too much and is never excused.
-        assert folded and not direct, (gens, p)
-        if retried is None:
-            retried = _brute_closure(gens, cap=12)
-        assert p in retried, (gens, p)
-
-
 def test_folding_membership_matches_brute_force():
-    probes = [w for w in _reduced_words(6)]
-    short = [w for w in _reduced_words(2) if w]
-    medium = [w for w in _reduced_words(4) if w]
-
-    # Every subgroup generated by one or two words of length at most two,
-    # and by any single word of length at most four, exhaustively.
-    seen = set()
-    jobs = []
-    for g in short:
-        jobs.append((g,))
-    for pair in combinations(short, 2):
-        jobs.append(pair)
-    for g in medium:
-        jobs.append((g,))
-    # Plus a deterministic sample of triples of words of length at most four.
+    # Every subgroup generated by no word, by one or two words of length at
+    # most two, and by any single word of length at most four; plus a
+    # deterministic sample of triples of words of length at most four.
+    # Membership of every reduced word of length at most six is decided
+    # both ways against the exact oracle.
+    probes = reduced_words(2, 6)
+    probe_words = [Word(p) for p in probes]
+    short = reduced_words(2, 2)[1:]
+    medium = reduced_words(2, 4)[1:]
+    jobs = [()] + [(g,) for g in short] + list(combinations(short, 2))
+    jobs += [(g,) for g in medium]
     rng = random.Random(505)
-    for _ in range(150):
-        jobs.append(tuple(sorted(rng.sample(medium, 3))))
+    jobs += [tuple(sorted(rng.sample(medium, 3))) for _ in range(150)]
 
+    seen = set()
     for gens in jobs:
-        canon = frozenset(
-            min(g, tuple(-k for k in reversed(g))) for g in gens
-        )
+        canon = frozenset(min(g, tuple(-k for k in reversed(g))) for g in gens)
         if canon in seen:
             continue
         seen.add(canon)
-        _check_subgroup_against_brute_force(gens, probes)
-
-    # The empty generating set is the trivial subgroup.
-    graph = fold(2, [])
-    assert graph.contains(EMPTY)
-    assert not any(graph.contains(Word(p)) for p in probes if p)
+        graph = fold(2, [Word(g) for g in gens])
+        members = subgroup_ball(gens, 6)
+        for p, w in zip(probes, probe_words):
+            assert graph.contains(w) == (p in members), (gens, p)
+    assert len(seen) == 259
 
 
 # ------------------------------------------------------ braid recognition
@@ -422,7 +245,7 @@ def _oracle_accepts_braid_shape(p):
         return False
     companions = []
     for j in range(1, n + 1):
-        beta = _reduce_tuple([j] + list(p.relators[j - 1].letters))
+        beta = free_reduce([j] + list(p.relators[j - 1].letters))
         companions.append(beta)
         core = _cyclic_core(beta)
         if len(core) != 1 or core[0] != j % n + 1:
@@ -430,7 +253,7 @@ def _oracle_accepts_braid_shape(p):
     flat = []
     for beta in companions:
         flat.extend(beta)
-    return _reduce_tuple(flat) == tuple(range(1, n + 1))
+    return free_reduce(flat) == tuple(range(1, n + 1))
 
 
 def _single_edit_mutants(p):
@@ -506,7 +329,7 @@ def test_empty_word_homology_gadget_preserves_h1():
     assert is_perfect(u) and is_perfect(y)
     checked = 0
     while checked < 20:
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         if not is_freely_related(g).is_yes:
             continue
         rep = homology_gadget(g, u, y, EMPTY)
@@ -518,7 +341,7 @@ def test_word_perfecting_gadget_always_kills_h1():
     rng = random.Random(707)
     cases = [(parse("< | >"), EMPTY), (parse("< x | >"), Word([1, 1, 1]))]
     for _ in range(20):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         n = len(g.generators)
         length = rng.randint(0, 6)
         w = Word(

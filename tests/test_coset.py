@@ -25,82 +25,18 @@ from knotpres.gadgets import k3_embed, m_minus_s
 from knotpres.presentations import parse, quotient
 from knotpres.recognize import kervaire_report
 from knotpres.words import Word
+from oracles import (
+    A5_C,
+    A5_D,
+    ICO_C,
+    ICO_D,
+    closure,
+    mat_mul5,
+    mat_of_word,
+    perm_compose,
+    perm_of_word,
+)
 
-
-# ---------------------------------------------------------------- oracles
-
-def _perm_compose(p, q):
-    """p then q, acting on the right."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def _closure(gens, compose, identity):
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                e = compose(g, h)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
-
-
-def _perm_of_word(word, images):
-    """Image of a word under generator -> permutation, inverses included."""
-    n = len(images[0])
-    acc = tuple(range(n))
-    for k in word.letters:
-        g = images[abs(k) - 1]
-        if k < 0:
-            inv = [0] * n
-            for i in range(n):
-                inv[g[i]] = i
-            g = tuple(inv)
-        acc = _perm_compose(acc, g)
-    return acc
-
-
-def _mat_mul5(a, b):
-    return (
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % 5,
-            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % 5,
-        ),
-        (
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % 5,
-            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % 5,
-        ),
-    )
-
-
-def _mat_of_word(word, images):
-    ident = ((1, 0), (0, 1))
-    acc = ident
-    for k in word.letters:
-        m = images[abs(k) - 1]
-        if k < 0:
-            det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % 5
-            dinv = pow(det, -1, 5)
-            m = (
-                ((m[1][1] * dinv) % 5, (-m[0][1] * dinv) % 5),
-                ((-m[1][0] * dinv) % 5, (m[0][0] * dinv) % 5),
-            )
-        acc = _mat_mul5(acc, m)
-    return acc
-
-
-# (1 2)(3 4) and (1 3 5) on five points, zero-based.
-A5_C = (1, 0, 3, 2, 4)
-A5_D = (2, 1, 4, 3, 0)
-
-# Order-four and order-six matrices over the five-element field whose images
-# in the rotation group are the permutations above.
-ICO_C = ((0, 1), (4, 0))
-ICO_D = ((0, 4), (1, 1))
 
 ICOSAHEDRAL = "< c, d | c^2, d^3, (c d)^5 >"
 BINARY_ICOSAHEDRAL = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
@@ -109,9 +45,9 @@ BINARY_ICOSAHEDRAL = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
 def test_rotation_group_oracle_agrees():
     p = parse(ICOSAHEDRAL)
     for r in p.relators:
-        assert _perm_of_word(r, [A5_C, A5_D]) == tuple(range(5))
-    group = _closure(
-        [A5_C, A5_D], _perm_compose, tuple(range(5))
+        assert perm_of_word(r, [A5_C, A5_D]) == tuple(range(5))
+    group = closure(
+        [A5_C, A5_D], perm_compose, tuple(range(5))
     )
     assert len(group) == 60
     res = order(p)
@@ -122,8 +58,8 @@ def test_binary_group_oracle_agrees():
     p = parse(BINARY_ICOSAHEDRAL)
     ident = ((1, 0), (0, 1))
     for r in p.relators:
-        assert _mat_of_word(r, [ICO_C, ICO_D]) == ident
-    group = _closure([ICO_C, ICO_D], _mat_mul5, ident)
+        assert mat_of_word(r, [ICO_C, ICO_D]) == ident
+    group = closure([ICO_C, ICO_D], mat_mul5, ident)
     assert len(group) == 120
     res = order(p)
     assert res.finite and res.index == 120
@@ -155,9 +91,9 @@ def test_symmetric_group_table_permutations():
     ps = tuple(row[0] for row in tbl.rows)  # column of s
     pt = tuple(row[2] for row in tbl.rows)  # column of t
     assert sorted(ps) == list(range(6))
-    assert _perm_compose(ps, ps) == tuple(range(6))
-    three = _perm_compose(ps, pt)
-    assert _perm_compose(three, _perm_compose(three, three)) == tuple(range(6))
+    assert perm_compose(ps, ps) == tuple(range(6))
+    three = perm_compose(ps, pt)
+    assert perm_compose(three, perm_compose(three, three)) == tuple(range(6))
 
 
 def test_subgroup_index():

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -7,41 +6,9 @@ from knotpres.coset import enumerate_cosets
 from knotpres.foldings import SubgroupGraph, contains, fold, is_basis, rank
 from knotpres.presentations import parse
 from knotpres.words import EMPTY, Word, _directions
+from oracles import reduced_words, subgroup_ball
 
 A, B = 1, 2
-
-
-def _all_reduced_words(ngens, maxlen):
-    alphabet = [k for g in range(1, ngens + 1) for k in (g, -g)]
-    out = [()]
-    level = [()]
-    for _ in range(maxlen):
-        nxt = []
-        for tup in level:
-            for k in alphabet:
-                if tup and tup[-1] == -k:
-                    continue
-                nxt.append(tup + (k,))
-        out.extend(nxt)
-        level = nxt
-    return [Word(t) for t in out]
-
-
-def _saturated_slice(words, maxlen, cap):
-    """Subgroup elements of length <= maxlen found by BFS products under a length cap."""
-    gens = [w for w in words if w] + [~w for w in words if w]
-    seen = {EMPTY}
-    frontier = [EMPTY]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                v = u * g
-                if len(v) <= cap and v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return {w for w in seen if len(w) <= maxlen}
 
 
 def _random_subgroup(rng):
@@ -51,16 +18,13 @@ def _random_subgroup(rng):
     ]
 
 
-def subgroup_slice(words, maxlen):
-    """Stable brute-force membership for all words of length <= maxlen."""
-    cap = maxlen
-    prev = _saturated_slice(words, maxlen, cap)
-    while True:
-        cap += 2
-        cur = _saturated_slice(words, maxlen, cap)
-        if cur == prev:
-            return cur
-        prev = cur
+def _probes(maxlen):
+    return [Word(t) for t in reduced_words(2, maxlen)]
+
+
+def _members(gens, maxlen):
+    """The elements of length <= maxlen of the subgroup ``gens`` generate."""
+    return {Word(t) for t in subgroup_ball([w.letters for w in gens], maxlen)}
 
 
 def test_cyclic_subgroup_examples():
@@ -116,7 +80,7 @@ def test_is_basis():
 
 def test_whole_group():
     g = fold(2, [Word([A]), Word([B])])
-    for w in _all_reduced_words(2, 4):
+    for w in _probes(4):
         assert g.contains(w)
     assert g.rank() == 2
 
@@ -138,11 +102,11 @@ def test_contains_function_form():
 
 def test_membership_against_saturation_oracle():
     rng = random.Random(424242)
-    probes = _all_reduced_words(2, 5)
+    probes = _probes(5)
     for _ in range(15):
         gens = _random_subgroup(rng)
         graph = fold(2, gens)
-        truth = subgroup_slice(gens, 5)
+        truth = _members(gens, 5)
         for w in probes:
             assert graph.contains(w) == (w in truth), (gens, w)
 
@@ -280,9 +244,9 @@ def _fresh_answers(size, gens, probes):
 
 def test_one_entry_memo_matches_fresh_folds_and_saturation():
     # Interleave two subgroups, then mutate the list last asked about in place:
-    # each answer must match a fresh fold and the saturation oracle.
+    # each answer must match a fresh fold and the exact membership oracle.
     rng = random.Random(2718)
-    probes = _all_reduced_words(2, 4)
+    probes = _probes(4)
 
     def check(gens, truth):
         got = _answers(2, gens, probes)
@@ -291,7 +255,7 @@ def test_one_entry_memo_matches_fresh_folds_and_saturation():
 
     for _ in range(12):
         a, b = _random_subgroup(rng), _random_subgroup(rng)
-        truth_a, truth_b = subgroup_slice(a, 4), subgroup_slice(b, 4)
+        truth_a, truth_b = _members(a, 4), _members(b, 4)
         listed = list(a)
         check(listed, truth_a)
         check(b, truth_b)
@@ -352,7 +316,7 @@ def test_memo_shared_by_threads_gives_fresh_fold_answers():
 
     rng = random.Random(31337)
     subgroups = [_random_subgroup(rng) for _ in range(3)]
-    probes = _all_reduced_words(2, 3)
+    probes = _probes(3)
     expected = [_fresh_answers(2, gens, probes) for gens in subgroups]
     wrong = []
 

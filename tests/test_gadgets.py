@@ -15,24 +15,11 @@ from knotpres.gadgets import (
     weight_gadget,
     whitehead_gadget,
 )
-from knotpres.presentations import Presentation, parse, quotient
+from knotpres.presentations import parse, quotient
 from knotpres.words import EMPTY, Word
+from oracles import random_presentation
 
 TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
-
-
-def _random_presentation(rng, max_gens=4, max_rels=6, max_len=12):
-    n = rng.randint(1, max_gens)
-    names = ["g%d" % i for i in range(n)]
-    rels = []
-    for _ in range(rng.randint(0, max_rels)):
-        length = rng.randint(1, max_len)
-        letters = []
-        for _ in range(length):
-            k = rng.randint(1, n)
-            letters.append(k if rng.random() < 0.5 else -k)
-        rels.append(Word(letters))
-    return Presentation(names, rels)
 
 
 def test_perfect_embed_counts_and_map():
@@ -66,7 +53,7 @@ def test_perfect_embed_addendum_adds_one_row():
 def test_perfect_embed_output_is_perfect_on_random_inputs():
     rng = random.Random(401)
     for _ in range(30):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         rep = perfect_embed(g)
         assert is_perfect(rep.output)
         assert rep.audit == [("h1_trivial", "yes")]
@@ -111,7 +98,7 @@ def test_k3_embed_homology_and_audit():
 def test_k3_embed_h1_on_random_inputs():
     rng = random.Random(402)
     for _ in range(10):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         rep = k3_embed(g, audit_budget=200)
         assert h1_is_infinite_cyclic(rep.output)
 
@@ -126,7 +113,7 @@ def test_k3_minus_k2_counts_and_h1():
 def test_k3_minus_k2_h1_on_random_inputs():
     rng = random.Random(403)
     for _ in range(10):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         rep = k3_minus_k2(g)
         assert h1_is_infinite_cyclic(rep.output)
 
@@ -151,7 +138,7 @@ def test_s_minus_k3_counts_map_and_audit():
 def test_s_minus_k3_h1_on_random_inputs():
     rng = random.Random(404)
     for _ in range(10):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         rep = s_minus_k3(g)
         assert h1_is_infinite_cyclic(rep.output)
 
@@ -174,7 +161,7 @@ def test_m_minus_s_collapse_is_input_independent():
     construction raises if the bounded certificate ever fails."""
     rng = random.Random(405)
     for _ in range(8):
-        g = _random_presentation(rng)
+        g = random_presentation(rng)
         rep = m_minus_s(g)
         assert ("normal_closure_collapses:s", "yes") in rep.audit
         assert h1_is_infinite_cyclic(rep.output)
@@ -252,7 +239,7 @@ def test_whitehead_gadget_counts_and_collapse():
 def test_whitehead_gadget_h1_vanishes_on_random_inputs():
     rng = random.Random(406)
     for _ in range(20):
-        p = _random_presentation(rng)
+        p = random_presentation(rng)
         n = len(p.generators)
         letters = [
             rng.randint(1, n) * (1 if rng.random() < 0.5 else -1)

@@ -29,6 +29,12 @@ def test_reduce_rejects_zero_letter():
         Word([0])
 
 
+@pytest.mark.parametrize("letters", [[True], [1, False]])
+def test_bool_letters_are_refused(letters):
+    with pytest.raises(ValueError, match="letters are nonzero integers"):
+        Word(letters)
+
+
 def test_concat_reduces_across_the_seam():
     assert Word([A, B]) * Word([-B, A]) == Word([A, A])
     assert Word([A]) * Word([-A]) == EMPTY
