@@ -122,8 +122,8 @@ def _perfected(g, provenance, addendum=False, word=None):
     """The input's generators and relators with the perfecting generators
     and rows adjoined, audited perfect."""
     names = _fresh_names(_PERFECTING_NAMES, g.generators)
-    rels = list(g.relators) + _perfecting_rows(len(g.generators), addendum, word)
-    out = Presentation(tuple(g.generators) + tuple(names), rels)
+    rels = g.relators + tuple(_perfecting_rows(len(g.generators), addendum, word))
+    out = Presentation._trusted(g.generators + tuple(names), rels)
     if not is_perfect(out):
         raise RuntimeError("%s produced a non-perfect output" % provenance)
     return GadgetReport(out, provenance, _inclusion_map(g), [("h1_trivial", "yes")])
@@ -228,10 +228,10 @@ def s_minus_k3(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     for w in central:
         for i in range(1, total + 1):
             rels.append(commutator(w, Word([i])))
-    core = Presentation(tuple(g.generators) + tuple(names), rels)
+    core = Presentation._trusted(g.generators + tuple(names), tuple(rels))
     reduced = quotient(core, [c * c])
     tau = fresh_name("tau", reduced.generators)
-    out = direct_product(Presentation((tau,)), reduced)
+    out = direct_product(Presentation._trusted((tau,), ()), reduced)
     audit = [_h1_infinite_cyclic(out, "central extension")]
     sanity = parse(BINARY_ICOSAHEDRAL_TEXT)
     cc = Word([1])
@@ -297,12 +297,12 @@ def weight_gadget(u, w):
     r = Word([1])
     s = Word([2])
     t = Word([3])
-    q = Presentation(q_names, [~s * r * s * (r ** -2), ~t * s * t * (s ** -2)])
+    q = Presentation._trusted(tuple(q_names), (~s * r * s * (r ** -2), ~t * s * t * (s ** -2)))
     kq = free_product(k, q)
     off = len(k.generators)
     d_w = quotient(kq, [w * ~Word([off + 3]), Word([p + 3]) * ~Word([off + 1])])
     g0 = fresh_name("g0", d_w.generators)
-    out = free_product(Presentation((g0,)), d_w)
+    out = free_product(Presentation._trusted((g0,), ()), d_w)
     audit = [("h1", str(h1(out)))]
     return GadgetReport(out, "weight_gadget", _inclusion_map(u, shift=1), audit)
 
@@ -338,7 +338,7 @@ def homology_gadget(g, u, y, w):
     for i in range(1, n + 1):
         yi = Word([m + p + i])
         rels.append(g.relators[i - 1] * ~commutator(w_in, yi))
-    out = Presentation(names, rels)
+    out = Presentation._trusted(tuple(names), tuple(rels))
     audit = [("h1", str(h1(out)))]
     gen_map = _inclusion_map(g)
     return GadgetReport(out, "homology_gadget", gen_map, audit)

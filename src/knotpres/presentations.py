@@ -29,7 +29,7 @@ from operator import ne, neg
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .outcomes import CheckOutcome
-from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted, commutator
+from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|[<>|,^()]|-?\d+)|\S)")
@@ -44,15 +44,10 @@ class Presentation:
 
     def __init__(self, generators: Iterable[str], relators: Iterable = ()):
         gens = tuple(generators)
-        for name in gens:
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"bad generator name {_quote(name)}")
+        _check_names(gens)
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
-        rels = tuple(r if isinstance(r, Word) else Word(r) for r in relators)
-        for r in rels:
-            if r.max_generator() > len(gens):
-                raise ValueError(f"relator {_quote(r)} uses a generator outside the alphabet")
+        rels = _relators(relators, len(gens))
         self.generators = gens
         self.relators = rels
 
@@ -61,8 +56,11 @@ class Presentation:
         """Build without validation from a tuple of distinct valid names and a
         tuple of reduced Words over them.
 
-        Private: only for presentations derived from an already validated
-        one in ways that keep those invariants, as the Tietze moves do.
+        Private: only for presentations derived from already validated ones
+        in ways that keep those invariants, as the Tietze moves, the derived
+        constructors and the gadgets do.  The rule: a derived constructor
+        checks only what it adds (a new name, a word from its caller) and
+        builds the rest through here.
         """
         p = object.__new__(cls)
         p.generators = generators
@@ -96,10 +94,36 @@ class Presentation:
 
     def spell(self, w: Word) -> str:
         """Render a word with this presentation's generator names."""
-        if not w:
+        letters = w.letters
+        if not letters:
             return "1"
         names = self.generators
-        return " ".join([names[g] if e == 1 else f"{names[g]}^{e}" for g, e in w.to_pairs()])
+        parts = []
+        prev, e = letters[0], 0
+        for k in letters[1:] + (0,):  # the 0 ends the last run
+            e += 1
+            if k != prev:  # a run of e letters prev ends
+                if prev > 0:
+                    parts.append(names[prev - 1] if e == 1 else f"{names[prev - 1]}^{e}")
+                else:
+                    parts.append(f"{names[-prev - 1]}^{-e}")
+                prev, e = k, 0
+        return " ".join(parts)
+
+
+def _check_names(names: Iterable[str]) -> None:
+    for name in names:
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"bad generator name {_quote(name)}")
+
+
+def _relators(words: Iterable, ngens: int) -> Tuple[Word, ...]:
+    """``words`` as reduced Words, each refused unless it fits ``ngens`` generators."""
+    rels = tuple(r if isinstance(r, Word) else Word(r) for r in words)
+    for r in rels:
+        if r.max_generator() > ngens:
+            raise ValueError(f"relator {_quote(r)} uses a generator outside the alphabet")
+    return rels
 
 
 def _tokenize(text: str) -> List[Optional[str]]:
@@ -268,22 +292,24 @@ def serialize(p: Presentation) -> str:
 
 def free_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", "")) -> Presentation:
     """Free product, with subindex-style tags appended to make names disjoint."""
-    names = [n + tags[0] for n in p.generators] + [n + tags[1] for n in q.generators]
+    names = tuple(n + tags[0] for n in p.generators) + tuple(n + tags[1] for n in q.generators)
     if len(set(names)) != len(names):
         raise ValueError(f"generator name collision in product: {sorted(names)}")
     offset = len(p.generators)
-    rels = list(p.relators) + [r.shift(offset) for r in q.relators]
-    return Presentation(names, rels)
+    # the factors' names are valid, so a tagged name can only be bad through its tag
+    for tag, block in ((tags[0], names[:offset]), (tags[1], names[offset:])):
+        if tag:
+            _check_names(block)
+    return Presentation._trusted(names, p.relators + tuple(r.shift(offset) for r in q.relators))
 
 
 def direct_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", "")) -> Presentation:
     out = free_product(p, q, tags)
-    offset = len(p.generators)
-    rels = list(out.relators)
-    for i in range(len(p.generators)):
-        for j in range(len(q.generators)):
-            rels.append(commutator(Word([i + 1]), Word([offset + j + 1])))
-    return Presentation(out.generators, rels)
+    m = len(p.generators)
+    n = m + len(q.generators)
+    # [x_i, y_j] for distinct letters is reduced as it stands
+    comms = tuple(_trusted((-i, -j, i, j)) for i in range(1, m + 1) for j in range(m + 1, n + 1))
+    return Presentation._trusted(out.generators, out.relators + comms)
 
 
 def hnn_extension(p: Presentation, stable: str, pairs: Sequence[Tuple[Word, Word]]) -> Presentation:
@@ -296,12 +322,15 @@ def hnn_extension(p: Presentation, stable: str, pairs: Sequence[Tuple[Word, Word
     for u, v in pairs:
         if u.max_generator() > ngens or v.max_generator() > ngens:
             raise ValueError("associated words use generators outside the base alphabet")
-        rels.append(Word((-s,) + u.letters + (s,)) * ~v)
-    return Presentation(p.generators + (stable,), rels)
+        # u and v are reduced words without the stable letter, so only an
+        # empty u lets anything cancel: then the relator is v^-1
+        rels.append(_trusted((-s,) + u.letters + (s,) + (~v).letters) if u else ~v)
+    _check_names((stable,))
+    return Presentation._trusted(p.generators + (stable,), tuple(rels))
 
 
 def quotient(p: Presentation, extra: Iterable[Word]) -> Presentation:
-    return Presentation(p.generators, p.relators + tuple(extra))
+    return Presentation._trusted(p.generators, p.relators + _relators(extra, len(p.generators)))
 
 
 def deficiency(p: Presentation) -> int:
@@ -325,8 +354,8 @@ def drop_deficiency(p: Presentation) -> Presentation:
     n = len(p.generators)
     z1 = fresh_name("z1", p.generators)
     z2 = fresh_name("z2", tuple(p.generators) + (z1,))
-    rels = list(p.relators) + [Word([n + 1]), Word([n + 2] * 3), Word([n + 2, n + 1, n + 2])]
-    return Presentation(p.generators + (z1, z2), rels)
+    rels = (_trusted((n + 1,)), _trusted((n + 2,) * 3), _trusted((n + 2, n + 1, n + 2)))
+    return Presentation._trusted(p.generators + (z1, z2), p.relators + rels)
 
 
 class IdentitySequence(NamedTuple):

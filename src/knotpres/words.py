@@ -67,7 +67,12 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
-        return Word(self.letters * n)
+        letters = self.letters
+        size = len(letters)
+        p = 0  # the word is p letters, a cyclically reduced core and their inverses,
+        while n > 1 and p < size and letters[p] == -letters[-1 - p]:
+            p += 1  # so its power repeats only the core and is reduced
+        return _trusted(letters[:p] + letters[p:size - p] * n + letters[size - p:])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -96,7 +101,10 @@ class Word:
 
     def shift(self, offset: int) -> "Word":
         """Reindex every generator by ``+offset`` (for product alphabets)."""
-        return Word(tuple(k + offset if k > 0 else k - offset for k in self.letters))
+        shifted = tuple(k + offset if k > 0 else k - offset for k in self.letters)
+        if type(offset) is int and offset >= 0:
+            return _trusted(shifted)  # no letter changes sign, so no pair cancels
+        return Word(shifted)
 
 
 def _trusted(letters: Tuple[int, ...]) -> Word:

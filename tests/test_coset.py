@@ -1,8 +1,8 @@
 """Coset enumeration tests.
 
-The two finite benchmark groups are checked against oracles that know
-nothing about coset tables: a permutation group closure and a matrix group
-closure over the field with five elements.
+The two finite benchmark groups are checked against permutation and matrix
+closure oracles in ``test_acceptance.py``; this module covers the tables,
+budgets and the two kernels.
 """
 
 import random
@@ -25,54 +25,11 @@ from knotpres.gadgets import k3_embed, m_minus_s
 from knotpres.presentations import parse, quotient
 from knotpres.recognize import kervaire_report
 from knotpres.words import Word
-from oracles import (
-    A5_C,
-    A5_D,
-    ICO_C,
-    ICO_D,
-    closure,
-    mat_mul5,
-    mat_of_word,
-    perm_compose,
-    perm_of_word,
-)
+from oracles import perm_compose
 
 
 ICOSAHEDRAL = "< c, d | c^2, d^3, (c d)^5 >"
 BINARY_ICOSAHEDRAL = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
-
-
-def test_rotation_group_oracle_agrees():
-    p = parse(ICOSAHEDRAL)
-    for r in p.relators:
-        assert perm_of_word(r, [A5_C, A5_D]) == tuple(range(5))
-    group = closure(
-        [A5_C, A5_D], perm_compose, tuple(range(5))
-    )
-    assert len(group) == 60
-    res = order(p)
-    assert res.finite and res.index == 60
-
-
-def test_binary_group_oracle_agrees():
-    p = parse(BINARY_ICOSAHEDRAL)
-    ident = ((1, 0), (0, 1))
-    for r in p.relators:
-        assert mat_of_word(r, [ICO_C, ICO_D]) == ident
-    group = closure([ICO_C, ICO_D], mat_mul5, ident)
-    assert len(group) == 120
-    res = order(p)
-    assert res.finite and res.index == 120
-
-
-def test_binary_group_central_square_identity():
-    p = parse(BINARY_ICOSAHEDRAL)
-    c = Word([1])
-    d = Word([2])
-    h = (d * c * ~d * c) ** 2 * d
-    commutator = ~c * ~h * c * h
-    assert word_is_trivial_in_finite(p, c * c * ~commutator).is_yes
-    assert word_is_trivial_in_finite(p, c * c).is_no
 
 
 def test_common_period_variant_has_order_2280():

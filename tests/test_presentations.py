@@ -28,9 +28,19 @@ from knotpres.presentations import (
     tietze_neighbors,
     words_up_to,
 )
+from knotpres.gadgets import (
+    homology_gadget,
+    k3_embed,
+    k3_minus_k2,
+    m_minus_s,
+    perfect_embed,
+    s_minus_k3,
+    weight_gadget,
+    whitehead_gadget,
+)
 from knotpres.words import EMPTY, Word
 from oracles import eliminate as eliminate_oracle
-from oracles import read_presentation, read_word
+from oracles import random_presentation, read_presentation, read_word
 from oracles import tietze_neighbors as tietze_neighbors_oracle
 
 
@@ -293,6 +303,31 @@ def test_word_helper_and_spell():
     assert p.spell(EMPTY) == "1"
 
 
+def _pairs_spelling(names, w):
+    """The rendering through run-length pairs that ``spell`` replaced."""
+    if not w:
+        return "1"
+    return " ".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in w.to_pairs())
+
+
+def test_spell_matches_the_pairs_rendering_and_reads_back():
+    rng = random.Random(8128)
+    runs = 0
+    for _ in range(2000):
+        ngens = rng.randint(1, 4)
+        names = tuple(rng.choice(["x", "y1", "z_2", "Ab"]) + str(i) for i in range(ngens))
+        letters = []
+        for _ in range(rng.randint(0, 8)):
+            k = rng.choice([1, -1]) * rng.randint(1, ngens)
+            letters += [k] * rng.choice([1, 1, 2, 3, 5])
+        w = Word(letters)
+        runs += any(a == b for a, b in zip(w.letters, w.letters[1:]))
+        text = Presentation(names).spell(w)
+        assert text == _pairs_spelling(names, w)
+        assert read_word(text, names) == w.letters
+    assert runs > 500
+
+
 def test_free_product_with_tags():
     q = parse("< s | s^2 >")
     out = free_product(q, q, ("1", "2"))
@@ -320,6 +355,8 @@ def test_hnn_extension():
     out = hnn_extension(p, "s", [(p.word("b"), p.word("b") ** 2)])
     assert out.generators == ("b", "s")
     assert out.relators == (Word([-2, 1, 2, -1, -1]),)
+    # with an empty u the stable letter cancels, leaving v^-1
+    assert hnn_extension(p, "s", [(EMPTY, p.word("b"))]).relators == (Word([-1]),)
     with pytest.raises(ValueError):
         hnn_extension(p, "b", [])
     for pair in ((Word([2]), Word([1])), (Word([1]), Word([-2]))):
@@ -352,6 +389,51 @@ def test_drop_deficiency():
     p2 = parse("< z1 | >")
     out2 = drop_deficiency(p2)
     assert out2.generators == ("z1", "z1_", "z2")
+
+
+_P = "< a, b | a^2 >"
+_Q = "< c | c^3 >"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda p, q: free_product(p, q, ("-", "")), "bad generator name 'a-'"),
+        (lambda p, q: free_product(p, q, ("", "x!")), "bad generator name 'cx!'"),
+        (lambda p, q: free_product(p, q, ("-", "+")), "bad generator name 'a-'"),
+        (lambda p, q: free_product(p, p, ("-", "-")),
+         "generator name collision in product: ['a-', 'a-', 'b-', 'b-']"),
+        (lambda p, q: direct_product(p, q, ("", "?")), "bad generator name 'c?'"),
+        (lambda p, q: direct_product(p, p), "generator name collision in product: ['a', 'a', 'b', 'b']"),
+        (lambda p, q: hnn_extension(p, "b", []), "stable letter 'b' collides with a generator"),
+        (lambda p, q: hnn_extension(p, "1s", []), "bad generator name '1s'"),
+        (lambda p, q: hnn_extension(p, "", []), "bad generator name ''"),
+        (lambda p, q: hnn_extension(p, "s", [(Word([3]), Word([1]))]),
+         "associated words use generators outside the base alphabet"),
+        (lambda p, q: hnn_extension(p, "s", [(Word([1]), Word([-3]))]),
+         "associated words use generators outside the base alphabet"),
+        # the pairs are checked before the stable letter's name
+        (lambda p, q: hnn_extension(p, "1s", [(Word([3]), Word([1]))]),
+         "associated words use generators outside the base alphabet"),
+        (lambda p, q: quotient(p, [Word([3])]), "relator Word([3]) uses a generator outside the alphabet"),
+        (lambda p, q: quotient(p, [[1, -3]]), "relator Word([1, -3]) uses a generator outside the alphabet"),
+        (lambda p, q: quotient(p, [[1, 0]]), "bad letter 0: letters are nonzero integers"),
+        (lambda p, q: quotient(p, [[True]]), "bad letter True: letters are nonzero integers"),
+    ],
+)
+def test_derived_constructors_refuse_what_they_add(build, message):
+    # Each derived constructor checks only what it adds to presentations that
+    # are already valid; the refusals and their messages are the ones the
+    # validating constructor gave when it rebuilt the whole output.
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build(parse(_P), parse(_Q))
+
+
+def test_quotient_accepts_plain_int_lists():
+    p = parse(_P)
+    out = quotient(p, [[2, -2, 1], (2,), Word([-1])])
+    assert out.relators == (Word([1, 1]), Word([1]), Word([2]), Word([-1]))
+    assert all(type(r) is Word for r in out.relators)
 
 
 def test_words_up_to_order_and_reduction():
@@ -549,6 +631,60 @@ def test_tietze_neighbors_pass_the_validating_constructor():
             assert q == Presentation(q.generators, q.relators), move.kind
             seen += 1
     assert seen > 1000
+
+
+def _assert_validates(out):
+    """``out`` is what the validating constructor makes of its own parts."""
+    assert type(out.generators) is tuple and type(out.relators) is tuple
+    for r in out.relators:
+        assert type(r) is Word and type(r.letters) is tuple
+        assert r == Word(r.letters)
+    assert out == Presentation(out.generators, out.relators)
+
+
+def _draw_word(rng, ngens, maxlen=6):
+    return Word([rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(rng.randint(0, maxlen))])
+
+
+def test_derived_presentations_pass_the_validating_constructor():
+    # The derived constructors and the gadgets build their outputs without
+    # re-validating them; on the acceptance tests' draw of presentations,
+    # rebuilding each output through Presentation(...) must give the same value.
+    rng = random.Random(2718)
+    outputs = 0
+    for _ in range(12):
+        g = random_presentation(rng)
+        h = random_presentation(rng)
+        m = len(g.generators)
+        words = [_draw_word(rng, m) for _ in range(3)]
+        derived = [
+            free_product(g, h, ("_1", "_2")),
+            free_product(g, parse("< s, t | s t^2 >")),
+            direct_product(g, h, ("_1", "_2")),
+            hnn_extension(g, "s", [(words[0], words[1]), (words[2], EMPTY)]),
+            quotient(g, words + [[1, -1, 1]]),
+            drop_deficiency(g),
+        ]
+        free = Presentation(g.generators, [r for r in g.relators[:1] if r])
+        reports = [
+            perfect_embed(g),
+            perfect_embed(g, addendum=True),
+            k3_embed(g, audit_budget=300),
+            k3_minus_k2(g),
+            s_minus_k3(g),
+            m_minus_s(g),
+            whitehead_gadget(g, words[0]),
+            homology_gadget(free, g, g, words[1]),
+        ]
+        if m >= 2:
+            reports.append(weight_gadget(g, _draw_word(rng, 2)))
+        for rep in reports:
+            for w in rep.generator_map.values():
+                assert type(w) is Word and w == Word(w.letters)
+        for out in derived + [rep.output for rep in reports]:
+            _assert_validates(out)
+            outputs += 1
+    assert outputs >= 12 * 14
 
 
 def test_tietze_neighbors_match_the_plain_bfs_oracle():

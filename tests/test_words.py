@@ -224,3 +224,55 @@ def test_product_and_inverse_match_full_reduction():
         if not u or not v:
             kinds["empty"] += 1
     assert all(n >= 100 for n in kinds.values()), kinds
+
+
+def _word_with_peel(rng):
+    """A reduced word, half the time a conjugate ``peel * core * peel^-1``
+    whose peel does not cancel, so that its powers must keep the peel once."""
+    core = _random_word(rng, ngens=3, maxlen=6)
+    if rng.random() < 0.5:
+        return core
+    peel = _random_word(rng, ngens=3, maxlen=4)
+    return peel * core * ~peel
+
+
+def test_pow_matches_the_reduced_repeat():
+    # w ** n repeats only the cyclically reduced core; it must equal the
+    # n-fold product reduced by the validating constructor.
+    rng = random.Random(31337)
+    peeled = 0
+    for _ in range(1500):
+        w = _word_with_peel(rng)
+        core, peel = cyclic_reduce(w)
+        peeled += bool(peel) and bool(core)
+        for n in range(-4, 5):
+            power = w ** n
+            base = w.letters if n >= 0 else (~w).letters
+            assert type(power) is Word and type(power.letters) is tuple
+            assert power == Word(base * abs(n)), (w, n)
+            assert power.letters == _reference_reduced(base * abs(n))
+    assert peeled > 400
+
+
+def test_shift_matches_the_reduced_shift():
+    # A shift by a count of 0 or more keeps the word reduced and skips the
+    # check; any other offset goes through the validating constructor, so it
+    # is refused or reduced exactly as before.
+    rng = random.Random(4711)
+    for _ in range(1500):
+        w = _word_with_peel(rng)
+        for offset in range(-3, 6):
+            letters = tuple(k + offset if k > 0 else k - offset for k in w.letters)
+            try:
+                want = Word(letters)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    w.shift(offset)
+                continue
+            got = w.shift(offset)
+            assert type(got) is Word and type(got.letters) is tuple
+            assert got == want
+            assert got.letters == _reference_reduced(letters)
+    assert Word([C, -A, C]).shift(-2) == Word([A, A, A])
+    with pytest.raises(ValueError, match="bad letter 1.5"):
+        Word([A]).shift(0.5)
