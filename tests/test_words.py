@@ -227,8 +227,8 @@ def test_product_and_inverse_match_full_reduction():
 
 
 def _word_with_peel(rng):
-    """A reduced word, half the time a conjugate ``peel * core * peel^-1``
-    whose peel does not cancel, so that its powers must keep the peel once."""
+    """A reduced word, half the time a conjugate ``peel * core * peel^-1``,
+    whose powers must keep what is left of the peel only once."""
     core = _random_word(rng, ngens=3, maxlen=6)
     if rng.random() < 0.5:
         return core
