@@ -18,8 +18,7 @@ ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -169,8 +168,7 @@ def invariant_factors(mat: IntMatrix) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """H_1 as a free rank plus torsion coefficients in divisibility order."""
 
     free_rank: int

@@ -353,7 +353,7 @@ def build_parser():
     sp = sub.add_parser("tietze", help="list budgeted presentation rewrites")
     _add_presentation_source(sp)
     sp.add_argument(
-        "--max-relator-len", type=_int, default=TietzeBudget.max_relator_len,
+        "--max-relator-len", type=_int, default=TietzeBudget().max_relator_len,
         help="relator length cap (default %(default)s)",
     )
     _add_format(sp)

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    """yes / no / unknown, with optional evidence and budget accounting."""
-
+# A NamedTuple may not define __new__, so the check is in a subclass.
+class _CheckOutcome(NamedTuple):
     verdict: str
     evidence: Optional[dict] = None
     budget_used: Optional[int] = None
 
-    def __post_init__(self):
+
+class CheckOutcome(_CheckOutcome):
+    """yes / no / unknown, with optional evidence and budget accounting."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.verdict not in ("yes", "no", "unknown"):
             raise ValueError(f"bad verdict {self.verdict!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @classmethod
     def yes(

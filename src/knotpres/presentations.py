@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from itertools import compress, count, islice
 from operator import ne, neg
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -294,7 +293,7 @@ def free_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", 
     """Free product, with subindex-style tags appended to make names disjoint."""
     names = tuple(n + tags[0] for n in p.generators) + tuple(n + tags[1] for n in q.generators)
     if len(set(names)) != len(names):
-        raise ValueError(f"generator name collision in product: {sorted(names)}")
+        raise ValueError(f"generator name collision in product: {_quote(sorted(names))}")
     offset = len(p.generators)
     # the factors' names are valid, so a tagged name can only be bad through its tag
     for tag, block in ((tags[0], names[:offset]), (tags[1], names[offset:])):
@@ -377,22 +376,29 @@ class IdentitySequence(NamedTuple):
         return out
 
 
-@dataclass(frozen=True)
-class TietzeBudget:
-    """Bounds on the Tietze moves tried; each is a count, 0 or more."""
-
+# A NamedTuple may not define __new__, so the checks are in a subclass.
+class _TietzeBudget(NamedTuple):
     max_products: int = 2
     max_conjugator_len: int = 1
     max_relator_len: int = 12
     max_defining_len: int = 2
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+
+class TietzeBudget(_TietzeBudget):
+    """Bounds on the Tietze moves tried; each is a count, 0 or more."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if type(value) is not int:
-                raise ValueError(f"{f.name} must be an int, got {_quote(value)}")
+                raise ValueError(f"{name} must be an int, got {_quote(value)}")
             if value < 0:
-                raise ValueError(f"{f.name} must be at least 0, got {_quote(value)}")
+                raise ValueError(f"{name} must be at least 0, got {_quote(value)}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
 
 class TietzeMove(NamedTuple):

@@ -100,11 +100,16 @@ class Word:
         return max(max(letters), -min(letters))
 
     def shift(self, offset: int) -> "Word":
-        """Reindex every generator by ``+offset`` (for product alphabets)."""
+        """Reindex every generator by ``+offset`` (for product alphabets).
+
+        An offset that would move a generator below 1 is refused.
+        """
         shifted = tuple(k + offset if k > 0 else k - offset for k in self.letters)
-        if type(offset) is int and offset >= 0:
-            return _trusted(shifted)  # no letter changes sign, so no pair cancels
-        return Word(shifted)
+        if type(offset) is not int:
+            return Word(shifted)  # the validating constructor checks each letter
+        if offset < 0 and self.letters and min(map(abs, self.letters)) + offset < 1:
+            raise ValueError(f"offset {offset} moves a generator below 1")
+        return _trusted(shifted)  # a one-for-one renaming, so no pair cancels
 
 
 def _trusted(letters: Tuple[int, ...]) -> Word:

@@ -106,6 +106,24 @@ def test_h1_torsion():
     assert str(h1(parse("< a | a^2 >"))) == "Z/2"
 
 
+def test_abelian_invariants_are_frozen_values():
+    inv = AbelianInvariants(free_rank=1, torsion=(2, 6))
+    assert inv == AbelianInvariants(1, (2, 6)) and hash(inv) == hash(AbelianInvariants(1, (2, 6)))
+    assert inv != AbelianInvariants(1, (2,)) and inv != AbelianInvariants(2, (2, 6))
+    assert (inv.free_rank, inv.torsion) == (1, (2, 6))
+    assert repr(inv) == "AbelianInvariants(free_rank=1, torsion=(2, 6))"
+    assert len({inv, AbelianInvariants(1, (2, 6)), AbelianInvariants(0, ())}) == 2
+    for name, value in (("free_rank", 0), ("torsion", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(inv, name, value)
+    with pytest.raises(TypeError):
+        AbelianInvariants(1)  # no defaults
+    shown = {(0, ()): "0", (1, ()): "Z", (3, ()): "Z^3", (0, (2,)): "Z/2",
+             (1, (2, 6)): "Z + Z/2 + Z/6", (2, (5,)): "Z^2 + Z/5"}
+    for (rank, torsion), text in shown.items():
+        assert str(AbelianInvariants(rank, torsion)) == text
+
+
 def test_h1_trefoil_is_infinite_cyclic():
     trefoil = parse("< y1, y2 | y1 y2 y1 y2^-1 y1^-1 y2^-1 >")
     assert h1(trefoil) == AbelianInvariants(1, ())

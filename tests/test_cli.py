@@ -474,7 +474,7 @@ def test_each_budget_flag_defaults_to_the_library_budget(capsys):
     parser = build_parser()
     assert parser.parse_args(["construct", "prop1"]).max == DEFAULT_MAX_COSETS
     args = parser.parse_args(["tietze", "< x | >"])
-    assert args.max_relator_len == TietzeBudget().max_relator_len
+    assert args.max_relator_len == TietzeBudget().max_relator_len == 12
 
 
 def test_out_of_memory_is_exit_2_not_a_traceback(capsys, monkeypatch):
@@ -520,6 +520,14 @@ def test_stdin_pipe_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Z\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI call pays for the package's imports first; dataclasses pulls
+    # in inspect, ast, dis and tokenize, over half of a cached import.
+    code = "import sys, knotpres, knotpres.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_back_to_back_calls_share_no_state(tmp_path, capsys):

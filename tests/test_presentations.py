@@ -88,9 +88,10 @@ def test_parse_errors():
         parse("< a | a > junk")
 
 
-@pytest.mark.parametrize(
-    "field", ["max_products", "max_conjugator_len", "max_relator_len", "max_defining_len"]
-)
+BUDGET_FIELDS = ["max_products", "max_conjugator_len", "max_relator_len", "max_defining_len"]
+
+
+@pytest.mark.parametrize("field", BUDGET_FIELDS)
 def test_tietze_budget_rejects_negative_fields(field):
     with pytest.raises(ValueError, match=f"^{field} must be at least 0, got -1$"):
         TietzeBudget(**{field: -1})
@@ -100,6 +101,42 @@ def test_tietze_budget_rejects_negative_fields(field):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
             TietzeBudget(**{field: value})
     assert getattr(TietzeBudget(**{field: 0}), field) == 0
+    # positional construction is checked the same way
+    args = [2, 1, 12, 2]
+    args[BUDGET_FIELDS.index(field)] = -1
+    with pytest.raises(ValueError, match=f"^{field} must be at least 0, got -1$"):
+        TietzeBudget(*args)
+
+
+def test_tietze_budget_replace_checks_its_fields():
+    assert TietzeBudget()._replace(max_products=3) == TietzeBudget(3)
+    with pytest.raises(ValueError, match="^max_products must be at least 0, got -1$"):
+        TietzeBudget()._replace(max_products=-1)
+    with pytest.raises(ValueError, match="^max_relator_len must be an int, got 2.5$"):
+        TietzeBudget._make([2, 1, 2.5, 2])
+
+
+def test_tietze_budget_is_a_frozen_value():
+    budget = TietzeBudget()
+    assert (budget.max_products, budget.max_conjugator_len, budget.max_relator_len,
+            budget.max_defining_len) == (2, 1, 12, 2)
+    assert repr(budget) == (
+        "TietzeBudget(max_products=2, max_conjugator_len=1, max_relator_len=12, max_defining_len=2)")
+    assert budget == TietzeBudget(2, 1, 12, 2) == TietzeBudget(max_relator_len=12)
+    assert hash(budget) == hash(TietzeBudget(2, 1, 12, 2))
+    built = TietzeBudget(3, max_defining_len=0)
+    assert repr(built) == (
+        "TietzeBudget(max_products=3, max_conjugator_len=1, max_relator_len=12, max_defining_len=0)")
+    assert built != budget and built == TietzeBudget(max_products=3, max_defining_len=0)
+    assert len({budget, built, TietzeBudget()}) == 2
+    for name in BUDGET_FIELDS + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(budget, name, 5)
+    assert budget == TietzeBudget()
+    with pytest.raises(TypeError):
+        TietzeBudget(1, 1, 12, 2, 0)  # four fields only
+    with pytest.raises(TypeError):
+        TietzeBudget(max_moves=1)
 
 
 def test_parse_errors_quote_long_input_in_part():
@@ -405,6 +442,9 @@ _Q = "< c | c^3 >"
          "generator name collision in product: ['a-', 'a-', 'b-', 'b-']"),
         (lambda p, q: direct_product(p, q, ("", "?")), "bad generator name 'c?'"),
         (lambda p, q: direct_product(p, p), "generator name collision in product: ['a', 'a', 'b', 'b']"),
+        # a long name list is quoted in part, after QUOTE_CHARS characters
+        (lambda p, q: free_product(*[Presentation(tuple("g%d" % i for i in range(12)))] * 2),
+         "generator name collision in product: ['g0', 'g0', 'g1', 'g1', 'g10', 'g10', 'g11', 'g11', 'g2', '..."),
         (lambda p, q: hnn_extension(p, "b", []), "stable letter 'b' collides with a generator"),
         (lambda p, q: hnn_extension(p, "1s", []), "bad generator name '1s'"),
         (lambda p, q: hnn_extension(p, "", []), "bad generator name ''"),

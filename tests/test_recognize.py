@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -318,6 +319,40 @@ def test_two_knot_refuses_a_pair_count_that_is_not_a_count():
 def test_check_outcome_refuses_an_unknown_verdict():
     with pytest.raises(ValueError, match="bad verdict 'maybe'"):
         CheckOutcome("maybe")
+    for bad in ("Yes", "", None, 1):
+        with pytest.raises(ValueError, match=re.escape(f"bad verdict {bad!r}")):
+            CheckOutcome(verdict=bad, budget_used=3)
+
+
+def test_check_outcome_replace_checks_the_verdict():
+    assert CheckOutcome.yes(budget_used=2)._replace(verdict="no") == CheckOutcome.no(budget_used=2)
+    with pytest.raises(ValueError, match="^bad verdict 'maybe'$"):
+        CheckOutcome.yes()._replace(verdict="maybe")
+
+
+def test_check_outcome_is_a_frozen_value():
+    out = CheckOutcome("no", {"order": 2}, 7)
+    assert out == CheckOutcome(verdict="no", evidence={"order": 2}, budget_used=7)
+    assert out == CheckOutcome.no({"order": 2}, budget_used=7)
+    assert out != CheckOutcome("no", {"order": 2}) and out != CheckOutcome("yes", {"order": 2}, 7)
+    assert repr(out) == "CheckOutcome(verdict='no', evidence={'order': 2}, budget_used=7)"
+    assert (out.verdict, out.evidence, out.budget_used) == ("no", {"order": 2}, 7)
+    assert CheckOutcome("yes") == CheckOutcome("yes", None, None) == CheckOutcome.yes()
+    assert CheckOutcome.unknown(5) == CheckOutcome("unknown", budget_used=5)
+    assert repr(CheckOutcome.unknown(5)) == "CheckOutcome(verdict='unknown', evidence=None, budget_used=5)"
+    # equal outcomes hash alike; one carrying a dict of evidence has no hash
+    assert hash(CheckOutcome.unknown(5)) == hash(CheckOutcome("unknown", None, 5))
+    with pytest.raises(TypeError):
+        hash(out)
+    assert [(o.is_yes, o.is_no, o.is_unknown) for o in (CheckOutcome.yes(), out, CheckOutcome.unknown())] == [
+        (True, False, False), (False, True, False), (False, False, True)]
+    assert out.to_json_dict() == {"verdict": "no", "evidence": {"order": 2}, "budget_used": 7}
+    assert CheckOutcome.yes().to_json_dict() == {"verdict": "yes"}
+    for name, value in (("verdict", "yes"), ("evidence", None), ("budget_used", 0), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(out, name, value)
+    with pytest.raises(TypeError):
+        CheckOutcome()  # the verdict has no default
 
 
 def test_two_knot_unknown_when_group_is_not_free():

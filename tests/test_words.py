@@ -255,24 +255,30 @@ def test_pow_matches_the_reduced_repeat():
 
 
 def test_shift_matches_the_reduced_shift():
-    # A shift by a count of 0 or more keeps the word reduced and skips the
-    # check; any other offset goes through the validating constructor, so it
-    # is refused or reduced exactly as before.
+    # A shift renames generators one for one, so it keeps the word reduced
+    # and skips the check; an offset that would move a generator below 1 is
+    # refused instead of renaming an inverse letter into a generator.
     rng = random.Random(4711)
+    refused = 0
     for _ in range(1500):
         w = _word_with_peel(rng)
         for offset in range(-3, 6):
-            letters = tuple(k + offset if k > 0 else k - offset for k in w.letters)
-            try:
-                want = Word(letters)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
+            if w.letters and min(abs(k) for k in w.letters) + offset < 1:
+                with pytest.raises(ValueError, match=f"^offset {offset} moves a generator below 1$"):
                     w.shift(offset)
+                refused += 1
                 continue
+            letters = tuple(k + offset if k > 0 else k - offset for k in w.letters)
             got = w.shift(offset)
             assert type(got) is Word and type(got.letters) is tuple
-            assert got == want
-            assert got.letters == _reference_reduced(letters)
-    assert Word([C, -A, C]).shift(-2) == Word([A, A, A])
+            assert got == Word(letters)
+            assert got.letters == _reference_reduced(letters) == letters
+    assert refused > 1000
+    with pytest.raises(ValueError, match="^offset -2 moves a generator below 1$"):
+        Word([C, -A, C]).shift(-2)
+    with pytest.raises(ValueError, match="^offset -1 moves a generator below 1$"):
+        Word([A, B]).shift(-1)
+    assert Word([C, -B, C]).shift(-1) == Word([B, -A, B])
+    assert EMPTY.shift(-3) == EMPTY
     with pytest.raises(ValueError, match="bad letter 1.5"):
         Word([A]).shift(0.5)
