@@ -227,26 +227,9 @@ static int accumulate(Cell *e, int neg, const View *q, const View *f)
     return 0;
 }
 
-/* e += f */
-static int add(Cell *e, const Cell *f)
-{
-    if (is_zero(f))
-        return 0;
-    if (e->size == 0 && f->size == 0) {
-        long long r = e->v + f->v;
-        if (r >= -SMALL_MAX && r <= SMALL_MAX) {
-            e->v = r;
-            return 0;
-        }
-    }
-    static const limb one_limb = 1;
-    View one = {&one_limb, 1, 0, {0, 0}}, fv;
-    view(&fv, f);
-    return accumulate(e, fv.neg, &one, &fv);
-}
-
-/* e -= q * f; qv is the view of q */
-static int submul(Cell *e, const Cell *q, const View *qv, const Cell *f)
+/* e -= q * f; qv is the view of q.  Declared inline so that the row and
+   column loops inline the small-value path and call accumulate for the rest. */
+static inline int submul(Cell *e, const Cell *q, const View *qv, const Cell *f)
 {
     if (is_zero(f))
         return 0;
@@ -547,16 +530,6 @@ static int column_submul(Matrix *m, Py_ssize_t dst, const Cell *q, Py_ssize_t sr
     return 0;
 }
 
-/* column dst += column src, over all rows */
-static int column_add(Matrix *m, Py_ssize_t dst, Py_ssize_t src)
-{
-    for (Py_ssize_t r = 0; r < m->n_rows; r++) {
-        if (add(&m->row[r][dst], &m->row[r][src]) < 0)
-            return -1;
-    }
-    return 0;
-}
-
 /* u * m * v becomes the Smith form in m; u and v are NULL when not tracked. */
 static int smith(Matrix *m, Matrix *u, Matrix *v)
 {
@@ -638,9 +611,11 @@ static int smith(Matrix *m, Matrix *u, Matrix *v)
             }
         }
         if (bad >= 0) {
-            if (column_add(m, t, bad) < 0)
+            /* column t += column bad, as column t -= (-1) * column bad */
+            static const Cell minus_one = {-1, NULL, 0, 0};
+            if (column_submul(m, t, &minus_one, bad) < 0)
                 goto out;
-            if (v != NULL && column_add(v, t, bad) < 0)
+            if (v != NULL && column_submul(v, t, &minus_one, bad) < 0)
                 goto out;
             continue;
         }

@@ -18,7 +18,7 @@ import sys
 
 from .abelian import h1, smith_normal_form
 from .coset import DEFAULT_MAX_COSETS, _check_max_cosets, enumerate_cosets
-from .foldings import fold
+from .foldings import contains, is_basis, rank
 from .gadgets import (
     homology_gadget,
     k3_embed,
@@ -124,13 +124,11 @@ def _cmd_fold(args):
     names = tuple("x%d" % (i + 1) for i in range(args.alphabet))
     scratch = Presentation(names)
     words = _words(scratch, args.words)
-    graph = fold(args.alphabet, words)
-    rank = graph.rank()
-    ok = rank == len(words)
-    payload = {"rank": rank, "is_basis": ok}
-    lines = ["rank: %d" % rank, "basis: %s" % ("yes" if ok else "no")]
+    ok = is_basis(args.alphabet, words)
+    payload = {"rank": rank(args.alphabet, words), "is_basis": ok}
+    lines = ["rank: %d" % payload["rank"], "basis: %s" % ("yes" if ok else "no")]
     if args.member is not None:
-        ok = payload["member"] = graph.contains(scratch.word(args.member))
+        ok = payload["member"] = contains(args.alphabet, words, scratch.word(args.member))
         lines.append("member: %s" % ("yes" if ok else "no"))
     return (0 if ok else 1), payload, lines
 

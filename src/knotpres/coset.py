@@ -14,6 +14,8 @@ the count after the last pass, and when the budget is hit, so a collapse
 costs about what the group needs rather than what the budget allows.
 """
 
+from typing import NamedTuple, Optional
+
 from .outcomes import CheckOutcome
 from .presentations import quotient
 from .words import Word, _directions, _quote
@@ -75,26 +77,18 @@ class CosetTable:
         }
 
 
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Outcome of an enumeration: either the subgroup has finite index and a
     complete table was produced, or the live-coset budget ran out."""
 
-    __slots__ = ("status", "index", "cosets_used", "table")
-
-    def __init__(self, status, index, cosets_used, table):
-        self.status = status
-        self.index = index
-        self.cosets_used = cosets_used
-        self.table = table
+    status: str
+    index: Optional[int]
+    cosets_used: int
+    table: Optional[CosetTable]
 
     @property
     def finite(self):
         return self.status == "finite"
-
-    def __repr__(self):
-        if self.finite:
-            return "EnumerationResult(finite, index=%d)" % self.index
-        return "EnumerationResult(exhausted, budget=%d)" % self.cosets_used
 
     def to_json_dict(self):
         out = {"status": self.status, "cosets_used": self.cosets_used}
@@ -175,6 +169,4 @@ def weight_one_witness_check(p, t, max_cosets=DEFAULT_MAX_COSETS):
     out = is_trivial_bounded(q, max_cosets)
     if out.is_yes:
         return CheckOutcome.yes({"witness": t.to_pairs()}, budget_used=out.budget_used)
-    if out.is_no:
-        return CheckOutcome.no(out.evidence, budget_used=out.budget_used)
     return out

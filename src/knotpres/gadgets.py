@@ -9,6 +9,8 @@ building it.  Audits marked required raise if they fail; the others record
 yes or unknown, since they bound a search that may not finish.
 """
 
+from typing import NamedTuple
+
 from .abelian import h1, h1_is_infinite_cyclic, is_perfect
 from .coset import weight_one_witness_check, word_is_trivial_in_finite
 from .presentations import (
@@ -34,7 +36,7 @@ BINARY_ICOSAHEDRAL_TEXT = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
 _PERFECTING_NAMES = ("a", "alpha", "b", "beta")
 
 
-class GadgetReport:
+class GadgetReport(NamedTuple):
     """A constructed presentation together with its audit trail.
 
     generator_map sends each input generator name to the word carrying it
@@ -42,19 +44,10 @@ class GadgetReport:
     checks run at construction time.
     """
 
-    __slots__ = ("output", "provenance", "generator_map", "audit")
-
-    def __init__(self, output, provenance, generator_map, audit):
-        self.output = output
-        self.provenance = provenance
-        self.generator_map = dict(generator_map)
-        self.audit = list(audit)
-
-    def __repr__(self):
-        return "GadgetReport(%s, %d generators)" % (
-            self.provenance,
-            len(self.output.generators),
-        )
+    output: Presentation
+    provenance: str
+    generator_map: dict
+    audit: list
 
     def to_json_dict(self):
         return {
@@ -240,7 +233,8 @@ def s_minus_k3(g, audit_budget=DEFAULT_AUDIT_BUDGET):
     identity = cc * cc * ~commutator(cc, braid)
     check = word_is_trivial_in_finite(sanity, identity, audit_budget)
     if not check.is_yes:
-        raise RuntimeError("central square identity failed in the order-120 group")
+        raise RuntimeError("central square identity not confirmed in the order-120 "
+                           "group within budget (%s)" % check.verdict)
     audit.append(("central_square_is_commutator", "yes"))
     return GadgetReport(out, "s_minus_k3", _inclusion_map(g, shift=1), audit)
 

@@ -27,6 +27,7 @@ from itertools import compress, count, islice
 from operator import ne, neg
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .foldings import rank
 from .outcomes import CheckOutcome
 from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted
 
@@ -630,11 +631,8 @@ def tietze_neighbors(
 
 def is_freely_related(p: Presentation) -> CheckOutcome:
     """Whether the relators freely generate a subgroup of rank exactly their count."""
-    from .foldings import fold
-
-    graph = fold(len(p.generators), p.relators)
-    rank = graph.rank()
-    evidence = {"rank": rank, "relators": len(p.relators)}
-    if rank == len(p.relators):
+    r = rank(len(p.generators), p.relators)
+    evidence = {"rank": r, "relators": len(p.relators)}
+    if r == len(p.relators):
         return CheckOutcome.yes(evidence)
     return CheckOutcome.no(evidence)

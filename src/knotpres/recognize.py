@@ -288,9 +288,9 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
             derived.append(betas[j - 2])
         else:
             derived.append(betas[j - 1])
-    plain_rels = [~Word([j + 1]) * beta for j, beta in enumerate(betas)]
     derived_rels = [~Word([j + 1]) * beta for j, beta in enumerate(derived)]
-    ok_plain, trace_plain = _eliminate_to_free(p.generators, plain_rels, budget)
+    # each x_j^-1 beta_j is the companion relator itself
+    ok_plain, trace_plain = _eliminate_to_free(p.generators, p.relators[h:], budget)
     ok_derived, trace_derived = _eliminate_to_free(p.generators, derived_rels, budget)
     if not (ok_plain and ok_derived):
         stuck = []

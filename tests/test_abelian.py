@@ -387,7 +387,7 @@ def test_compiled_smith_returns_every_block(compiled_smith):
     calls(3, 3)  # the first calls may grow the interpreter's own caches
     gc.collect()
     before = sys.getallocatedblocks()
-    calls(2000, 200)
+    calls(200, 200)  # a block a call kept would show as 200, four times the threshold
     gc.collect()
     assert abs(sys.getallocatedblocks() - before) < 50
 

@@ -197,6 +197,15 @@ def test_construct_audit_failure_is_budget_exit(capsys):
     assert "within budget" in err
 
 
+def test_construct_sk3_audit_out_of_budget_names_the_verdict(capsys):
+    # the order-120 sanity group needs between 200 and 300 live cosets
+    code, out, err = run(capsys, "construct", "sk3", "< x | >", "--max", "200")
+    assert (code, out) == (2, "")
+    assert err == ("error: central square identity not confirmed in the order-120 "
+                   "group within budget (unknown)\n")
+    assert run(capsys, "construct", "sk3", "< x | >", "--max", "300")[0] == 0
+
+
 def test_check_artin_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "artin", "< x1 | x1^-1 x1 >")
     assert code == 0 and out == "Yes\n"

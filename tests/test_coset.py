@@ -5,6 +5,7 @@ closure oracles in ``test_acceptance.py``; this module covers the tables,
 budgets and the two kernels.
 """
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from knotpres.abelian import h1
 from knotpres.coset import (
     DEFAULT_MAX_COSETS,
     CosetTable,
+    EnumerationResult,
     _directions,
     enumerate_cosets,
     is_trivial_bounded,
@@ -387,6 +389,23 @@ def test_table_equality_and_json():
     assert blob["cosets"] == 3
     assert blob["columns"] == ["x", "x^-1"]
     assert len(blob["rows"]) == 3
+
+
+def test_enumeration_result_is_a_named_tuple():
+    fin = order(parse("< x | x^3 >"))
+    ex = order(parse("< x, y | >"), 5)
+    assert (fin.status, fin.index, fin.cosets_used, len(fin.table)) == ("finite", 3, 3, 3)
+    assert (ex.status, ex.index, ex.cosets_used, ex.table) == ("exhausted", None, 5, None)
+    # equal by value, the table included
+    assert fin == order(parse("< x | x^3 >")) != order(parse("< x | x^4 >"))
+    assert ex == EnumerationResult(status="exhausted", index=None, cosets_used=5, table=None)
+    assert ex._replace(cosets_used=6) == EnumerationResult("exhausted", None, 6, None)
+    assert (fin.finite, ex.finite, fin._replace(status="exhausted").finite) == (True, False, False)
+    with pytest.raises(AttributeError):
+        fin.index = 4
+    # the CLI writes these dicts as they are, so their bytes are pinned
+    assert json.dumps(fin.to_json_dict()) == '{"status": "finite", "cosets_used": 3, "index": 3}'
+    assert json.dumps(ex.to_json_dict()) == '{"status": "exhausted", "cosets_used": 5}'
 
 
 def test_default_budget_value():

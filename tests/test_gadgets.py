@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from knotpres import gadgets
 from knotpres.abelian import h1, h1_is_infinite_cyclic, is_perfect
 from knotpres.coset import is_trivial_bounded
 from knotpres.gadgets import (
+    GadgetReport,
     homology_gadget,
     k3_embed,
     k3_minus_k2,
@@ -269,3 +271,26 @@ def test_report_json_shape():
     assert sorted(d) == ["audit", "generator_map", "presentation", "provenance"]
     assert d["generator_map"] == {"x": "x"}
     assert d["audit"] == [["h1_trivial", "yes"]]
+
+
+def test_gadget_report_is_a_named_tuple():
+    rep = perfect_embed(parse("< x | x^2 >"))
+    assert rep.output.generators == ("x", "a", "alpha", "b", "beta")
+    assert rep.provenance == "perfect_embed"
+    assert rep.generator_map == {"x": Word([1])}
+    assert rep.audit == [("h1_trivial", "yes")]
+    # equal by value: a second build, or the same fields given by hand
+    assert rep == perfect_embed(parse("< x | x^2 >"))
+    assert rep == GadgetReport(rep.output, "perfect_embed", {"x": Word([1])}, [("h1_trivial", "yes")])
+    moved = rep._replace(provenance="whitehead_gadget")
+    assert moved != rep and moved.output is rep.output
+    with pytest.raises(TypeError):
+        hash(rep)  # it holds a dict and a list
+    with pytest.raises(AttributeError):
+        rep.audit = []
+    assert json.dumps(rep.to_json_dict()) == (
+        '{"provenance": "perfect_embed", "presentation": "< x, a, alpha, b, beta | x^2, '
+        "a alpha a^-1 b^-2, alpha a alpha^-1 b beta^-1 b^-1, a^2 x alpha^2 beta^4 b^-1 beta^-4, "
+        "x^-1 a^-1 x a beta^2 b^-1 beta^-2, x^-1 alpha^-1 x alpha beta b beta^-1 b^-1 beta^-1 >"
+        '", "generator_map": {"x": "x"}, "audit": [["h1_trivial", "yes"]]}'
+    )
