@@ -8,19 +8,21 @@
 
    Entries live in cells of two tiers: a C long long while the magnitude is
    at most SMALL_MAX (2**62 - 1), and above that a sign-magnitude vector of
-   32-bit limbs that the cell owns.  The sum or difference of two small
+   64-bit limbs that the cell owns.  The sum or difference of two small
    values cannot overflow a long long, and products are checked before they
    are formed.  Every other sum and every e - q * f runs on limbs with
-   64-bit intermediates: one multiply-accumulate pass per limb of q, in the
-   cell's own buffer, which grows in place and is kept when the value turns
-   small again, so a step in steady state allocates nothing.  A result is
-   stored small whenever it fits, so every value has one representation and
-   any large cell is larger in magnitude than every small one.
+   128-bit intermediates (unsigned __int128, which the build requires): one
+   multiply-accumulate pass per limb of q, in the cell's own buffer, which
+   grows in place and is kept when the value turns small again, so a step
+   in steady state allocates nothing.  A result is stored small whenever it
+   fits, so every value has one representation and any large cell is larger
+   in magnitude than every small one.
 
    Only floor division and remainder with a large operand go through
    Python ints and the number protocol; they happen in the eliminated
-   matrix alone and rarely.  Large values enter and leave as base-16 text
-   (PyNumber_ToBase and PyLong_FromString), which takes linear time.
+   matrix alone and rarely.  Large values enter as base-16 text
+   (PyNumber_ToBase) and leave as little-endian bytes
+   (_PyLong_FromByteArray), both in linear time.
 
    Every step that can fail returns 0 on success and -1 with an exception
    set; limb buffers come from PyMem_* and are freed with their matrix. */
@@ -31,11 +33,16 @@
 #include <stdint.h>
 #include <string.h>
 
+#ifndef __SIZEOF_INT128__
+#error "the compiled Smith kernel needs a compiler with unsigned __int128"
+#endif
+
 #define SMALL_MAX ((1LL << 62) - 1)
 #define HALF_BOUND (1LL << 31)
-#define LIMB_BITS 32
+#define LIMB_BITS 64
 
-typedef uint32_t limb;
+typedef uint64_t limb;
+typedef unsigned __int128 dlimb;  /* holds f * q + r + carry for limbs f, q, r */
 
 typedef struct {
     long long v;  /* the value, when size is 0 */
@@ -57,7 +64,7 @@ typedef struct {
     const limb *d;
     Py_ssize_t n;
     int neg;
-    limb buf[2];
+    limb buf[1];
 } View;
 
 static inline int is_zero(const Cell *c)
@@ -91,11 +98,9 @@ static void view(View *w, const Cell *c)
         w->neg = c->size < 0;
         return;
     }
-    unsigned long long a = c->v < 0 ? 0ULL - (unsigned long long)c->v : (unsigned long long)c->v;
-    w->buf[0] = (limb)a;
-    w->buf[1] = (limb)(a >> LIMB_BITS);
+    w->buf[0] = c->v < 0 ? 0u - (limb)c->v : (limb)c->v;
     w->d = w->buf;
-    w->n = w->buf[1] ? 2 : w->buf[0] ? 1 : 0;
+    w->n = w->buf[0] != 0;
     w->neg = c->v < 0;
 }
 
@@ -124,11 +129,9 @@ static void settle(Cell *c, int neg, Py_ssize_t n)
 {
     while (n > 0 && c->d[n - 1] == 0)
         n--;
-    if (n <= 1 || (n == 2 && c->d[1] < (1u << (62 - LIMB_BITS)))) {
-        unsigned long long a = n == 0 ? 0 : c->d[0];
-        if (n == 2)
-            a |= (unsigned long long)c->d[1] << LIMB_BITS;
-        c->v = neg ? -(long long)a : (long long)a;
+    if (n == 0 || (n == 1 && c->d[0] <= (limb)SMALL_MAX)) {
+        long long a = n == 0 ? 0 : (long long)c->d[0];
+        c->v = neg ? -a : a;
         c->size = 0;
     }
     else
@@ -152,10 +155,10 @@ static int abs_less(const Cell *a, const Cell *b)
 /* r[0..n) += q * f[0..nf), n > nf; the carry stays inside r. */
 static void addmul_1(limb *r, Py_ssize_t n, const limb *f, Py_ssize_t nf, limb q)
 {
-    uint64_t c = 0;
+    dlimb c = 0;
     Py_ssize_t k = 0;
     for (; k < nf; k++) {
-        c += (uint64_t)f[k] * q + r[k];
+        c += (dlimb)f[k] * q + r[k];
         r[k] = (limb)c;
         c >>= LIMB_BITS;
     }
@@ -166,19 +169,19 @@ static void addmul_1(limb *r, Py_ssize_t n, const limb *f, Py_ssize_t nf, limb q
     }
 }
 
-/* r[0..n) -= q * f[0..nf) modulo 2**(32 n), n > nf; 1 if that wrapped. */
+/* r[0..n) -= q * f[0..nf) modulo 2**(64 n), n > nf; 1 if that wrapped. */
 static int submul_1(limb *r, Py_ssize_t n, const limb *f, Py_ssize_t nf, limb q)
 {
-    uint64_t b = 0;  /* at most q, so it fits a limb */
+    limb b = 0;  /* the borrow, at most q */
     Py_ssize_t k = 0;
     for (; k < nf; k++) {
-        uint64_t t = (uint64_t)f[k] * q + b;
+        dlimb t = (dlimb)f[k] * q + b;
         limb lo = (limb)t;
-        b = (t >> LIMB_BITS) + (r[k] < lo);
+        b = (limb)(t >> LIMB_BITS) + (r[k] < lo);
         r[k] -= lo;
     }
     for (; b && k < n; k++) {
-        limb lo = (limb)b;
+        limb lo = b;
         b = r[k] < lo;
         r[k] -= lo;
     }
@@ -187,7 +190,7 @@ static int submul_1(limb *r, Py_ssize_t n, const limb *f, Py_ssize_t nf, limb q)
 
 /* e += (-1)**neg * |q| * |f| on limbs: a schoolbook product with one
    multiply-accumulate pass per limb of q.  A difference is formed modulo
-   2**(32 n); it wraps at most once, and then the two's complement gives
+   2**(64 n); it wraps at most once, and then the two's complement gives
    its magnitude. */
 static int accumulate(Cell *e, int neg, const View *q, const View *f)
 {
@@ -250,34 +253,31 @@ static inline int submul(Cell *e, const Cell *q, const View *qv, const Cell *f)
     return accumulate(e, qv->neg == fv.neg, qv, &fv);
 }
 
-/* Python int (a new reference) for a cell. */
+/* Python int (a new reference) for a cell: a large one is built from the
+   little-endian bytes of its magnitude, then negated if it is negative. */
 static PyObject *to_object(const Cell *c)
 {
     if (c->size == 0)
         return PyLong_FromLongLong(c->v);
-    static const char hex[] = "0123456789abcdef";
     Py_ssize_t n = c->size < 0 ? -c->size : c->size;
-    char local[256];
-    size_t len = (size_t)n * (LIMB_BITS / 4) + 2;
-    char *buf = len <= sizeof local ? local : PyMem_Malloc(len);
+    unsigned char local[256];
+    size_t len = (size_t)n * sizeof(limb);
+    unsigned char *buf = len <= sizeof local ? local : PyMem_Malloc(len);
     if (buf == NULL)
         return PyErr_NoMemory();
-    char *p = buf;
-    if (c->size < 0)
-        *p++ = '-';
-    int s = LIMB_BITS - 4;
-    while ((c->d[n - 1] >> s) == 0)  /* the top limb is nonzero */
-        s -= 4;
-    for (; s >= 0; s -= 4)
-        *p++ = hex[(c->d[n - 1] >> s) & 0xf];
-    for (Py_ssize_t k = n - 2; k >= 0; k--) {
-        for (s = LIMB_BITS - 4; s >= 0; s -= 4)
-            *p++ = hex[(c->d[k] >> s) & 0xf];
+    unsigned char *p = buf;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        for (int s = 0; s < LIMB_BITS; s += 8)
+            *p++ = (unsigned char)(c->d[k] >> s);
     }
-    *p = '\0';
-    PyObject *obj = PyLong_FromString(buf, NULL, 16);
+    PyObject *obj = _PyLong_FromByteArray(buf, len, 1, 0);
     if (buf != local)
         PyMem_Free(buf);
+    if (obj != NULL && c->size < 0) {
+        PyObject *neg = PyNumber_Negative(obj);
+        Py_DECREF(obj);
+        obj = neg;
+    }
     return obj;
 }
 
@@ -303,15 +303,15 @@ static int from_object(Cell *c, PyObject *obj)
         return -1;
     Py_ssize_t len;
     const char *s = PyUnicode_AsUTF8AndSize(text, &len);
-    if (s == NULL || reserve(c, (len + 7) / 8) < 0) {
+    if (s == NULL || reserve(c, (len + 15) / 16) < 0) {
         Py_DECREF(text);
         return -1;
     }
     int neg = s[0] == '-';
     Py_ssize_t first = neg + 2, n = 0;
-    for (Py_ssize_t end = len; end > first; end -= 8) {
+    for (Py_ssize_t end = len; end > first; end -= 16) {
         limb x = 0;
-        for (Py_ssize_t k = end - 8 > first ? end - 8 : first; k < end; k++)
+        for (Py_ssize_t k = end - 16 > first ? end - 16 : first; k < end; k++)
             x = x << 4 | (limb)hex_digit(s[k]);
         c->d[n++] = x;
     }

@@ -9,11 +9,12 @@ The elimination runs in a compiled extension when one was built; the
 fallback, the pure-Python reference ``_smith``, runs when the extension is
 not built.  The two return identical D, U and V, which the test suite
 checks directly.  The compiled kernel holds an entry as a C integer up to
-2**62 - 1 and as a vector of 32-bit limbs of its own beyond that, so the
+2**62 - 1 and as a vector of 64-bit limbs of its own beyond that, so the
 steps that grow the transforms U and V never make a Python int.  Only a
 floor division or remainder with an operand beyond 2**62, which happens in
 the matrix being eliminated and rarely, makes a round trip through Python
-ints.
+ints.  A large result becomes an int from the little-endian bytes of its
+limbs.
 """
 
 from __future__ import annotations

@@ -49,6 +49,10 @@ class GadgetReport(NamedTuple):
     generator_map: dict
     audit: list
 
+    def __repr__(self):
+        # short: the output presentation can run to thousands of characters
+        return "GadgetReport(%s, %d generators)" % (self.provenance, len(self.output.generators))
+
     def to_json_dict(self):
         return {
             "provenance": self.provenance,

@@ -217,6 +217,12 @@ def test_snf_ragged_matrix_is_a_value_error(mat):
 
 # --- compiled kernel against the pure reference ----------------------------
 
+# Entries near 2**2100: more bits than the compiled kernel's local buffer
+# (2,048) for converting a value back to an int.
+_HUGE = [[2**2100 + 1, -(2**2100) - 3, 7],
+         [-(2**2101) + 5, 2**2100, 2],
+         [3, 2**2100 - 1, -(2**2099)]]
+
 
 def _kernel_matrices():
     """The parity corpus: the shapes the benchmark decides, every degenerate
@@ -254,9 +260,9 @@ def _kernel_matrices():
         bound = rng.choice((2**63, 2**70, 2**130))
         out.append([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
     # The compiled kernel's limb tier.  A small pivot under large entries
-    # gives quotients of two limbs (above 2**32) and of more (above 2**62),
+    # gives quotients beyond 2**62, of one 64-bit limb and of two and three,
     # which multiply large transform entries.
-    for bits in (33, 40, 61, 63, 64, 100):
+    for bits in (33, 40, 61, 63, 64, 65, 100, 127, 128, 129):
         for _ in range(8):
             rows, cols = rng.randint(2, 6), rng.randint(2, 6)
             m = [[rng.choice((1, -1)) * rng.randint(2**bits // 2, 2**bits) for _ in range(cols)]
@@ -277,8 +283,11 @@ def _kernel_matrices():
         out.append([[rng.choice((1, -1)) * rng.randint(2**200, 2**260) if rng.random() < 0.6
                      else rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)])
     out += [[[-(2**200) - 1, 2**201 + 3], [7, 2**200]], [[3, 0], [-(2**250), 5]]]
+    # entries beyond 2**2048, whose conversion back to int needs a heap buffer
+    out.append(_HUGE)
     # values at limb boundaries
-    limbs = [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96, 2**96 - 1]
+    limbs = [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96, 2**96 - 1,
+             2**128 - 1, 2**128, 2**128 + 1, 2**192]
     limbs += [-e for e in limbs] + [1, -1, 2, 3, 0]
     for _ in range(60):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -372,7 +381,7 @@ def test_compiled_smith_returns_every_block(compiled_smith):
     # large entries take floor division and remainder through Python ints,
     # and the second matrix's sweep has a remainder beyond 2**62
     large = ([[2, 2**100 + 1, 5], [2**90, -(2**100) - 3, 7], [3**70, 11, -(2**64)]],
-             [[2**100, 0], [0, 2**150 + 2**80]])
+             [[2**100, 0], [0, 2**150 + 2**80]], _HUGE)
     refused = [[2**200, -(2**300), 2**70 + 1], [2**64, 5, 1.0]]  # refused at 1.0
 
     def calls(dense_calls, refused_calls):

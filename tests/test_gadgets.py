@@ -279,6 +279,7 @@ def test_gadget_report_is_a_named_tuple():
     assert rep.provenance == "perfect_embed"
     assert rep.generator_map == {"x": Word([1])}
     assert rep.audit == [("h1_trivial", "yes")]
+    assert repr(rep) == "GadgetReport(perfect_embed, 5 generators)"
     # equal by value: a second build, or the same fields given by hand
     assert rep == perfect_embed(parse("< x | x^2 >"))
     assert rep == GadgetReport(rep.output, "perfect_embed", {"x": Word([1])}, [("h1_trivial", "yes")])
