@@ -276,6 +276,9 @@ def _kernel_matrices():
         rows, cols = rng.randint(2, 6), rng.randint(2, 6)
         out.append([[rng.choice((1, -1)) * rng.randint(2**60, 2**62 - 1) if rng.random() < 0.7
                      else rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    # a value just above 2**62 made during elimination beside loaded ones: both
+    # must be large, or a larger pivot is chosen and its quotients are all 0
+    out.append([[-(2**62) - 3, -(2**62) - 6], [2**62 + 1, 2**62 + 1], [2**62 + 5, 2**62 + 3]])
     # entries of 2**200 and more with mixed signs, where floor division of a
     # negative entry differs from truncation
     for _ in range(24):
@@ -283,7 +286,6 @@ def _kernel_matrices():
         out.append([[rng.choice((1, -1)) * rng.randint(2**200, 2**260) if rng.random() < 0.6
                      else rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)])
     out += [[[-(2**200) - 1, 2**201 + 3], [7, 2**200]], [[3, 0], [-(2**250), 5]]]
-    # entries beyond 2**2048, whose conversion back to int needs a heap buffer
     out.append(_HUGE)
     # values at limb boundaries
     limbs = [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96, 2**96 - 1,
