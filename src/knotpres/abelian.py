@@ -19,16 +19,14 @@ limbs.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
-
-IntMatrix = List[List[int]]
+from collections import namedtuple
 
 
-def identity_matrix(n: int) -> IntMatrix:
+def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _int_rows(mat) -> IntMatrix:
+def _int_rows(mat) -> list[list[int]]:
     """``mat`` copied to a list of int lists: the input contract of both kernels.
 
     Rows may be any sequence; every row must be as long as the first and
@@ -46,7 +44,7 @@ def _int_rows(mat) -> IntMatrix:
     return m
 
 
-def _pivot(m: IntMatrix, t: int, rows: int, cols: int):
+def _pivot(m: list[list[int]], t: int, rows: int, cols: int):
     """Smallest nonzero |entry| in the trailing submatrix, (row, col) tie-break."""
     best = None
     for i in range(t, rows):
@@ -62,7 +60,7 @@ def _pivot(m: IntMatrix, t: int, rows: int, cols: int):
     return best
 
 
-def _smith(mat: IntMatrix, track: bool):
+def _smith(mat: list[list[int]], track: bool):
     """The reference kernel; _abelian_speedup.smith is its compiled port."""
     m = _int_rows(mat)
     rows = len(m)
@@ -148,7 +146,9 @@ except ImportError:
     BACKEND = "pure"
 
 
-def smith_normal_form(mat: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(
+    mat: list[list[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Diagonalize ``mat`` as ``u * mat * v = d``.
 
     ``u`` and ``v`` are unimodular, the diagonal of ``d`` is nonnegative and
@@ -159,7 +159,7 @@ def smith_normal_form(mat: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     return _kernel(mat, True)
 
 
-def invariant_factors(mat: IntMatrix) -> Tuple[int, ...]:
+def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, without transform bookkeeping."""
     d, _, _ = _kernel(mat, False)
     out = []
@@ -169,11 +169,10 @@ def invariant_factors(mat: IntMatrix) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class AbelianInvariants(NamedTuple):
+class AbelianInvariants(namedtuple("AbelianInvariants", "free_rank torsion")):
     """H_1 as a free rank plus torsion coefficients in divisibility order."""
 
-    free_rank: int
-    torsion: Tuple[int, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]
@@ -184,7 +183,7 @@ class AbelianInvariants(NamedTuple):
         return " + ".join(parts) if parts else "0"
 
 
-def relation_matrix(p) -> IntMatrix:
+def relation_matrix(p) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     ngens = len(p.generators)
     rows = []

@@ -29,7 +29,7 @@ from .gadgets import (
     weight_gadget,
     whitehead_gadget,
 )
-from .presentations import Presentation, TietzeBudget, parse, serialize, tietze_neighbors
+from .presentations import _NAME_RE, TietzeBudget, _word, parse, serialize, tietze_neighbors
 from .recognize import (
     DEFAULT_ELIMINATION_LETTERS,
     artin_check,
@@ -80,12 +80,12 @@ def _load_presentation(args):
     return parse(_read_source(args.presentation, args.input, "presentation"))
 
 
-def _words(p, text):
-    """The comma-separated words of ``text``, their letters bounded together."""
+def _words(word, text):
+    """The comma-separated words of ``text`` read by ``word``, their letters bounded together."""
     words, used = [], 0
     for part in map(str.strip, text.split(",")):
         if part:
-            words.append(p.word(part, used))
+            words.append(word(part, used))
             used += len(words[-1])
     return words
 
@@ -121,21 +121,27 @@ def _cmd_snf(args):
 
 
 def _cmd_fold(args):
-    names = tuple("x%d" % (i + 1) for i in range(args.alphabet))
-    scratch = Presentation(names)
-    words = _words(scratch, args.words)
+    # Only the names of x1 .. x<n> that the text uses are looked up, so the
+    # alphabet size n costs nothing; a k longer than n is out of range before
+    # int() meets its limit on long digit strings.
+    n, index = args.alphabet, {}
+    for name in _NAME_RE.findall("%s %s" % (args.words, args.member or "")):
+        k = name[1:]  # spelled without leading zeros in x<k>
+        if name[0] == "x" and k.isdigit() and k[0] != "0" and len(k) <= len(str(n)) and int(k) <= n:
+            index[name] = int(k)
+    words = _words(lambda part, used: _word(part, index, used), args.words)
     ok = is_basis(args.alphabet, words)
     payload = {"rank": rank(args.alphabet, words), "is_basis": ok}
     lines = ["rank: %d" % payload["rank"], "basis: %s" % ("yes" if ok else "no")]
     if args.member is not None:
-        ok = payload["member"] = contains(args.alphabet, words, scratch.word(args.member))
+        ok = payload["member"] = contains(args.alphabet, words, _word(args.member, index))
         lines.append("member: %s" % ("yes" if ok else "no"))
     return (0 if ok else 1), payload, lines
 
 
 def _cmd_coset_enum(args):
     p = _load_presentation(args)
-    subgroup = _words(p, args.subgroup or "")
+    subgroup = _words(p.word, args.subgroup or "")
     res = enumerate_cosets(p, subgroup, args.max)
     payload = res.to_json_dict()
     if not res.finite:
@@ -187,7 +193,7 @@ def _cmd_construct(args):
 def _cmd_check(args):
     p = _load_presentation(args)
     if args.kind == "kervaire":
-        candidates = _words(p, args.candidates or "")
+        candidates = _words(p.word, args.candidates or "")
         budget = DEFAULT_MAX_COSETS if args.budget is None else args.budget
         payload = evidence = kervaire_report(p, candidates, max_cosets=budget)
     else:

@@ -14,7 +14,7 @@ the count after the last pass, and when the budget is hit, so a collapse
 costs about what the group needs rather than what the budget allows.
 """
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .outcomes import CheckOutcome
 from .presentations import quotient
@@ -77,14 +77,11 @@ class CosetTable:
         }
 
 
-class EnumerationResult(NamedTuple):
+class EnumerationResult(namedtuple("EnumerationResult", "status index cosets_used table")):
     """Outcome of an enumeration: either the subgroup has finite index and a
     complete table was produced, or the live-coset budget ran out."""
 
-    status: str
-    index: Optional[int]
-    cosets_used: int
-    table: Optional[CosetTable]
+    __slots__ = ()
 
     @property
     def finite(self):
@@ -110,7 +107,10 @@ def enumerate_cosets(p, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     the group presented by p.  With no subgroup words this computes the
     order of the group, when finite within budget."""
     _check_max_cosets(max_cosets)
+    subgroup_words = tuple(subgroup_words)
     for w in subgroup_words:
+        if not isinstance(w, Word):
+            raise TypeError("subgroup word must be a Word")
         if w.max_generator() > len(p.generators):
             raise ValueError("subgroup word uses a generator not in the presentation")
     rels = [_directions(r) for r in p.relators]
@@ -144,6 +144,8 @@ def word_is_trivial_in_finite(p, w, max_cosets=DEFAULT_MAX_COSETS):
     """Decide whether w represents the identity, by enumerating the whole
     group and tracing w in its regular representation.  Unknown when the
     group does not finish within budget."""
+    if not isinstance(w, Word):
+        raise TypeError("word must be a Word")
     if w.max_generator() > len(p.generators):
         raise ValueError("word uses a generator not in the presentation")
     res = order(p, max_cosets)

@@ -14,7 +14,7 @@ always returns a fresh graph of the caller's own.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import words as _words
 from .words import Word, _quote
@@ -26,8 +26,8 @@ class SubgroupGraph:
             raise ValueError("alphabet size must be an int, 0 or more, got %s" % _quote(alphabet_size))
         self.alphabet_size = alphabet_size
         self.base = 0
-        self.parent: List[int] = [0]
-        self.out: List[Dict[int, int]] = [{}]
+        self.parent: list[int] = [0]
+        self.out: list[dict[int, int]] = [{}]
 
     def _find(self, x: int) -> int:
         p = self.parent

@@ -9,7 +9,7 @@ building it.  Audits marked required raise if they fail; the others record
 yes or unknown, since they bound a search that may not finish.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .abelian import h1, h1_is_infinite_cyclic, is_perfect
 from .coset import weight_one_witness_check, word_is_trivial_in_finite
@@ -36,7 +36,7 @@ BINARY_ICOSAHEDRAL_TEXT = "< c, d | c^2 (d^-1 c)^-5, d^3 (d^-1 c)^-5 >"
 _PERFECTING_NAMES = ("a", "alpha", "b", "beta")
 
 
-class GadgetReport(NamedTuple):
+class GadgetReport(namedtuple("GadgetReport", "output provenance generator_map audit")):
     """A constructed presentation together with its audit trail.
 
     generator_map sends each input generator name to the word carrying it
@@ -44,10 +44,7 @@ class GadgetReport(NamedTuple):
     checks run at construction time.
     """
 
-    output: Presentation
-    provenance: str
-    generator_map: dict
-    audit: list
+    __slots__ = ()
 
     def __repr__(self):
         # short: the output presentation can run to thousands of characters

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 
-# A NamedTuple may not define __new__, so the check is in a subclass.
-class _CheckOutcome(NamedTuple):
-    verdict: str
-    evidence: Optional[dict] = None
-    budget_used: Optional[int] = None
-
-
-class CheckOutcome(_CheckOutcome):
+class CheckOutcome(namedtuple("CheckOutcome", "verdict evidence budget_used",
+                              defaults=(None, None))):
     """yes / no / unknown, with optional evidence and budget accounting."""
 
     __slots__ = ()
@@ -26,21 +20,15 @@ class CheckOutcome(_CheckOutcome):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @classmethod
-    def yes(
-        cls, evidence: Optional[dict] = None, budget_used: Optional[int] = None
-    ) -> "CheckOutcome":
+    def yes(cls, evidence: dict | None = None, budget_used: int | None = None) -> CheckOutcome:
         return cls("yes", evidence, budget_used)
 
     @classmethod
-    def no(
-        cls, evidence: Optional[dict] = None, budget_used: Optional[int] = None
-    ) -> "CheckOutcome":
+    def no(cls, evidence: dict | None = None, budget_used: int | None = None) -> CheckOutcome:
         return cls("no", evidence, budget_used)
 
     @classmethod
-    def unknown(
-        cls, budget_used: Optional[int] = None, evidence: Optional[dict] = None
-    ) -> "CheckOutcome":
+    def unknown(cls, budget_used: int | None = None, evidence: dict | None = None) -> CheckOutcome:
         return cls("unknown", evidence, budget_used)
 
     @property

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count, islice
 from operator import ne, neg
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .foldings import rank
 from .outcomes import CheckOutcome
@@ -52,7 +53,7 @@ class Presentation:
         self.relators = rels
 
     @classmethod
-    def _trusted(cls, generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
+    def _trusted(cls, generators: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
         """Build without validation from a tuple of distinct valid names and a
         tuple of reduced Words over them.
 
@@ -85,12 +86,7 @@ class Presentation:
 
     def word(self, text: str, used: int = 0) -> Word:
         """Parse a word in this alphabet, after ``used`` letters of one input."""
-        toks = _tokenize(text)
-        index = {name: k for k, name in enumerate(self.generators, 1)}
-        letters, i = _read_word(text, toks, 0, index, used)
-        if toks[i] is not None:
-            raise ValueError(f"trailing input after word: {_quote(toks[i])}")
-        return _trusted(letters)
+        return _word(text, {name: k for k, name in enumerate(self.generators, 1)}, used)
 
     def spell(self, w: Word) -> str:
         """Render a word with this presentation's generator names."""
@@ -117,7 +113,7 @@ def _check_names(names: Iterable[str]) -> None:
             raise ValueError(f"bad generator name {_quote(name)}")
 
 
-def _relators(words: Iterable, ngens: int) -> Tuple[Word, ...]:
+def _relators(words: Iterable, ngens: int) -> tuple[Word, ...]:
     """``words`` as reduced Words, each refused unless it fits ``ngens`` generators."""
     rels = tuple(r if isinstance(r, Word) else Word(r) for r in words)
     for r in rels:
@@ -126,7 +122,16 @@ def _relators(words: Iterable, ngens: int) -> Tuple[Word, ...]:
     return rels
 
 
-def _tokenize(text: str) -> List[Optional[str]]:
+def _word(text: str, index: dict, used: int = 0) -> Word:
+    """Parse a word whose names ``index`` maps to letters, after ``used`` letters of one input."""
+    toks = _tokenize(text)
+    letters, i = _read_word(text, toks, 0, index, used)
+    if toks[i] is not None:
+        raise ValueError(f"trailing input after word: {_quote(toks[i])}")
+    return _trusted(letters)
+
+
+def _tokenize(text: str) -> list[str | None]:
     """All tokens of ``text``, then None."""
     toks = _TOKEN_RE.findall(text)
     if "" in toks:  # a character that starts no token, matched as one
@@ -158,7 +163,7 @@ def _end(text: str) -> None:
     raise ValueError(f"unexpected end of input {_where(text, len(text))}")
 
 
-def _expect(text: str, toks: List[Optional[str]], i: int, tok: str) -> int:
+def _expect(text: str, toks: list[str | None], i: int, tok: str) -> int:
     """The index after token ``i``, which must be ``tok``."""
     if toks[i] != tok:
         if toks[i] is None:
@@ -209,13 +214,13 @@ def _push(text: str, toks: list, i: int, stack: list, group: list, floor, cap, u
     return i
 
 
-def _read_word(text: str, toks: List[Optional[str]], i: int, index: dict, used: int):
+def _read_word(text: str, toks: list[str | None], i: int, index: dict, used: int):
     """Read one word from token ``i`` to a ',', '|', '>', unmatched ')' or the
     end; return its reduced letters and the index after it.  Letters go on one
     stack, cancelling down to ``floor``, where the innermost open group starts;
     its ')' takes it off and pushes its power back.  ``used`` letters came before."""
-    stack: List[int] = []
-    floors: List[int] = []  # where each enclosing group starts
+    stack: list[int] = []
+    floors: list[int] = []  # where each enclosing group starts
     floor, room = 0, MAX_INPUT_LETTERS - used
     cap = min(MAX_WORD_LETTERS, room)  # the stack length within both bounds
     while True:
@@ -255,7 +260,7 @@ def _read_word(text: str, toks: List[Optional[str]], i: int, index: dict, used: 
 def parse(text: str) -> Presentation:
     toks = _tokenize(text)
     i = _expect(text, toks, 0, "<")
-    gens: List[str] = []
+    gens: list[str] = []
     more = toks[i] != "|"
     while more:
         if toks[i] is None:
@@ -267,7 +272,7 @@ def parse(text: str) -> Presentation:
         i += 1 + more
     i = _expect(text, toks, i, "|")
     index = {name: k for k, name in enumerate(gens, 1)}
-    rels: List[Word] = []
+    rels: list[Word] = []
     used = 0
     more = toks[i] != ">"
     while more:
@@ -290,7 +295,7 @@ def serialize(p: Presentation) -> str:
     return f"< {gens} | {rels} >".replace("<  |", "< |").replace("|  >", "| >")
 
 
-def free_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", "")) -> Presentation:
+def free_product(p: Presentation, q: Presentation, tags: tuple[str, str] = ("", "")) -> Presentation:
     """Free product, with subindex-style tags appended to make names disjoint."""
     names = tuple(n + tags[0] for n in p.generators) + tuple(n + tags[1] for n in q.generators)
     if len(set(names)) != len(names):
@@ -303,7 +308,7 @@ def free_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", 
     return Presentation._trusted(names, p.relators + tuple(r.shift(offset) for r in q.relators))
 
 
-def direct_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = ("", "")) -> Presentation:
+def direct_product(p: Presentation, q: Presentation, tags: tuple[str, str] = ("", "")) -> Presentation:
     out = free_product(p, q, tags)
     m = len(p.generators)
     n = m + len(q.generators)
@@ -312,7 +317,7 @@ def direct_product(p: Presentation, q: Presentation, tags: Tuple[str, str] = (""
     return Presentation._trusted(out.generators, out.relators + comms)
 
 
-def hnn_extension(p: Presentation, stable: str, pairs: Sequence[Tuple[Word, Word]]) -> Presentation:
+def hnn_extension(p: Presentation, stable: str, pairs: Sequence[tuple[Word, Word]]) -> Presentation:
     """Adjoin a stable letter with relators ``stable^-1 u stable v^-1``."""
     if stable in p.generators:
         raise ValueError(f"stable letter {_quote(stable)} collides with a generator")
@@ -358,10 +363,10 @@ def drop_deficiency(p: Presentation) -> Presentation:
     return Presentation._trusted(p.generators + (z1, z2), p.relators + rels)
 
 
-class IdentitySequence(NamedTuple):
+class IdentitySequence(namedtuple("IdentitySequence", "entries")):
     """A product of conjugated relators: entries are (conjugator, index, sign)."""
 
-    entries: Tuple[Tuple[Word, int, int], ...]
+    __slots__ = ()
 
     def product(self, p: Presentation) -> Word:
         out = EMPTY
@@ -377,15 +382,10 @@ class IdentitySequence(NamedTuple):
         return out
 
 
-# A NamedTuple may not define __new__, so the checks are in a subclass.
-class _TietzeBudget(NamedTuple):
-    max_products: int = 2
-    max_conjugator_len: int = 1
-    max_relator_len: int = 12
-    max_defining_len: int = 2
-
-
-class TietzeBudget(_TietzeBudget):
+class TietzeBudget(namedtuple(
+    "TietzeBudget", "max_products max_conjugator_len max_relator_len max_defining_len",
+    defaults=(2, 1, 12, 2),
+)):
     """Bounds on the Tietze moves tried; each is a count, 0 or more."""
 
     __slots__ = ()
@@ -402,15 +402,11 @@ class TietzeBudget(_TietzeBudget):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
 
-class TietzeMove(NamedTuple):
+class TietzeMove(namedtuple("TietzeMove", "kind index relator_index name word certificate",
+                            defaults=(None,) * 5)):
     """One move of ``tietze_neighbors``; ``index`` shadows ``tuple.index``."""
 
-    kind: str
-    index: Optional[int] = None
-    relator_index: Optional[int] = None
-    name: Optional[str] = None
-    word: Optional[Word] = None
-    certificate: Optional[IdentitySequence] = None
+    __slots__ = ()
 
 
 def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
@@ -419,7 +415,7 @@ def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
     Letter order: 1, -1, 2, -2, ...
     """
     alphabet = [k for g in range(1, ngens + 1) for k in (g, -g)]
-    level: List[Tuple[int, ...]] = [()]
+    level: list[tuple[int, ...]] = [()]
     yield EMPTY
     for _ in range(maxlen):
         nxt = []
@@ -446,7 +442,7 @@ def _certificate_blocks(p: Presentation, budget: TietzeBudget):
     return blocks
 
 
-def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
+def _consequence_search(blocks, budget: TietzeBudget, target: Word | None):
     """Bounded BFS over products of the given conjugated-relator blocks.
 
     With a target, returns the first certificate reaching it (or None).
@@ -523,8 +519,8 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Optional[Word]):
 
 
 def _eliminate(
-    relators: Sequence[Word], ri: int, g: int, max_letters: Optional[int] = None
-) -> Optional[Tuple[Word, Tuple[Word, ...]]]:
+    relators: Sequence[Word], ri: int, g: int, max_letters: int | None = None
+) -> tuple[Word, tuple[Word, ...]] | None:
     """Eliminate generator letter ``g`` (1-based) by solving ``relators[ri]``,
     in which it must occur exactly once.
 
@@ -548,7 +544,7 @@ def _eliminate(
     for rj, r in enumerate(relators):
         if rj == ri:
             continue
-        out: List[int] = []
+        out: list[int] = []
         for k in r.letters:
             if k == g or k == -g:
                 piece = image if k == g else inverse
@@ -571,7 +567,7 @@ def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence
 
 def tietze_neighbors(
     p: Presentation, budget: TietzeBudget = TietzeBudget()
-) -> Iterator[Tuple[Presentation, TietzeMove]]:
+) -> Iterator[tuple[Presentation, TietzeMove]]:
     """Presentations one certified Tietze move away, in deterministic order.
 
     Emission order: relator removals by index, generator removals by

@@ -387,7 +387,7 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
     return report
 
 
-def enumerate_weight_one(budget, moves=TietzeBudget()):
+def enumerate_weight_one(budget):
     """Stream pairs (presentation, witness) whose quotient by the witness is
     certifiably trivial.
 
@@ -423,7 +423,7 @@ def enumerate_weight_one(budget, moves=TietzeBudget()):
                 return
         if emitted + pending >= budget:
             continue
-        for nxt, _move in tietze_neighbors(current, moves):
+        for nxt, _move in tietze_neighbors(current, TietzeBudget()):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

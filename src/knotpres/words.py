@@ -9,7 +9,7 @@ the presentation level, never here.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from collections.abc import Iterable
 
 QUOTE_CHARS = 60  # longest input text or repr an error message quotes whole
 
@@ -20,7 +20,7 @@ def _quote(value) -> str:
     return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
-def _reduced(letters: Iterable[int]) -> Tuple[int, ...]:
+def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for k in letters:
         if type(k) is not int or k == 0:
@@ -52,7 +52,7 @@ class Word:
                 pairs.append([gen, exp])
         return pairs
 
-    def __mul__(self, other: "Word") -> "Word":
+    def __mul__(self, other: Word) -> Word:
         # Both operands are reduced, so cancellation can only happen at the seam.
         a, b = self.letters, other.letters
         i, j, n = len(a), 0, len(b)
@@ -61,10 +61,10 @@ class Word:
             j += 1
         return _trusted(a[:i] + b[j:])
 
-    def __invert__(self) -> "Word":
+    def __invert__(self) -> Word:
         return _trusted(tuple(-k for k in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
+    def __pow__(self, n: int) -> Word:
         if n < 0:
             return (~self) ** (-n)
         letters = self.letters
@@ -99,7 +99,7 @@ class Word:
             return 0
         return max(max(letters), -min(letters))
 
-    def shift(self, offset: int) -> "Word":
+    def shift(self, offset: int) -> Word:
         """Reindex every generator by ``+offset`` (for product alphabets).
 
         An offset that would move a generator below 1 is refused.
@@ -112,7 +112,7 @@ class Word:
         return _trusted(shifted)  # a one-for-one renaming, so no pair cancels
 
 
-def _trusted(letters: Tuple[int, ...]) -> Word:
+def _trusted(letters: tuple[int, ...]) -> Word:
     """Wrap a tuple of nonzero ints that is already freely reduced.
 
     Private: only for tuples that are reduced by construction, since it
@@ -132,7 +132,7 @@ def _direction(k: int) -> int:
     return 2 * k - 2 if k > 0 else -2 * k - 1
 
 
-def _directions(word: Word) -> Tuple[int, ...]:
+def _directions(word: Word) -> tuple[int, ...]:
     """The direction indices of a word's letters."""
     return tuple(map(_direction, word.letters))
 
@@ -147,7 +147,7 @@ def commutator(u: Word, v: Word) -> Word:
     return (~u) * (~v) * u * v
 
 
-def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
+def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w`` as ``peel * core * peel^-1`` with ``core`` cyclically reduced.
 
     Returns ``(core, peel)``.
@@ -161,7 +161,7 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     return _trusted(letters[i:j]), _trusted(letters[:i])
 
 
-def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
+def conjugacy_witness(u: Word, v: Word) -> Word | None:
     """A word ``g`` with ``g^-1 u g == v`` in the free group, else None."""
     core_u, peel_u = cyclic_reduce(u)
     core_v, peel_v = cyclic_reduce(v)

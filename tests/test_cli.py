@@ -1,11 +1,17 @@
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import knotpres
 from knotpres.cli import build_parser, main
 from knotpres.coset import DEFAULT_MAX_COSETS
 from knotpres.presentations import TietzeBudget, parse
@@ -13,6 +19,7 @@ from oracles import matrix_multiply
 
 TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
 A5 = "< c, d | c^2, d^3, (c d)^5 >"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -101,6 +108,31 @@ def test_fold_membership(capsys):
         capsys, "fold", "--alphabet", "2", "--words", "x1^2, x2", "--member", "x1"
     )
     assert code == 1
+
+
+def test_fold_alphabet_size_costs_nothing(capsys):
+    # Only the names x<k> that the words use are read, however wide the
+    # alphabet.  Listing all 10**12 names would run out of memory, so a
+    # child process that is stopped after two seconds tries it first.
+    argv = ["fold", "--alphabet", "1000000000000", "--words", "x1 x2, x2 x1"]
+    proc = subprocess.run([sys.executable, "-m", "knotpres.cli", *argv],
+                          capture_output=True, text=True, timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rank: 2\nbasis: yes\n", "")
+    for extra in ((), ("--member", "x2 x1"), ("--format", "json")):
+        start = time.perf_counter()
+        wide = run(capsys, "fold", "--alphabet", "1000000000000", "--words", "x1 x2, x2 x1", *extra)
+        assert time.perf_counter() - start < 0.5
+        assert wide == run(capsys, "fold", "--alphabet", "2", "--words", "x1 x2, x2 x1", *extra)
+    assert wide[0] == 0
+    for alphabet, name in (("2", "x3"), ("2", "x0"), ("2", "x01"), ("12", "x13"),
+                           ("1000000000000", "x1000000000001"), ("0", "x1"), ("-3", "x1")):
+        code, out, err = run(capsys, "fold", "--alphabet", alphabet, "--words", "x1, " + name)
+        assert (code, out, err) == (3, "", "error: unknown generator %r\n" % name)
+    code, out, err = run(capsys, "fold", "--alphabet", "2", "--words", "x1", "--member", "x3")
+    assert (code, out, err) == (3, "", "error: unknown generator 'x3'\n")
+    # a name with a 10,000-digit index is unknown, not an int conversion error
+    code, out, err = run(capsys, "fold", "--alphabet", "2", "--words", "x" + "2" * 10_000)
+    assert code == 3 and out == "" and err.startswith("error: unknown generator 'x222")
 
 
 def test_coset_enum_finite(capsys):
@@ -533,10 +565,40 @@ def test_stdin_pipe_subprocess():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Every CLI call pays for the package's imports first; dataclasses pulls
-    # in inspect, ast, dis and tokenize, over half of a cached import.
-    code = "import sys, knotpres, knotpres.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # in inspect, ast, dis and tokenize, over half of a cached import, and
+    # typing is half of what is left.  -S keeps a site that loads typing
+    # itself from hiding an import of it.
+    code = (
+        "import sys; sys.path.insert(0, %r); import knotpres, knotpres.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        % str(SRC)
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_every_annotation_resolves():
+    # Annotations are never evaluated at run time, so a name that is not
+    # imported, such as a stale Optional, would otherwise go unnoticed.
+    import typing
+
+    modules = [importlib.import_module("knotpres." + info.name)
+               for info in pkgutil.iter_modules(knotpres.__path__) if not info.name.endswith("speedup")]
+    checked = 0
+    for module in [knotpres] + modules:
+        typing.get_type_hints(module)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if isinstance(obj, type):
+                typing.get_type_hints(obj)
+                members = [getattr(m, "__func__", getattr(m, "fget", m)) for m in vars(obj).values()]
+            for f in members:
+                if inspect.isfunction(f):
+                    typing.get_type_hints(f)
+                    checked += 1
+    assert checked > 100
 
 
 def test_back_to_back_calls_share_no_state(tmp_path, capsys):

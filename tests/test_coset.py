@@ -173,6 +173,28 @@ def test_validation_errors():
         call(1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: enumerate_cosets(p, ["x"]),
+        lambda p: enumerate_cosets(p, [Word([1]), (1,)]),
+        lambda p: word_is_trivial_in_finite(p, "x"),
+        lambda p: word_is_trivial_in_finite(p, [1]),
+        lambda p: weight_one_witness_check(p, "x"),
+    ],
+    ids=["subgroup_str", "subgroup_tuple", "word_str", "word_list", "witness_str"],
+)
+def test_words_that_are_not_words_are_refused(call):
+    with pytest.raises(TypeError, match=r"^(subgroup word|word|witness) must be a Word$"):
+        call(parse("< x | x^2 >"))
+
+
+def test_subgroup_words_may_come_from_an_iterator():
+    p = parse("< x | x^2 >")
+    assert enumerate_cosets(p, iter([Word([1])])).index == 1
+    assert enumerate_cosets(p, (w for w in [Word([1])])) == enumerate_cosets(p, [Word([1])])
+
+
 def test_no_generators():
     p = parse("< | >")
     res = order(p)
