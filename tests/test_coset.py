@@ -180,12 +180,11 @@ def test_validation_errors():
         lambda p: enumerate_cosets(p, [Word([1]), (1,)]),
         lambda p: word_is_trivial_in_finite(p, "x"),
         lambda p: word_is_trivial_in_finite(p, [1]),
-        lambda p: weight_one_witness_check(p, "x"),
     ],
-    ids=["subgroup_str", "subgroup_tuple", "word_str", "word_list", "witness_str"],
+    ids=["subgroup_str", "subgroup_tuple", "word_str", "word_list"],
 )
 def test_words_that_are_not_words_are_refused(call):
-    with pytest.raises(TypeError, match=r"^(subgroup word|word|witness) must be a Word$"):
+    with pytest.raises(TypeError, match=r"^(subgroup word|word) must be a Word$"):
         call(parse("< x | x^2 >"))
 
 
