@@ -1,10 +1,13 @@
 /* Compiled Smith normal form kernel.
 
-   A line-for-line port of abelian._smith: the same pivot rule and
-   (row, column) tie-break, floor division, restart after a dirty row or
-   column, and divisibility sweep (skipped on unit pivots), so both kernels
-   return identical D, U and V.  The input contract is the one
-   abelian._int_rows checks, with the same exceptions and messages.
+   A line-for-line port of abelian._smith, in the same two phases.  The
+   row echelon phase (abelian._echelon) takes the same pivot in each
+   column, the first row on ties, and the same floor quotients.  The pivot
+   loop has the same pivot rule and (row, column) tie-break, floor
+   division, restart after a dirty row or column, and divisibility sweep
+   (skipped on unit pivots).  So both kernels return identical D, U and V.
+   The input contract is the one abelian._int_rows checks, with the same
+   exceptions and messages.
 
    Entries live in cells of two tiers: a C long long while the magnitude is
    at most SMALL_MAX (2**62 - 1), and above that a sign-magnitude vector of
@@ -457,15 +460,16 @@ out:
     return status;
 }
 
-/* Smallest nonzero |entry| in the trailing submatrix, first in row-major
-   order on ties.  1 with *pi, *pj set, 0 if the submatrix is zero. */
-static int pivot(const Matrix *m, Py_ssize_t t, Py_ssize_t *pi, Py_ssize_t *pj)
+/* Smallest nonzero |entry| in rows r.. and columns c..cols-1, first in
+   row-major order on ties.  1 with *pi, *pj set, 0 if that block is zero. */
+static int pivot(const Matrix *m, Py_ssize_t r, Py_ssize_t c, Py_ssize_t cols,
+                 Py_ssize_t *pi, Py_ssize_t *pj)
 {
     const Cell *best = NULL;
     long long best_abs = 0;
-    for (Py_ssize_t i = t; i < m->n_rows; i++) {
+    for (Py_ssize_t i = r; i < m->n_rows; i++) {
         const Cell *mi = m->row[i];
-        for (Py_ssize_t j = t; j < m->n_cols; j++) {
+        for (Py_ssize_t j = c; j < cols; j++) {
             const Cell *e = &mi[j];
             int better;
             if (e->size == 0) {
@@ -494,6 +498,30 @@ static void negate_row(Cell *row, Py_ssize_t n)
 {
     for (Py_ssize_t k = 0; k < n; k++)
         negate(&row[k]);
+}
+
+/* Rows a and b of m swap, and of u unless it is NULL. */
+static void swap_rows(Matrix *m, Matrix *u, Py_ssize_t a, Py_ssize_t b)
+{
+    Cell *tmp = m->row[a];
+    m->row[a] = m->row[b];
+    m->row[b] = tmp;
+    if (u != NULL) {
+        tmp = u->row[a];
+        u->row[a] = u->row[b];
+        u->row[b] = tmp;
+    }
+}
+
+/* Row r of m is negated if its entry in column c is negative, and of u
+   with it unless u is NULL. */
+static void make_positive(Matrix *m, Matrix *u, Py_ssize_t r, Py_ssize_t c)
+{
+    if (is_negative(&m->row[r][c])) {
+        negate_row(m->row[r], m->n_cols);
+        if (u != NULL)
+            negate_row(u->row[r], u->n_cols);
+    }
 }
 
 static void swap_columns(Matrix *m, Py_ssize_t a, Py_ssize_t b)
@@ -530,6 +558,35 @@ static int column_submul(Matrix *m, Py_ssize_t dst, const Cell *q, Py_ssize_t sr
     return 0;
 }
 
+/* u * m becomes a row echelon form of m, by the row steps of
+   abelian._echelon; u is NULL when not tracked.  q is scratch. */
+static int echelon(Matrix *m, Matrix *u, Cell *q)
+{
+    Py_ssize_t rows = m->n_rows, r = 0;
+    for (Py_ssize_t c = 0; c < m->n_cols && r < rows; c++) {
+        Py_ssize_t pi = 0, pj = 0;
+        if (!pivot(m, r, c, c + 1, &pi, &pj))
+            continue;
+        do {
+            if (pi != r)
+                swap_rows(m, u, r, pi);
+            const Cell *p = &m->row[r][c];
+            for (Py_ssize_t i = r + 1; i < rows; i++) {
+                if (!is_zero(&m->row[i][c])) {
+                    /* the pivot is the smallest entry, so q is nonzero */
+                    if (floor_div(q, &m->row[i][c], p) < 0 || row_submul(m, i, q, r) < 0)
+                        return -1;
+                    if (u != NULL && row_submul(u, i, q, r) < 0)
+                        return -1;
+                }
+            }
+        } while (pivot(m, r + 1, c, c + 1, &pi, &pj));
+        make_positive(m, u, r, c);
+        r++;
+    }
+    return 0;
+}
+
 /* u * m * v becomes the Smith form in m; u and v are NULL when not tracked. */
 static int smith(Matrix *m, Matrix *u, Matrix *v)
 {
@@ -538,30 +595,20 @@ static int smith(Matrix *m, Matrix *u, Matrix *v)
     Py_ssize_t t = 0;
     Cell q = {0, NULL, 0, 0};
     int status = -1;
+    if (echelon(m, u, &q) < 0)
+        goto out;
     while (t < limit) {
         Py_ssize_t pi = 0, pj = 0;
-        if (!pivot(m, t, &pi, &pj))
+        if (!pivot(m, t, t, cols, &pi, &pj))
             break;
-        if (pi != t) {
-            Cell *tmp = m->row[t];
-            m->row[t] = m->row[pi];
-            m->row[pi] = tmp;
-            if (u != NULL) {
-                tmp = u->row[t];
-                u->row[t] = u->row[pi];
-                u->row[pi] = tmp;
-            }
-        }
+        if (pi != t)
+            swap_rows(m, u, t, pi);
         if (pj != t) {
             swap_columns(m, t, pj);
             if (v != NULL)
                 swap_columns(v, t, pj);
         }
-        if (is_negative(&m->row[t][t])) {
-            negate_row(m->row[t], cols);
-            if (u != NULL)
-                negate_row(u->row[t], rows);
-        }
+        make_positive(m, u, t, t);
         const Cell *p = &m->row[t][t];
         int dirty = 0;
         for (Py_ssize_t i = t + 1; i < rows; i++) {

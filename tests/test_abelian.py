@@ -260,8 +260,10 @@ def _kernel_matrices():
         bound = rng.choice((2**63, 2**70, 2**130))
         out.append([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
     # The compiled kernel's limb tier.  A small pivot under large entries
-    # gives quotients beyond 2**62, of one 64-bit limb and of two and three,
-    # which multiply large transform entries.
+    # gives quotients beyond 2**62, of one 64-bit limb, of two and of three.
+    # The row echelon phase multiplies them into rows of U that are still
+    # small; the pivot loop after it multiplies them into transform entries
+    # already beyond 2**62.
     for bits in (33, 40, 61, 63, 64, 65, 100, 127, 128, 129):
         for _ in range(8):
             rows, cols = rng.randint(2, 6), rng.randint(2, 6)
@@ -325,14 +327,33 @@ def test_compiled_smith_gives_the_same_invariant_factors(compiled_smith, monkeyp
         assert invariant_factors(m) == factors, m
 
 
-def test_compiled_smith_transforms_certify_big_entries(compiled_smith):
-    rng = random.Random(64)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = [[rng.randint(-(2**80), 2**80) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = compiled_smith(m, True)
-        assert matrix_multiply(matrix_multiply(u, m), v) == d
-        assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+def _assert_corpus_certificates(kernel):
+    """Every corpus matrix's D is certified by the kernel's U and V, and no
+    transform entry reaches 2**1000 on a small square matrix."""
+    small_square = beyond_limb_pair = 0
+    for m in _kernel_matrices():
+        d, u, v = kernel(m, True)
+        assert matrix_multiply(matrix_multiply(u, m), v) == d, m
+        assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1, m
+        largest = max((abs(e) for t in (u, v) for row in t for e in row), default=0)
+        beyond_limb_pair += largest > 2**128
+        if len(m) >= 3 and all(len(row) == len(m) and max(map(abs, row)) <= 9 for row in m):
+            small_square += 1
+            # the dense 25x25 ones reached 2**1192 without the echelon phase
+            assert largest < 2**1000, m
+    assert small_square == 56
+    # the parity test compares transforms that still run on several limbs
+    assert beyond_limb_pair > 0
+
+
+def test_smith_certificates_on_the_kernel_corpus():
+    from knotpres.abelian import _smith
+
+    _assert_corpus_certificates(_smith)
+
+
+def test_compiled_smith_certificates_on_the_kernel_corpus(compiled_smith):
+    _assert_corpus_certificates(compiled_smith)
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,25 @@ def test_fold_alphabet_size_costs_nothing(capsys):
     assert code == 3 and out == "" and err.startswith("error: unknown generator 'x222")
 
 
+def test_many_words_read_against_one_name_index(capsys):
+    # The generator names are indexed once per presentation, not once per
+    # word: with 4,000 generators and 4,000 words, an index per word took
+    # about 1.7 s for coset-enum and 2.9 s for verify-identity.
+    n = 4000
+    names = ", ".join("g%d" % i for i in range(n))
+    for pres, argv, expected in (
+        ("< %s | %s >" % (names, names), ["coset-enum", "--subgroup", names], "Finite(1)\n"),
+        ("< %s | %s >" % (names, names), ["coset-enum", "--subgroup", names, "--format", "json"],
+         '{"status": "finite", "cosets_used": 1, "index": 1, "schema_version": 1}\n'),
+        ("< %s | g0 >" % names,
+         ["verify-identity", "--pi", json.dumps([[f"g{i}", 0, s] for i in range(n) for s in (1, -1)])],
+         "true\n"),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, argv[0], pres, *argv[1:]) == (0, expected, "")
+        assert time.perf_counter() - start < 0.5, argv[0]
+
+
 def test_coset_enum_finite(capsys):
     code, out, _ = run(capsys, "coset-enum", A5, "--max", "1000")
     assert code == 0
