@@ -75,6 +75,22 @@ def _pivot(m: list[list[int]], r: int, c: int, rows: int, cols: int):
     return best
 
 
+def _swap_rows(m: list[list[int]], u, a: int, b: int) -> None:
+    """Rows a and b of ``m`` swap, and of ``u`` unless it is None."""
+    m[a], m[b] = m[b], m[a]
+    if u is not None:
+        u[a], u[b] = u[b], u[a]
+
+
+def _make_positive(m: list[list[int]], u, r: int, c: int) -> None:
+    """Row r of ``m`` is negated if its entry in column c is negative, and of
+    ``u`` with it unless ``u`` is None."""
+    if m[r][c] < 0:
+        m[r] = [-e for e in m[r]]
+        if u is not None:
+            u[r] = [-e for e in u[r]]
+
+
 def _echelon(m: list[list[int]], u, rows: int, cols: int) -> None:
     """Row echelon form of ``m`` in place by row operations, mirrored in ``u``.
 
@@ -91,11 +107,8 @@ def _echelon(m: list[list[int]], u, rows: int, cols: int) -> None:
         if found is None:
             continue
         while found is not None:
-            pi = found[1]
-            if pi != r:
-                m[r], m[pi] = m[pi], m[r]
-                if u is not None:
-                    u[r], u[pi] = u[pi], u[r]
+            if found[1] != r:
+                _swap_rows(m, u, r, found[1])
             mr = m[r]
             p = mr[c]
             for i in range(r + 1, rows):
@@ -106,10 +119,7 @@ def _echelon(m: list[list[int]], u, rows: int, cols: int) -> None:
                         ur = u[r]
                         u[i] = [e - q * f for e, f in zip(u[i], ur)]
             found = _pivot(m, r + 1, c, rows, c + 1)
-        if m[r][c] < 0:
-            m[r] = [-e for e in m[r]]
-            if u is not None:
-                u[r] = [-e for e in u[r]]
+        _make_positive(m, u, r, c)
         r += 1
 
 
@@ -133,19 +143,14 @@ def _smith(mat: list[list[int]], track: bool):
             break
         _, pi, pj = found
         if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            if track:
-                u[t], u[pi] = u[pi], u[t]
+            _swap_rows(m, u, t, pi)
         if pj != t:
             for row in m:
                 row[t], row[pj] = row[pj], row[t]
             if track:
                 for row in v:
                     row[t], row[pj] = row[pj], row[t]
-        if m[t][t] < 0:
-            m[t] = [-e for e in m[t]]
-            if track:
-                u[t] = [-e for e in u[t]]
+        _make_positive(m, u, t, t)
         p = m[t][t]
         dirty = False
         for i in range(t + 1, rows):

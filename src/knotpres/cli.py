@@ -80,17 +80,12 @@ def _load_presentation(args):
     return parse(_read_source(args.presentation, args.input, "presentation"))
 
 
-def _index(p):
-    """Each generator name of ``p`` to its letter: built once for all the words read."""
-    return {name: k for k, name in enumerate(p.generators, 1)}
-
-
-def _words(index, text):
-    """The comma-separated words of ``text`` over the names in ``index``, their letters bounded together."""
+def _words(word, text):
+    """The comma-separated words of ``text`` read by ``word``, their letters bounded together."""
     words, used = [], 0
     for part in map(str.strip, text.split(",")):
         if part:
-            words.append(_word(part, index, used))
+            words.append(word(part, used))
             used += len(words[-1])
     return words
 
@@ -134,7 +129,7 @@ def _cmd_fold(args):
         k = name[1:]  # spelled without leading zeros in x<k>
         if name[0] == "x" and k.isdigit() and k[0] != "0" and len(k) <= len(str(n)) and int(k) <= n:
             index[name] = int(k)
-    words = _words(index, args.words)
+    words = _words(lambda part, used: _word(part, index, used), args.words)
     ok = is_basis(args.alphabet, words)
     payload = {"rank": rank(args.alphabet, words), "is_basis": ok}
     lines = ["rank: %d" % payload["rank"], "basis: %s" % ("yes" if ok else "no")]
@@ -146,7 +141,7 @@ def _cmd_fold(args):
 
 def _cmd_coset_enum(args):
     p = _load_presentation(args)
-    subgroup = _words(_index(p), args.subgroup or "")
+    subgroup = _words(p.word, args.subgroup or "")
     res = enumerate_cosets(p, subgroup, args.max)
     payload = res.to_json_dict()
     if not res.finite:
@@ -198,7 +193,7 @@ def _cmd_construct(args):
 def _cmd_check(args):
     p = _load_presentation(args)
     if args.kind == "kervaire":
-        candidates = _words(_index(p), args.candidates or "")
+        candidates = _words(p.word, args.candidates or "")
         budget = DEFAULT_MAX_COSETS if args.budget is None else args.budget
         payload = evidence = kervaire_report(p, candidates, max_cosets=budget)
     else:
@@ -227,14 +222,14 @@ def _cmd_verify_identity(args):
         raise ValueError("identity sequence must be JSON: %s" % exc)
     if not isinstance(entries, list):
         raise ValueError("identity sequence must be a JSON array")
-    triples, used, index = [], 0, _index(p)
+    triples, used = [], 0
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each entry must be [conjugator, relator, sign]")
-        conj, rel, sign = entry
+        conj, index, sign = entry
         if not isinstance(conj, str):
             raise ValueError("conjugator must be a word string, got %s" % _quote(conj))
-        triples.append((_word(conj, index, used), rel, sign))
+        triples.append((p.word(conj, used), index, sign))
         used += len(triples[-1][0])
     ok = verify_identity(p, triples)
     return (0 if ok else 1), {"verified": ok}, ["true" if ok else "false"]

@@ -86,7 +86,7 @@ class Presentation:
 
     def word(self, text: str, used: int = 0) -> Word:
         """Parse a word in this alphabet, after ``used`` letters of one input."""
-        return _word(text, {name: k for k, name in enumerate(self.generators, 1)}, used)
+        return _word(text, _name_index(self.generators), used)
 
     def spell(self, w: Word) -> str:
         """Render a word with this presentation's generator names."""
@@ -120,6 +120,25 @@ def _relators(words: Iterable, ngens: int) -> tuple[Word, ...]:
         if r.max_generator() > ngens:
             raise ValueError(f"relator {_quote(r)} uses a generator outside the alphabet")
     return rels
+
+
+_last_index = ((), {})
+
+
+def _name_index(generators: tuple[str, ...]) -> dict:
+    """Each name in ``generators`` to its letter.
+
+    The index of the last tuple asked about is kept, as one (tuple, index)
+    pair replaced in one assignment, so the words read over one
+    presentation share one index; the tuple is matched by identity, and
+    the pair's reference keeps it alive.
+    """
+    global _last_index
+    names, index = _last_index
+    if names is not generators:
+        index = {name: k for k, name in enumerate(generators, 1)}
+        _last_index = generators, index
+    return index
 
 
 def _word(text: str, index: dict, used: int = 0) -> Word:
@@ -271,7 +290,8 @@ def parse(text: str) -> Presentation:
         more = toks[i + 1] == ","
         i += 1 + more
     i = _expect(text, toks, i, "|")
-    index = {name: k for k, name in enumerate(gens, 1)}
+    names = tuple(gens)
+    index = _name_index(names)
     rels: list[Word] = []
     used = 0
     more = toks[i] != ">"
@@ -286,7 +306,7 @@ def parse(text: str) -> Presentation:
         raise ValueError(f"trailing input {_quote(toks[i])}")
     if len(set(gens)) != len(gens):
         raise ValueError("duplicate generator names")
-    return Presentation._trusted(tuple(gens), tuple(rels))
+    return Presentation._trusted(names, tuple(rels))
 
 
 def serialize(p: Presentation) -> str:

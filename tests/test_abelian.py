@@ -327,6 +327,16 @@ def test_compiled_smith_gives_the_same_invariant_factors(compiled_smith, monkeyp
         assert invariant_factors(m) == factors, m
 
 
+def test_compiled_smith_transforms_certify_big_entries(compiled_smith):
+    rng = random.Random(64)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-(2**80), 2**80) for _ in range(cols)] for _ in range(rows)]
+        d, u, v = compiled_smith(m, True)
+        assert matrix_multiply(matrix_multiply(u, m), v) == d
+        assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+
+
 def _assert_corpus_certificates(kernel):
     """Every corpus matrix's D is certified by the kernel's U and V, and no
     transform entry reaches 2**1000 on a small square matrix."""
