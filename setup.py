@@ -4,6 +4,7 @@ from setuptools import Extension, setup
 EXTENSIONS = [
     Extension("knotpres._coset_speedup", ["src/knotpres/_coset_speedup.c"], optional=True),
     Extension("knotpres._abelian_speedup", ["src/knotpres/_abelian_speedup.c"], optional=True),
+    Extension("knotpres._tietze_speedup", ["src/knotpres/_tietze_speedup.c"], optional=True),
 ]
 
 # tests/conftest.py reads EXTENSIONS from this file without running setup().

@@ -37,6 +37,7 @@ from .gadgets import (
     whitehead_gadget,
 )
 from .outcomes import CheckOutcome
+from .presentations import BACKEND as _TIETZE_BACKEND
 from .presentations import (
     IdentitySequence,
     Presentation,
@@ -71,8 +72,8 @@ from .words import (
     cyclic_reduce,
 )
 
-# "compiled" only when both compiled kernels loaded
-BACKEND = "compiled" if _SMITH_BACKEND == _COSET_BACKEND == "compiled" else "pure"
+# "compiled" only when all three compiled kernels loaded
+BACKEND = "compiled" if _SMITH_BACKEND == _COSET_BACKEND == _TIETZE_BACKEND == "compiled" else "pure"
 
 __version__ = "0.1.0"
 

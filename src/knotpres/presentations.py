@@ -446,6 +446,8 @@ def words_up_to(ngens: int, maxlen: int) -> Iterator[Word]:
                 new = tup + (k,)
                 nxt.append(new)
                 yield _trusted(new)
+        if not nxt:  # no letters: every longer level is empty too
+            return
         level = nxt
 
 
@@ -462,30 +464,36 @@ def _certificate_blocks(p: Presentation, budget: TietzeBudget):
     return blocks
 
 
-def _consequence_search(blocks, budget: TietzeBudget, target: Word | None):
-    """Bounded BFS over products of the given conjugated-relator blocks.
+def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: tuple):
+    """Bounded BFS over products of conjugated-relator blocks.
 
-    With a target, returns the first certificate reaching it (or None).
-    Without one, returns {letters: certificate entries} for reachable
-    nonempty words, every one of at most ``budget.max_relator_len`` letters
-    among them.  The search runs on reduced letter tuples.  A certificate
-    is the first path in BFS order, each step by the earliest block with its
-    letters, so a later block with the same letters is never expanded.
+    The reference kernel; _tietze_speedup.search is its compiled port, with
+    the same arguments and results.  ``blocks`` are the distinct nonempty
+    blocks as pairs ``(letters, certificate entry)``, in first-occurrence
+    order; ``goal`` is a reduced letter tuple, or () when there is none.
+
+    The search runs on reduced letter tuples, one level per product, each
+    level's words expanded in the order they were found.  A word is kept
+    only the first time it is formed, so its certificate is the first path
+    in BFS order, each step by the earliest block with its letters.  Words
+    are kept up to ``max(max_relator_len, len(goal))`` letters plus the
+    longest block, as a longer one cannot shrink back; the words of level
+    ``max_products`` are not expanded, and without a goal they are kept
+    only up to ``max_relator_len`` letters.
+
+    With a goal, returns the certificate entries of the first path to it,
+    or None.  Its last level is one lookup per parent: free reduction is
+    unique, so ``w * body == goal`` exactly when ``body`` is the reduced
+    ``w^-1 goal``, in which the common prefix of ``w`` and ``goal`` cancels.
+    Without a goal, returns the pair ``(letters, entries)`` of every
+    reachable nonempty word of at most ``max_relator_len`` letters, by
+    length and then by letters.
     """
-    first = {}  # letters -> the entry of the first block with them
-    for body, entry in blocks:
-        first.setdefault(body, entry)
-    longest = max(map(len, first), default=0)
-    cap = budget.max_relator_len + longest
-    goal = ()  # without a target: () is found from the start, so never reached
-    if target is not None:
-        cap = max(cap, len(target) + longest)
-        goal = target.letters
-        if not goal:
-            return IdentitySequence(())
-    # an empty body leaves w as it is, and w is already found
-    items = [(body, -body[0], entry) for body, entry in first.items() if body]
-    last = budget.max_products  # depth of the last level; its words are not expanded
+    # (body, the tail letter that cancels its head, entry)
+    items = [(body, -body[0], entry) for body, entry in blocks if body]
+    longest = max((len(body) for body, _, _ in items), default=0)
+    cap = max(max_relator_len, len(goal)) + longest
+    last = max_products  # depth of the last level; its words are not expanded
     found = {(): ()}
     level = [()]
     depth = 0
@@ -493,18 +501,18 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Word | None):
         depth += 1  # of the children
         if depth == last:
             if goal:
-                # Free reduction is unique, so w * body == goal exactly when body
-                # is the reduced w^-1 goal, in which the common prefix of w and
-                # goal cancels; the goal is never in found, and len(goal) <= cap.
-                for w in level:
+                first = {}
+                for body, _, entry in items:
+                    first.setdefault(body, entry)
+                for w in level:  # the goal is never in found
                     c = 0
                     while c < len(w) and c < len(goal) and w[c] == goal[c]:
                         c += 1
                     entry = first.get(tuple(map(neg, reversed(w[c:]))) + goal[c:])
                     if entry is not None:
-                        return IdentitySequence(found[w] + (entry,))
+                        return found[w] + (entry,)
                 return None
-            cap = budget.max_relator_len  # a longer last-level word is never used
+            cap = max_relator_len  # a longer last-level word is never used
         start = len(found)
         for w in level:
             path = found[w]
@@ -529,13 +537,39 @@ def _consequence_search(blocks, budget: TietzeBudget, target: Word | None):
                 npath = path + (entry,)
                 found[nw] = npath
                 if nw == goal:
-                    return IdentitySequence(npath)
+                    return npath
         if depth != last:
             level = list(islice(found, start, None))  # this level's new words, in order
     if goal:
         return None
     del found[()]
-    return found
+    out = sorted(found.items())  # by letters: they are distinct, so no entries compare
+    out.sort(key=_first_len)  # stable: by length, then by letters
+    del out[bisect_right(out, max_relator_len, key=_first_len):]
+    return out
+
+
+def _first_len(pair) -> int:
+    return len(pair[0])
+
+
+try:
+    from ._tietze_speedup import search as _kernel
+
+    BACKEND = "compiled"
+except ImportError:
+    _kernel = _consequence_search
+    BACKEND = "pure"
+
+
+def _distinct(blocks) -> list:
+    """The distinct nonempty letters among ``blocks``, each paired with the
+    entry of its first block, in first-occurrence order."""
+    first = {}
+    for body, entry in blocks:
+        if body:
+            first.setdefault(body, entry)
+    return list(first.items())
 
 
 def _eliminate(
@@ -599,13 +633,16 @@ def tietze_neighbors(
     blocks = _certificate_blocks(p, budget)
 
     for i in range(len(p.relators)):
-        others = [b for b in blocks if b[1][1] != i]
-        cert = _consequence_search(others, budget, target=p.relators[i])
-        if cert is None:
+        goal = p.relators[i].letters
+        entries = ()  # an empty relator is the empty product
+        if goal:
+            others = _distinct(b for b in blocks if b[1][1] != i)
+            entries = _kernel(others, budget.max_products, budget.max_relator_len, goal)
+        if entries is None:
             continue
         rest = p.relators[:i] + p.relators[i + 1 :]
         move = TietzeMove("remove-relator", i, None, None, p.relators[i],
-                          _remap_certificate(cert, i))
+                          _remap_certificate(IdentitySequence(entries), i))
         yield Presentation._trusted(p.generators, rest), move
 
     for g in range(ngens):
@@ -618,17 +655,14 @@ def tietze_neighbors(
             move = TietzeMove("remove-generator", g, ri, p.generators[g], rep)
             yield Presentation._trusted(names, rest), move
 
-    reachable = _consequence_search(blocks, budget, target=None)
-    keys = sorted(reachable)
-    keys.sort(key=len)  # stable: by length, then by letters
-    del keys[bisect_right(keys, budget.max_relator_len, key=len):]
     # each neighbor built inline: a helper call per object costs more than the
     # object, and the named tuples' own __new__ only packs its arguments
     new, tnew, gens, rels = object.__new__, tuple.__new__, p.generators, p.relators
-    for letters in keys:
+    reachable = _kernel(_distinct(blocks), budget.max_products, budget.max_relator_len, ())
+    for letters, entries in reachable:
         w = new(Word)
         w.letters = letters
-        cert = tnew(IdentitySequence, (reachable[letters],))
+        cert = tnew(IdentitySequence, (entries,))
         move = tnew(TietzeMove, ("add-relator", None, None, None, w, cert))
         q = new(Presentation)
         q.generators = gens

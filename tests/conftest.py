@@ -58,3 +58,9 @@ def compiled_kernel(compiled_extensions):
 def compiled_smith(compiled_extensions):
     """The compiled Smith normal form kernel's entry point."""
     return compiled_extensions["_abelian_speedup"].smith
+
+
+@pytest.fixture(scope="session")
+def compiled_tietze(compiled_extensions):
+    """The compiled Tietze consequence search's entry point."""
+    return compiled_extensions["_tietze_speedup"].search

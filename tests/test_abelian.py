@@ -436,9 +436,11 @@ def test_compiled_smith_returns_every_block(compiled_smith):
 
 def test_backend_names_the_kernels_in_use():
     import knotpres
-    from knotpres import _coset_py, abelian, coset
+    from knotpres import _coset_py, abelian, coset, presentations
 
     assert (abelian._kernel is abelian._smith) == (abelian.BACKEND == "pure")
     assert (coset._kernel is _coset_py) == (coset.BACKEND == "pure")
-    both = abelian.BACKEND == coset.BACKEND == "compiled"
-    assert knotpres.BACKEND == ("compiled" if both else "pure")
+    pure = presentations._kernel is presentations._consequence_search
+    assert pure == (presentations.BACKEND == "pure")
+    every = abelian.BACKEND == coset.BACKEND == presentations.BACKEND == "compiled"
+    assert knotpres.BACKEND == ("compiled" if every else "pure")

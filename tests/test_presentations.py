@@ -1,12 +1,19 @@
+import gc
+import json
 import pickle
 import random
 import re
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from knotpres.abelian import h1
+from knotpres.cli import main
 from knotpres.foldings import fold
 from knotpres.gadgets import (
     homology_gadget,
@@ -18,6 +25,7 @@ from knotpres.gadgets import (
     weight_gadget,
     whitehead_gadget,
 )
+from knotpres import presentations
 from knotpres.presentations import (
     MAX_INPUT_LETTERS,
     MAX_WORD_LETTERS,
@@ -25,6 +33,9 @@ from knotpres.presentations import (
     Presentation,
     TietzeBudget,
     TietzeMove,
+    _certificate_blocks,
+    _consequence_search,
+    _distinct,
     _eliminate,
     deficiency,
     direct_product,
@@ -42,6 +53,9 @@ from knotpres.words import EMPTY, Word
 from oracles import eliminate as eliminate_oracle
 from oracles import random_presentation, read_presentation, read_word
 from oracles import tietze_neighbors as tietze_neighbors_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
+TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
 
 
 def test_parse_basic():
@@ -507,6 +521,16 @@ def test_words_up_to_order_and_reduction():
     assert len(ws) == 1 + 4 + 12
 
 
+def test_words_up_to_stops_at_an_empty_level():
+    # Over no letters every level after the first is empty, so however long
+    # the words may be, the empty word is the only one, and a presentation
+    # over no letters has no neighbors at any conjugator length.
+    start = time.perf_counter()
+    assert list(words_up_to(0, 10**7)) == [EMPTY]
+    assert list(tietze_neighbors(parse("< | >"), TietzeBudget(max_conjugator_len=10**30))) == []
+    assert time.perf_counter() - start < 0.5
+
+
 def test_identity_sequence_product():
     p = parse("< a | a^2 >")
     seq = IdentitySequence(((p.word("a"), 0, 1), (EMPTY, 0, -1)))
@@ -745,15 +769,17 @@ def test_derived_presentations_pass_the_validating_constructor():
     assert outputs >= 12 * 14
 
 
-def test_tietze_neighbors_match_the_plain_bfs_oracle():
-    # Every level of the oracle's search multiplies out every block; the
-    # library finds the last product of a removal by lookup.  Budgets cover
-    # no products, one, two and three (on the planted three-products only,
-    # to keep the oracle's time down), and conjugator lengths 0 and 2 (so
-    # both seams of a block cancel).  Relator caps of 3 and 4 cut words on
-    # both branches of the seam test, on the middle level and the last.  The
-    # last relator is empty, a duplicate, or a planted product of two or of
-    # three conjugated relators, in turn.
+def _oracle_corpus():
+    """The budgets and presentations that the plain BFS oracle checks.
+
+    Budgets cover no products, one, two and three (on the planted
+    three-products only, to keep the oracle's time down), and conjugator
+    lengths 0 and 2 (so both seams of a block cancel).  Relator caps of 3
+    and 4 cut words on both branches of the seam test, on the middle level
+    and the last.  The last relator is empty, a duplicate, or a planted
+    product of two or of three conjugated relators, in turn.  Yields pairs
+    (presentation, budget).
+    """
     budgets = [TietzeBudget(), TietzeBudget(1, 1, 12, 2), TietzeBudget(3, 1, 8, 2),
                TietzeBudget(2, 0, 12, 1), TietzeBudget(0, 1, 12, 2),
                TietzeBudget(2, 2, 6, 2), TietzeBudget(2, 1, 3, 2), TietzeBudget(3, 1, 4, 2)]
@@ -774,18 +800,114 @@ def test_tietze_neighbors_match_the_plain_bfs_oracle():
             extra = extra * ~g * (r if rng.random() < 0.5 else ~r) * g
         rels.append(extra)
         presentations.append(Presentation(tuple("abc"[:ngens]), rels))
-    products = {}  # certificate length -> removals found with it
     for budget in budgets:
         for p in presentations[5::4] if budget == TietzeBudget(3, 1, 8, 2) else presentations:
-            got = list(tietze_neighbors(p, budget))
-            want = tietze_neighbors_oracle(p, budget)
-            assert got == want, (p, budget)
-            assert repr(got) == repr(want)
-            for _, m in got:
-                if m.kind == "remove-relator":
-                    n = len(m.certificate.entries)
-                    products[n] = products.get(n, 0) + 1
+            yield p, budget
+
+
+def _assert_neighbors_match_the_oracle():
+    # Every level of the oracle's search multiplies out every block; the
+    # library finds the last product of a removal by lookup.
+    products = {}  # certificate length -> removals found with it
+    for p, budget in _oracle_corpus():
+        got = list(tietze_neighbors(p, budget))
+        want = tietze_neighbors_oracle(p, budget)
+        assert got == want, (p, budget)
+        assert repr(got) == repr(want)
+        for _, m in got:
+            if m.kind == "remove-relator":
+                n = len(m.certificate.entries)
+                products[n] = products.get(n, 0) + 1
     assert products[1] > 50 and products[2] > 10 and products[3] > 0, products
+
+
+def test_tietze_neighbors_match_the_plain_bfs_oracle(monkeypatch):
+    monkeypatch.setattr(presentations, "_kernel", _consequence_search)
+    _assert_neighbors_match_the_oracle()
+
+
+def test_compiled_tietze_neighbors_match_the_plain_bfs_oracle(compiled_tietze, monkeypatch):
+    monkeypatch.setattr(presentations, "_kernel", compiled_tietze)
+    _assert_neighbors_match_the_oracle()
+
+
+def _tietze_enumerate_presentations():
+    """The 150 presentations whose neighbors the benchmark's tietze_enumerate
+    workload lists, with the names of its seed 7919.  The benchmark's
+    generator runs in an interpreter of its own, as its modules share names
+    with these tests' modules."""
+    script = (
+        "import json, random, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import workloads\n"
+        "calls = workloads._gen_tietze_enumerate(random.Random(7919), False)\n"
+        "print(json.dumps([c['text'] for c, _ in calls if c['op'] == 'tietze_neighbors']))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout
+    texts = json.loads(out)
+    assert len(texts) == 150
+    return [parse(text) for text in texts]
+
+
+def _searches(p, budget):
+    """The argument tuples of every consequence search that
+    ``tietze_neighbors(p, budget)`` runs: each removal target's, then the
+    addition search's."""
+    blocks = _certificate_blocks(p, budget)
+    caps = budget.max_products, budget.max_relator_len
+    for i, r in enumerate(p.relators):
+        if r:
+            yield (_distinct(b for b in blocks if b[1][1] != i), *caps, r.letters)
+    yield (_distinct(blocks), *caps, ())
+
+
+def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
+    # The oracle corpus, the benchmark's presentations, and the trefoil's
+    # K3 embedding (15 generators, 64 relators) on budgets that keep the pure
+    # kernel's time down: one product, or two without conjugators.
+    corpus = list(_oracle_corpus())
+    corpus += [(p, TietzeBudget()) for p in _tietze_enumerate_presentations()]
+    k3 = k3_embed(parse(TREFOIL)).output
+    corpus += [(k3, TietzeBudget(1, 1, 12, 2)), (k3, TietzeBudget(2, 0, 8, 2)),
+               (k3, TietzeBudget(2, 0, 3, 2))]
+    searches = found = 0
+    for p, budget in corpus:
+        for args in _searches(p, budget):
+            want = _consequence_search(*args)
+            got = compiled_tietze(*args)
+            assert got == want, (p, budget, args[3])
+            assert repr(got) == repr(want)
+            searches += 1
+            found += bool(want)
+    assert searches > 1000 and found > 500, (searches, found)
+
+
+def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tietze):
+    # tietze_neighbors passes distinct blocks; given equal ones, both kernels
+    # still step by the earliest, on a middle level and on the last lookup.
+    blocks = [((1, 1), "p"), ((1,), "a"), ((1,), "b"), ((-1,), "c"), ((-1,), "d")]
+    cases = [(2, (1,), ("a",)), (2, (1, 1, 1), ("p", "a")),
+             (3, (1, 1, 1, 1, 1), ("p", "p", "a")), (2, (-1, -1), ("c", "c"))]
+    for products, goal, want in cases:
+        assert _consequence_search(blocks, products, 12, goal) == want
+        assert compiled_tietze(blocks, products, 12, goal) == want
+    assert compiled_tietze(blocks, 2, 12, ()) == _consequence_search(blocks, 2, 12, ())
+
+
+@pytest.mark.parametrize("blocks, goal, error", [
+    ([((1, 0), "e")], (), ValueError),  # a letter 0
+    ([((2**31,), "e")], (), ValueError),  # a letter beyond a C int
+    ([((1,), "e")], (0,), ValueError),
+    ([((1.0,), "e")], (), TypeError),
+    ([((1,), "e", 0)], (), TypeError),  # not a pair
+    ([[(1,), "e"]], (), TypeError),
+    ([(1, "e")], (), TypeError),  # letters not a sequence
+])
+def test_compiled_tietze_search_refuses_bad_blocks(compiled_tietze, blocks, goal, error):
+    with pytest.raises(error):
+        compiled_tietze(blocks, 2, 12, goal)
+    assert compiled_tietze([((1,), "e")], 2, 2, ()) == [((1,), ("e",)), ((1, 1), ("e", "e"))]
 
 
 def test_tietze_moves_and_certificates_stay_frozen_values():
@@ -813,11 +935,12 @@ def test_tietze_moves_and_certificates_stay_frozen_values():
     assert built["add-relator"].certificate is not None
 
 
-def test_tietze_huge_budgets_cost_what_saturating_ones_do():
+def _assert_huge_budgets_cost_what_saturating_ones_do(capsys):
     # A search stops at its first empty level, however many products it may
     # take, and additions are ordered without a list per allowed length: each
     # stream equals the one at a budget just large enough to saturate (one
-    # less gives a shorter stream), within a second.
+    # less gives a shorter stream), within a second.  A field of 10**30 is
+    # past every machine size, which the compiled kernel saturates at.
     cases = [
         ("< a | a^2 >", {}, "max_products", 6),
         ("< a, b | a^2, b^3 >", {"max_relator_len": 4}, "max_products", 2),
@@ -828,12 +951,95 @@ def test_tietze_huge_budgets_cost_what_saturating_ones_do():
         saturated = list(tietze_neighbors(p, TietzeBudget(**base, **{field: enough})))
         short = list(tietze_neighbors(p, TietzeBudget(**base, **{field: enough - 1})))
         assert len(short) < len(saturated), (text, field)
-        huge = 10**9 if field == "max_products" else 10**8
-        start = time.perf_counter()
-        got = list(tietze_neighbors(p, TietzeBudget(**base, **{field: huge})))
-        elapsed = time.perf_counter() - start
-        assert got == saturated and repr(got) == repr(saturated), (text, field)
-        assert elapsed < 1.0, (text, field, elapsed)
+        for huge in (10**8, sys.maxsize, 10**30):
+            start = time.perf_counter()
+            got = list(tietze_neighbors(p, TietzeBudget(**base, **{field: huge})))
+            elapsed = time.perf_counter() - start
+            assert got == saturated and repr(got) == repr(saturated), (text, field, huge)
+            assert elapsed < 1.0, (text, field, huge, elapsed)
+    # the CLI prints the same bytes at a 31-digit cap as at a saturating one
+    outs = []
+    for cap in ("10", "1" + "0" * 30):
+        assert main(["tietze", "< a, b | a^2, b^3 >", "--max-relator-len", cap]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[1] == outs[0]
+
+
+def test_tietze_huge_budgets_cost_what_saturating_ones_do(monkeypatch, capsys):
+    monkeypatch.setattr(presentations, "_kernel", _consequence_search)
+    _assert_huge_budgets_cost_what_saturating_ones_do(capsys)
+
+
+def test_compiled_tietze_huge_budgets_cost_what_saturating_ones_do(
+    compiled_tietze, monkeypatch, capsys
+):
+    monkeypatch.setattr(presentations, "_kernel", compiled_tietze)
+    _assert_huge_budgets_cost_what_saturating_ones_do(capsys)
+
+
+def test_compiled_tietze_search_returns_every_block(compiled_tietze):
+    # The search's buffers come from PyMem_*, which sys.getallocatedblocks
+    # counts; calls that find the goal, miss it, list words or are refused
+    # each free all of them.
+    p = parse("< a, b | a^2, b^3, (a b)^5 >")
+    budget = TietzeBudget(2, 1, 12, 2)
+    searches = list(_searches(p, budget)) + [(_distinct(_certificate_blocks(p, budget)), 2, 12, (1, 2))]
+    refused = [((1, 2), "e"), ((1, 0), "e")]
+
+    def calls(count):
+        for _ in range(count):
+            for args in searches:
+                compiled_tietze(*args)
+            with pytest.raises(ValueError):
+                compiled_tietze(refused, 2, 12, ())
+
+    calls(3)  # the first calls may grow the interpreter's own caches
+    gc.collect()
+    before = sys.getallocatedblocks()
+    calls(200)  # a block a call kept would show as 200, four times the threshold
+    gc.collect()
+    assert abs(sys.getallocatedblocks() - before) < 50
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _assert_search_stops_on_a_signal(kernel):
+    # The addition search over this output forms about 3.4 million products
+    # and keeps 484,000 words, for seconds on either kernel.  At three
+    # products and a relator length of 0 its last level would form about
+    # 5 billion and keep none, so only a check inside the search loop stops
+    # it.  An exception that a signal handler raises 50 ms in must come back
+    # within a second, and the kernel must work as before after it.
+    p = s_minus_k3(parse(TREFOIL)).output
+    blocks = _distinct(_certificate_blocks(p, TietzeBudget()))
+
+    def ring(signum, frame):
+        raise _Alarm
+
+    for products, relator_len in ((2, 12), (3, 0)):
+        old = signal.signal(signal.SIGALRM, ring)
+        try:
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(_Alarm):
+                kernel(blocks, products, relator_len, ())
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert elapsed < 1.05, (products, relator_len, elapsed)
+    small = (_distinct(_certificate_blocks(parse("< a | a^2 >"), TietzeBudget())), 2, 12, ())
+    assert kernel(*small) == _consequence_search(*small)
+
+
+def test_tietze_search_stops_on_a_signal():
+    _assert_search_stops_on_a_signal(_consequence_search)
+
+
+def test_compiled_tietze_search_stops_on_a_signal(compiled_tietze):
+    _assert_search_stops_on_a_signal(compiled_tietze)
 
 
 def test_tietze_determinism():
