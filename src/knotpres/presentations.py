@@ -615,8 +615,8 @@ def _eliminate(
     return rep, tuple(rest)
 
 
-def _remap_certificate(cert: IdentitySequence, removed: int) -> IdentitySequence:
-    return IdentitySequence(tuple((g, j if j < removed else j - 1, s) for g, j, s in cert.entries))
+def _remap_certificate(entries: tuple, removed: int) -> IdentitySequence:
+    return IdentitySequence(tuple((g, j if j < removed else j - 1, s) for g, j, s in entries))
 
 
 def tietze_neighbors(
@@ -642,7 +642,7 @@ def tietze_neighbors(
             continue
         rest = p.relators[:i] + p.relators[i + 1 :]
         move = TietzeMove("remove-relator", i, None, None, p.relators[i],
-                          _remap_certificate(IdentitySequence(entries), i))
+                          _remap_certificate(entries, i))
         yield Presentation._trusted(p.generators, rest), move
 
     for g in range(ngens):
