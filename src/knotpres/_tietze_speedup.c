@@ -376,12 +376,15 @@ static PyObject *reachable(const Words *ws, const Block *blocks, Py_ssize_t max_
     Py_ssize_t count = 0;
     for (Py_ssize_t k = 1; k < ws->n; k++)
         count += ws->nodes[k].len <= max_len;
-    /* the keys, then as many for the merges */
-    if (count > PY_SSIZE_T_MAX / 2 / (Py_ssize_t)sizeof(Key))
+    if (count > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Key))
         return PyErr_NoMemory();
-    Key *keys = PyMem_Malloc((size_t)(count ? 2 * count : 1) * sizeof(Key));
-    if (keys == NULL)
+    Key *keys = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(Key));
+    Key *buf = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(Key));
+    if (keys == NULL || buf == NULL) {
+        PyMem_Free(keys);
+        PyMem_Free(buf);
         return PyErr_NoMemory();
+    }
     /* letter k ranks k + top, or k + top - 1 if positive: 0 to 2 top - 1 */
     int bits = 1;
     while (bits < 32 && (2 * (uint64_t)top - 1) >> bits)
@@ -401,7 +404,8 @@ static PyObject *reachable(const Words *ws, const Block *blocks, Py_ssize_t max_
             m++;
         }
     }
-    sort_keys(keys, keys + count, count);
+    sort_keys(keys, buf, count);
+    PyMem_Free(buf);  /* before the objects are built, to keep the peak down */
     PyObject *out = PyList_New(count);
     for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
         if ((i & SIGNAL_MASK) == SIGNAL_MASK && PyErr_CheckSignals() < 0) {
@@ -575,10 +579,13 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
             to = ws.n;
         }
     }
-    if (goal_len)
+    if (goal_len) {
         result = Py_NewRef(Py_None);
-    else
+    } else {
+        PyMem_Free(ws.slots);  /* no word is looked up again */
+        ws.slots = NULL;
         result = reachable(&ws, blocks, max_len, top);
+    }
 
 done:
     Py_DECREF(seq);

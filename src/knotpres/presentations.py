@@ -501,9 +501,7 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
         depth += 1  # of the children
         if depth == last:
             if goal:
-                first = {}
-                for body, _, entry in items:
-                    first.setdefault(body, entry)
+                first = {body: entry for body, _, entry in reversed(items)}  # the earliest wins
                 for w in level:  # the goal is never in found
                     c = 0
                     while c < len(w) and c < len(goal) and w[c] == goal[c]:
@@ -543,14 +541,10 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     if goal:
         return None
     del found[()]
-    out = sorted(found.items())  # by letters: they are distinct, so no entries compare
-    out.sort(key=_first_len)  # stable: by length, then by letters
-    del out[bisect_right(out, max_relator_len, key=_first_len):]
-    return out
-
-
-def _first_len(pair) -> int:
-    return len(pair[0])
+    keys = sorted(found)
+    keys.sort(key=len)  # stable: by length, then by letters
+    del keys[bisect_right(keys, max_relator_len, key=len):]
+    return list(zip(keys, map(found.__getitem__, keys)))
 
 
 try:
