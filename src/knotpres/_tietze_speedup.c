@@ -119,6 +119,26 @@ static Py_ssize_t *find_slot(const Words *ws, const int *w, Py_ssize_t n, uint64
     }
 }
 
+/* An empty set of words, or -1 with MemoryError set. */
+static int init_words(Words *ws)
+{
+    ws->mask = 15;
+    ws->slots = PyMem_Malloc(16 * sizeof(Py_ssize_t));
+    if (ws->slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(ws->slots, 0xff, 16 * sizeof(Py_ssize_t));
+    return 0;
+}
+
+static void free_words(Words *ws)
+{
+    PyMem_Free(ws->letters);
+    PyMem_Free(ws->nodes);
+    PyMem_Free(ws->slots);
+}
+
 /* Twice the slots, every node placed again. */
 static int grow_slots(Words *ws)
 {
@@ -251,30 +271,27 @@ static int last_lookup(const Words *ws, const Block *blocks, Py_ssize_t nblocks,
                        Py_ssize_t longest, const int *goal, Py_ssize_t goal_len,
                        Py_ssize_t from, Py_ssize_t to, PyObject **result)
 {
-    /* the blocks in a hash set of their own, the earliest of equal ones */
-    Py_ssize_t size = 1;
-    while (size <= 2 * nblocks)
-        size *= 2;
-    Py_ssize_t *slots = PyMem_Malloc((size_t)size * sizeof(Py_ssize_t));
-    uint64_t *hashes = PyMem_Malloc((size_t)(nblocks ? nblocks : 1) * sizeof(uint64_t));
+    /* the blocks as a set of words of their own, each kept by the earliest
+       block with its letters */
+    Words bs = {0};
     int *key = PyMem_Malloc((size_t)(longest ? longest : 1) * sizeof(int));
     int status = -1;
-    if (slots == NULL || hashes == NULL || key == NULL) {
+    if (key == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    memset(slots, 0xff, (size_t)size * sizeof(Py_ssize_t));
+    if (init_words(&bs) < 0)
+        goto done;
     for (Py_ssize_t b = 0; b < nblocks; b++) {
-        uint64_t h = hashes[b] = hash_letters(blocks[b].body, blocks[b].len);
-        Py_ssize_t i = (Py_ssize_t)(h & (uint64_t)(size - 1));
-        for (; slots[i] >= 0; i = (i + 1) & (size - 1)) {
-            const Block *o = &blocks[slots[i]];
-            if (hashes[slots[i]] == h && o->len == blocks[b].len
-                && memcmp(o->body, blocks[b].body, (size_t)o->len * sizeof(int)) == 0)
-                break;
-        }
-        if (slots[i] < 0)
-            slots[i] = b;
+        Py_ssize_t n = blocks[b].len;
+        if (reserve((void **)&bs.letters, &bs.cap, bs.used, n, sizeof(int)) < 0)
+            goto done;
+        int *w = bs.letters + bs.used;
+        memcpy(w, blocks[b].body, (size_t)n * sizeof(int));
+        uint64_t h = hash_letters(w, n);
+        Py_ssize_t *slot = find_slot(&bs, w, n, h);
+        if (*slot < 0 && keep(&bs, slot, n, h, -1, b) < 0)
+            goto done;
     }
     for (Py_ssize_t k = from; k < to; k++) {
         const int *w = ws->letters + ws->nodes[k].at;
@@ -287,22 +304,16 @@ static int last_lookup(const Words *ws, const Block *blocks, Py_ssize_t nblocks,
         for (Py_ssize_t i = 0; i < n - c; i++)
             key[i] = -w[n - 1 - i];
         memcpy(key + (n - c), goal + c, (size_t)(goal_len - c) * sizeof(int));
-        uint64_t h = hash_letters(key, len);
-        for (Py_ssize_t i = (Py_ssize_t)(h & (uint64_t)(size - 1)); slots[i] >= 0;
-             i = (i + 1) & (size - 1)) {
-            const Block *o = &blocks[slots[i]];
-            if (hashes[slots[i]] == h && o->len == len
-                && memcmp(o->body, key, (size_t)len * sizeof(int)) == 0) {
-                *result = certificate(ws, blocks, k, o->entry);
-                status = *result == NULL ? -1 : 0;
-                goto done;
-            }
+        Py_ssize_t found = *find_slot(&bs, key, len, hash_letters(key, len));
+        if (found >= 0) {
+            *result = certificate(ws, blocks, k, blocks[bs.nodes[found].block].entry);
+            status = *result == NULL ? -1 : 0;
+            goto done;
         }
     }
     status = 0;
 done:
-    PyMem_Free(slots);
-    PyMem_Free(hashes);
+    free_words(&bs);
     PyMem_Free(key);
     return status;
 }
@@ -502,13 +513,8 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
 
     /* the empty word, found from the start */
-    ws.mask = 15;
-    ws.slots = PyMem_Malloc(16 * sizeof(Py_ssize_t));
-    if (ws.slots == NULL) {
-        PyErr_NoMemory();
+    if (init_words(&ws) < 0)
         goto done;
-    }
-    memset(ws.slots, 0xff, 16 * sizeof(Py_ssize_t));
     uint64_t h0 = hash_letters(NULL, 0);
     if (keep(&ws, find_slot(&ws, NULL, 0, h0), 0, h0, -1, -1) < 0)
         goto done;
@@ -593,9 +599,7 @@ done:
     PyMem_Free(blocks);
     PyMem_Free(bodies);
     PyMem_Free(goal);
-    PyMem_Free(ws.letters);
-    PyMem_Free(ws.nodes);
-    PyMem_Free(ws.slots);
+    free_words(&ws);
     return result;
 }
 
