@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from knotpres import presentations
 from knotpres.abelian import h1
 from knotpres.cli import main
 from knotpres.foldings import fold
@@ -25,7 +26,6 @@ from knotpres.gadgets import (
     weight_gadget,
     whitehead_gadget,
 )
-from knotpres import presentations
 from knotpres.presentations import (
     MAX_INPUT_LETTERS,
     MAX_WORD_LETTERS,
@@ -788,7 +788,7 @@ def _oracle_corpus():
     def letters(ngens, count):
         return [rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(count)]
 
-    presentations = [parse("< x | 1, x, x >"), parse("< a, b | a^2, b^2, a^2 >")]
+    corpus = [parse("< x | 1, x, x >"), parse("< a, b | a^2, b^2, a^2 >")]
     for i in range(24):
         ngens = rng.randint(1 if i % 4 < 2 else 2, 3)  # one generator: all commute
         count = rng.randint(1, 2 if i % 4 == 3 else 3)
@@ -799,9 +799,9 @@ def _oracle_corpus():
             r = rng.choice(rels)
             extra = extra * ~g * (r if rng.random() < 0.5 else ~r) * g
         rels.append(extra)
-        presentations.append(Presentation(tuple("abc"[:ngens]), rels))
+        corpus.append(Presentation(tuple("abc"[:ngens]), rels))
     for budget in budgets:
-        for p in presentations[5::4] if budget == TietzeBudget(3, 1, 8, 2) else presentations:
+        for p in corpus[5::4] if budget == TietzeBudget(3, 1, 8, 2) else corpus:
             yield p, budget
 
 
