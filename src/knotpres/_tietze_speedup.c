@@ -8,8 +8,9 @@
    the seam between a word and a block is walked only when the block's
    first letter cancels the word's last, and the last level of a search
    with a goal is one lookup per parent among the blocks.  Without a goal
-   the kept words are returned sorted by length and then by letters, as the
-   reference's sort leaves them, so both kernels return identical lists.
+   it returns the add-relator neighbors, sorted by length and then by
+   letters as the reference's sort leaves them, so both kernels return
+   identical lists.
 
    Every word lives once, in one arena of C int letters that grows by
    doubling, as a node that records its parent word and the block that
@@ -20,11 +21,22 @@
    of 10**30 costs what a saturating one does.  Certificates are built as
    entry tuples only for the words returned.
 
+   Each neighbor is built here, straight from the arena and the node
+   records, as the reference builds it: the letter tuple, the entries
+   tuple, a Word, an IdentitySequence, a TietzeMove, the relator tuple, a
+   Presentation and their pair, each written once into the list returned.
+   The four classes come as an argument, and the module keeps no state.
+   The plain classes' instances are allocated as object.__new__ does and
+   their slots written at the offsets their member descriptors give; the
+   named tuples are allocated as tuple.__new__ does.  A class that cannot
+   be built that way is refused with TypeError before the search.
+
    Letters must be nonzero and fit in a C int; a letter of a presentation's
    word is at most its number of generators.  The search checks for signals
-   every few thousand products, so Ctrl-C stops it as it stops the Python
-   loop.  Every step that can fail returns 0 on success and -1 with an
-   exception set, MemoryError for any failed allocation. */
+   every few thousand products and every few thousand neighbors built, so
+   Ctrl-C stops it as it stops the Python loop.  Every step that can fail
+   returns 0 on success and -1 with an exception set, MemoryError for any
+   failed allocation. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -33,7 +45,13 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define SIGNAL_MASK 4095  /* check for signals once per 4096 products */
+#ifndef Py_T_OBJECT_EX  /* public under these names since Python 3.12 */
+#include <structmember.h>
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_READONLY READONLY
+#endif
+
+#define SIGNAL_MASK 4095  /* check for signals once per 4096 products or neighbors */
 
 typedef struct {
     const int *body;
@@ -379,10 +397,172 @@ static void sort_keys(Key *keys, Key *buf, Py_ssize_t n)
         memcpy(keys, src, (size_t)n * sizeof(Key));
 }
 
-/* Every kept nonempty word of at most max_len letters as a pair
-   (letters, entries), sorted by length and then by letters.  No letter is
-   larger than top in absolute value. */
-static PyObject *reachable(const Words *ws, const Block *blocks, Py_ssize_t max_len, int top)
+/* How the neighbors are built: the four classes, as
+   (Word, IdentitySequence, TietzeMove, Presentation), and the offsets of
+   the object slots the plain classes' instances keep their fields in. */
+typedef struct {
+    PyTypeObject *word, *sequence, *move, *presentation;
+    Py_ssize_t letters, generators, relators;
+} Classes;
+
+/* obj.name, looked up by the interned name: the interpreter caches type
+   lookups by the name object, so a new string per call would fill its
+   cache with entries that are never hit again. */
+static PyObject *get_attr(PyObject *obj, const char *name)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    PyObject *value = key ? PyObject_GetAttr(obj, key) : NULL;
+    Py_XDECREF(key);
+    return value;
+}
+
+/* The offset of the object slot `name` that instances of cls keep, or -1
+   with TypeError set when cls has no such slot. */
+static Py_ssize_t slot_offset(PyTypeObject *cls, const char *name)
+{
+    PyObject *d = get_attr((PyObject *)cls, name);
+    Py_ssize_t offset = -1;
+    if (d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type)) {
+        PyMemberDef *m = ((PyMemberDescrObject *)d)->d_member;
+        if (m->type == Py_T_OBJECT_EX && !(m->flags & Py_READONLY)
+            && PyType_IsSubtype(cls, PyDescr_TYPE(d)))
+            offset = m->offset;
+    }
+    Py_XDECREF(d);
+    if (d == NULL && !PyErr_ExceptionMatches(PyExc_AttributeError))
+        return -1;
+    if (offset < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "%s has no object slot %s", cls->tp_name, name);
+    }
+    return offset;
+}
+
+/* Whether object.__new__ builds instances of cls, as a class with no
+   __new__ of its own; TypeError set if not. */
+static int plain_class(PyObject *cls)
+{
+    if (PyType_Check(cls) && ((PyTypeObject *)cls)->tp_new == PyBaseObject_Type.tp_new
+        && !(((PyTypeObject *)cls)->tp_flags & Py_TPFLAGS_IS_ABSTRACT))
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%R is not a class that object.__new__ builds", cls);
+    return 0;
+}
+
+/* Whether tuple.__new__ builds instances of cls: it refuses, with
+   TypeError, what is not a class, not a tuple subclass, or a subclass
+   whose own __new__ it may not stand for. */
+static int tuple_class(PyObject *cls)
+{
+    PyObject *new = get_attr((PyObject *)&PyTuple_Type, "__new__");
+    PyObject *empty = new ? PyObject_CallOneArg(new, cls) : NULL;
+    Py_XDECREF(new);
+    Py_XDECREF(empty);
+    return empty != NULL;
+}
+
+/* The classes argument read into *c, or -1 with TypeError set. */
+static int load_classes(PyObject *arg, Classes *c)
+{
+    if (!PyTuple_Check(arg) || PyTuple_GET_SIZE(arg) != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "classes must be (Word, IdentitySequence, TietzeMove, Presentation)");
+        return -1;
+    }
+    PyObject **items = &PyTuple_GET_ITEM(arg, 0);
+    if (!plain_class(items[0]) || !tuple_class(items[1]) || !tuple_class(items[2])
+        || !plain_class(items[3]))
+        return -1;
+    c->word = (PyTypeObject *)items[0];
+    c->sequence = (PyTypeObject *)items[1];
+    c->move = (PyTypeObject *)items[2];
+    c->presentation = (PyTypeObject *)items[3];
+    c->letters = slot_offset(c->word, "letters");
+    c->generators = c->letters < 0 ? -1 : slot_offset(c->presentation, "generators");
+    c->relators = c->generators < 0 ? -1 : slot_offset(c->presentation, "relators");
+    return c->relators < 0 ? -1 : 0;
+}
+
+#define SLOT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
+
+/* A new instance of a tuple subclass with room for n items, as
+   tuple.__new__ allocates it. */
+static PyObject *new_tuple(PyTypeObject *cls, Py_ssize_t n)
+{
+    PyObject *t = cls->tp_alloc(cls, n);
+#if PY_VERSION_HEX >= 0x030E0000
+    if (t != NULL)
+        ((PyTupleObject *)t)->ob_hash = -1;  /* the hash it caches, not known yet */
+#endif
+    return t;
+}
+
+/* The neighbor that adds the word w of n letters, kept as node k, to the
+   relators: a new pair (presentation, move), built as the reference
+   kernel builds it. */
+static PyObject *neighbor(const Words *ws, const Block *blocks, const Classes *c,
+                          const int *w, Py_ssize_t n, Py_ssize_t k, PyObject *kind,
+                          PyObject *generators, PyObject *relators)
+{
+    PyObject *move = NULL, *rels = NULL, *q = NULL;
+    PyObject *letters = letters_tuple(w, n);
+    PyObject *word = letters ? c->word->tp_alloc(c->word, 0) : NULL;
+    if (word == NULL) {
+        Py_XDECREF(letters);
+        return NULL;
+    }
+    SLOT(word, c->letters) = letters;
+    PyObject *entries = certificate(ws, blocks, k, NULL);
+    PyObject *cert = entries ? new_tuple(c->sequence, 1) : NULL;
+    if (cert == NULL) {
+        Py_XDECREF(entries);
+        goto fail;
+    }
+    PyTuple_SET_ITEM(cert, 0, entries);
+    move = new_tuple(c->move, 6);
+    if (move == NULL) {
+        Py_DECREF(cert);
+        goto fail;
+    }
+    PyTuple_SET_ITEM(move, 0, Py_NewRef(kind));
+    for (int i = 1; i < 4; i++)
+        PyTuple_SET_ITEM(move, i, Py_NewRef(Py_None));
+    PyTuple_SET_ITEM(move, 4, Py_NewRef(word));
+    PyTuple_SET_ITEM(move, 5, cert);
+    Py_ssize_t nrels = PyTuple_GET_SIZE(relators);
+    rels = PyTuple_New(nrels + 1);
+    if (rels == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < nrels; i++)
+        PyTuple_SET_ITEM(rels, i, Py_NewRef(PyTuple_GET_ITEM(relators, i)));
+    PyTuple_SET_ITEM(rels, nrels, word);
+    word = NULL;
+    q = c->presentation->tp_alloc(c->presentation, 0);
+    if (q == NULL)
+        goto fail;
+    SLOT(q, c->generators) = Py_NewRef(generators);
+    SLOT(q, c->relators) = rels;
+    rels = NULL;
+    PyObject *pair = PyTuple_New(2);
+    if (pair == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(pair, 0, q);
+    PyTuple_SET_ITEM(pair, 1, move);
+    return pair;
+fail:
+    Py_XDECREF(word);
+    Py_XDECREF(move);
+    Py_XDECREF(rels);
+    Py_XDECREF(q);
+    return NULL;
+}
+
+/* The add-relator neighbors of the presentation with these generators and
+   relators: a list of (presentation, move) pairs, one for each kept
+   nonempty word of at most max_len letters, sorted by length and then by
+   letters.  No letter is larger than top in absolute value. */
+static PyObject *neighbors(const Words *ws, const Block *blocks, Py_ssize_t max_len, int top,
+                           const Classes *c, PyObject *generators, PyObject *relators)
 {
     Py_ssize_t count = 0;
     for (Py_ssize_t k = 1; k < ws->n; k++)
@@ -417,23 +597,22 @@ static PyObject *reachable(const Words *ws, const Block *blocks, Py_ssize_t max_
     }
     sort_keys(keys, buf, count);
     PyMem_Free(buf);  /* before the objects are built, to keep the peak down */
-    PyObject *out = PyList_New(count);
+    PyObject *kind = PyUnicode_FromString("add-relator");
+    PyObject *out = kind ? PyList_New(count) : NULL;
     for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
         if ((i & SIGNAL_MASK) == SIGNAL_MASK && PyErr_CheckSignals() < 0) {
             Py_CLEAR(out);
             break;
         }
-        PyObject *letters = letters_tuple(keys[i].w, keys[i].len);
-        PyObject *entries = letters ? certificate(ws, blocks, keys[i].node, NULL) : NULL;
-        PyObject *pair = entries ? PyTuple_Pack(2, letters, entries) : NULL;
-        Py_XDECREF(letters);
-        Py_XDECREF(entries);
+        PyObject *pair = neighbor(ws, blocks, c, keys[i].w, keys[i].len, keys[i].node, kind,
+                                  generators, relators);
         if (pair == NULL) {
             Py_CLEAR(out);
             break;
         }
         PyList_SET_ITEM(out, i, pair);
     }
+    Py_XDECREF(kind);
     PyMem_Free(keys);
     return out;
 }
@@ -454,9 +633,9 @@ static int load_count(PyObject *obj, const char *name, Py_ssize_t *out)
 
 static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *blocks_arg, *products_arg, *relator_len_arg, *goal_arg;
-    if (!PyArg_ParseTuple(args, "OOOO:search", &blocks_arg, &products_arg,
-                          &relator_len_arg, &goal_arg))
+    PyObject *blocks_arg, *products_arg, *relator_len_arg, *goal_arg, *p, *classes_arg;
+    if (!PyArg_ParseTuple(args, "OOOOOO:search", &blocks_arg, &products_arg,
+                          &relator_len_arg, &goal_arg, &p, &classes_arg))
         return NULL;
     Py_ssize_t last, max_len;
     if (load_count(products_arg, "max_products", &last) < 0
@@ -473,7 +652,8 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     Py_ssize_t *offsets = PyMem_Malloc((size_t)(nitems ? nitems : 1) * sizeof(Py_ssize_t));
     Block *blocks = PyMem_Malloc((size_t)(nitems ? nitems : 1) * sizeof(Block));
     Words ws = {0};
-    PyObject *result = NULL;
+    Classes classes = {0};
+    PyObject *result = NULL, *generators = NULL, *relators = NULL;
     if (offsets == NULL || blocks == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -511,6 +691,19 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     }
     if (load_letters(goal_arg, &goal, &goal_cap, &goal_used, &goal_len) < 0)
         goto done;
+    if (goal_len == 0) {
+        /* what the neighbors are built from, refused before the search */
+        if (load_classes(classes_arg, &classes) < 0)
+            goto done;
+        generators = get_attr(p, "generators");
+        relators = generators ? get_attr(p, "relators") : NULL;
+        if (relators == NULL)
+            goto done;
+        if (!PyTuple_Check(relators)) {
+            PyErr_SetString(PyExc_TypeError, "relators must be a tuple");
+            goto done;
+        }
+    }
 
     /* the empty word, found from the start */
     if (init_words(&ws) < 0)
@@ -590,11 +783,13 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     } else {
         PyMem_Free(ws.slots);  /* no word is looked up again */
         ws.slots = NULL;
-        result = reachable(&ws, blocks, max_len, top);
+        result = neighbors(&ws, blocks, max_len, top, &classes, generators, relators);
     }
 
 done:
     Py_DECREF(seq);
+    Py_XDECREF(generators);
+    Py_XDECREF(relators);
     PyMem_Free(offsets);
     PyMem_Free(blocks);
     PyMem_Free(bodies);
@@ -605,12 +800,14 @@ done:
 
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
-     "search(blocks, max_products, max_relator_len, goal)\n\n"
+     "search(blocks, max_products, max_relator_len, goal, p, classes)\n\n"
      "blocks are the distinct nonempty (letters, entry) pairs in first-occurrence\n"
      "order; goal is a letter tuple, or () for none.  With a goal, returns the\n"
-     "certificate entries of the first path to it, or None; without one, a list\n"
-     "of (letters, entries) pairs for every reachable nonempty word of at most\n"
-     "max_relator_len letters, by length and then by letters."},
+     "certificate entries of the first path to it, or None, and does not read p\n"
+     "or classes.  Without one, returns the list of p's add-relator neighbors,\n"
+     "(presentation, move) pairs for every reachable nonempty word of at most\n"
+     "max_relator_len letters, by length and then by letters, made from classes:\n"
+     "(Word, IdentitySequence, TietzeMove, Presentation)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -464,7 +464,8 @@ def _certificate_blocks(p: Presentation, budget: TietzeBudget):
     return blocks
 
 
-def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: tuple):
+def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: tuple,
+                        p: Presentation, classes: tuple):
     """Bounded BFS over products of conjugated-relator blocks.
 
     The reference kernel; _tietze_speedup.search is its compiled port, with
@@ -485,9 +486,10 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     or None.  Its last level is one lookup per parent: free reduction is
     unique, so ``w * body == goal`` exactly when ``body`` is the reduced
     ``w^-1 goal``, in which the common prefix of ``w`` and ``goal`` cancels.
-    Without a goal, returns the pair ``(letters, entries)`` of every
-    reachable nonempty word of at most ``max_relator_len`` letters, by
-    length and then by letters.
+    Without a goal, returns the list of ``p``'s add-relator neighbors as
+    ``tietze_neighbors`` yields them, one per reachable nonempty word of at
+    most ``max_relator_len`` letters, by length and then by letters, made
+    from ``classes``: ``(Word, IdentitySequence, TietzeMove, Presentation)``.
     """
     # (body, the tail letter that cancels its head, entry)
     items = [(body, -body[0], entry) for body, entry in blocks if body]
@@ -544,9 +546,23 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     keys = sorted(found)
     keys.sort(key=len)  # stable: by length, then by letters
     del keys[bisect_right(keys, max_relator_len, key=len):]
-    return list(zip(keys, map(found.__getitem__, keys)))
+    # no helper and no named tuple's __new__: each call costs more than its object
+    word, sequence, tietze_move, presentation = classes
+    new, tnew, gens, rels = object.__new__, tuple.__new__, p.generators, p.relators
+    out = []
+    append = out.append
+    for letters in keys:
+        w = new(word)
+        w.letters = letters
+        q = new(presentation)
+        q.generators = gens
+        q.relators = rels + (w,)
+        cert = tnew(sequence, (found[letters],))
+        append((q, tnew(tietze_move, ("add-relator", None, None, None, w, cert))))
+    return out
 
 
+_CLASSES = (Word, IdentitySequence, TietzeMove, Presentation)  # what neighbors are built from
 try:
     from ._tietze_speedup import search as _kernel
 
@@ -609,10 +625,6 @@ def _eliminate(
     return rep, tuple(rest)
 
 
-def _remap_certificate(entries: tuple, removed: int) -> IdentitySequence:
-    return IdentitySequence(tuple((g, j if j < removed else j - 1, s) for g, j, s in entries))
-
-
 def tietze_neighbors(
     p: Presentation, budget: TietzeBudget = TietzeBudget()
 ) -> Iterator[tuple[Presentation, TietzeMove]]:
@@ -622,22 +634,24 @@ def tietze_neighbors(
     (generator, relator), relator additions by length and then by the tuple
     order of the letter ints (x^-1 before x, unlike ``words_up_to``'s 1, -1,
     2, -2), generator additions in ``words_up_to`` order of the defining word.
+    The additions are searched and built in full before the first is
+    yielded, so a consumer that stops early still pays for all of them.
     """
     ngens = len(p.generators)
     blocks = _certificate_blocks(p, budget)
+    caps = budget.max_products, budget.max_relator_len
 
     for i in range(len(p.relators)):
         goal = p.relators[i].letters
         entries = ()  # an empty relator is the empty product
         if goal:
             others = _distinct(b for b in blocks if b[1][1] != i)
-            entries = _kernel(others, budget.max_products, budget.max_relator_len, goal)
+            entries = _kernel(others, *caps, goal, p, _CLASSES)
         if entries is None:
             continue
-        rest = p.relators[:i] + p.relators[i + 1 :]
-        move = TietzeMove("remove-relator", i, None, None, p.relators[i],
-                          _remap_certificate(entries, i))
-        yield Presentation._trusted(p.generators, rest), move
+        cert = IdentitySequence(tuple((g, j if j < i else j - 1, s) for g, j, s in entries))
+        move = TietzeMove("remove-relator", i, None, None, p.relators[i], cert)
+        yield Presentation._trusted(p.generators, p.relators[:i] + p.relators[i + 1 :]), move
 
     for g in range(ngens):
         names = p.generators[:g] + p.generators[g + 1 :]
@@ -649,25 +663,11 @@ def tietze_neighbors(
             move = TietzeMove("remove-generator", g, ri, p.generators[g], rep)
             yield Presentation._trusted(names, rest), move
 
-    # each neighbor built inline: a helper call per object costs more than the
-    # object, and the named tuples' own __new__ only packs its arguments
-    new, tnew, gens, rels = object.__new__, tuple.__new__, p.generators, p.relators
-    reachable = _kernel(_distinct(blocks), budget.max_products, budget.max_relator_len, ())
-    for letters, entries in reachable:
-        w = new(Word)
-        w.letters = letters
-        cert = tnew(IdentitySequence, (entries,))
-        move = tnew(TietzeMove, ("add-relator", None, None, None, w, cert))
-        q = new(Presentation)
-        q.generators = gens
-        q.relators = rels + (w,)
-        yield q, move
+    yield from _kernel(_distinct(blocks), *caps, (), p, _CLASSES)
 
     name = fresh_name("y", p.generators)
     gens = p.generators + (name,)
-    for w in words_up_to(ngens, budget.max_defining_len):
-        if not w:
-            continue
+    for w in islice(words_up_to(ngens, budget.max_defining_len), 1, None):  # not the empty word
         rel = _trusted((ngens + 1,) + (~w).letters)
         move = TietzeMove("add-generator", None, None, name, w)
         yield Presentation._trusted(gens, p.relators + (rel,)), move

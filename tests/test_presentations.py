@@ -33,6 +33,7 @@ from knotpres.presentations import (
     Presentation,
     TietzeBudget,
     TietzeMove,
+    _CLASSES,
     _certificate_blocks,
     _consequence_search,
     _distinct,
@@ -858,8 +859,8 @@ def _searches(p, budget):
     caps = budget.max_products, budget.max_relator_len
     for i, r in enumerate(p.relators):
         if r:
-            yield (_distinct(b for b in blocks if b[1][1] != i), *caps, r.letters)
-    yield (_distinct(blocks), *caps, ())
+            yield (_distinct(b for b in blocks if b[1][1] != i), *caps, r.letters, p, _CLASSES)
+    yield (_distinct(blocks), *caps, (), p, _CLASSES)
 
 
 def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
@@ -883,6 +884,9 @@ def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
     assert searches > 1000 and found > 500, (searches, found)
 
 
+_ONE = parse("< x | >")
+
+
 def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tietze):
     # tietze_neighbors passes distinct blocks; given equal ones, both kernels
     # still step by the earliest, on a middle level and on the last lookup.
@@ -890,31 +894,75 @@ def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tiet
     cases = [(2, (1,), ("a",)), (2, (1, 1, 1), ("p", "a")),
              (3, (1, 1, 1, 1, 1), ("p", "p", "a")), (2, (-1, -1), ("c", "c"))]
     for products, goal, want in cases:
-        assert _consequence_search(blocks, products, 12, goal) == want
-        assert compiled_tietze(blocks, products, 12, goal) == want
-    assert compiled_tietze(blocks, 2, 12, ()) == _consequence_search(blocks, 2, 12, ())
+        assert _consequence_search(blocks, products, 12, goal, _ONE, _CLASSES) == want
+        assert compiled_tietze(blocks, products, 12, goal, _ONE, _CLASSES) == want
+    args = (blocks, 2, 12, (), _ONE, _CLASSES)
+    assert compiled_tietze(*args) == _consequence_search(*args)
 
 
-@pytest.mark.parametrize("blocks, goal, error", [
-    ([((1, 0), "e")], (), ValueError),  # a letter 0
-    ([((2**31,), "e")], (), ValueError),  # a letter beyond a C int
-    ([((1,), "e")], (0,), ValueError),
-    ([((1.0,), "e")], (), TypeError),
-    ([((1,), "e", 0)], (), TypeError),  # not a pair
-    ([[(1,), "e"]], (), TypeError),
-    ([(1, "e")], (), TypeError),  # letters not a sequence
+class _LettersProperty:
+    letters = property(lambda self: ())
+
+
+class _OwnNew(Word):
+    __slots__ = ()
+
+    def __new__(cls):
+        return object.__new__(cls)
+
+
+# a tuple subclass that tuple.__new__ may not build: its instances keep
+# fields past the ones they show as a tuple
+_STRUCT_SEQUENCE = type(sys.float_info)
+
+
+@pytest.mark.parametrize("blocks, goal, p, classes, error", [
+    ([((1, 0), "e")], (), _ONE, _CLASSES, ValueError),  # a letter 0
+    ([((2**31,), "e")], (), _ONE, _CLASSES, ValueError),  # a letter beyond a C int
+    ([((1,), "e")], (0,), _ONE, _CLASSES, ValueError),
+    ([((1.0,), "e")], (), _ONE, _CLASSES, TypeError),
+    ([((1,), "e", 0)], (), _ONE, _CLASSES, TypeError),  # not a pair
+    ([[(1,), "e"]], (), _ONE, _CLASSES, TypeError),
+    ([(1, "e")], (), _ONE, _CLASSES, TypeError),  # letters not a sequence
+    # classes that cannot be built as the reference kernel builds them
+    ([((1,), "e")], (), _ONE, list(_CLASSES), TypeError),
+    ([((1,), "e")], (), _ONE, _CLASSES[:3], TypeError),
+    ([((1,), "e")], (), _ONE, (EMPTY,) + _CLASSES[1:], TypeError),  # not a class
+    ([((1,), "e")], (), _ONE, (int,) + _CLASSES[1:], TypeError),
+    ([((1,), "e")], (), _ONE, (_OwnNew,) + _CLASSES[1:], TypeError),
+    ([((1,), "e")], (), _ONE, (_LettersProperty,) + _CLASSES[1:], TypeError),
+    ([((1,), "e")], (), _ONE, (Word, Word) + _CLASSES[2:], TypeError),  # not a tuple subclass
+    ([((1,), "e")], (), _ONE, _CLASSES[:2] + (Presentation, Presentation), TypeError),
+    ([((1,), "e")], (), _ONE, _CLASSES[:2] + (_STRUCT_SEQUENCE, Presentation), TypeError),
+    ([((1,), "e")], (), _ONE, _CLASSES[:3] + (Word,), TypeError),  # no generators slot
+    ([((1,), "e")], (), _ONE, _CLASSES[:3] + (tuple,), TypeError),
+    ([((1,), "e")], (), Presentation._trusted((), []), _CLASSES, TypeError),  # relators not a tuple
 ])
-def test_compiled_tietze_search_refuses_bad_blocks(compiled_tietze, blocks, goal, error):
+def test_compiled_tietze_search_refuses_bad_blocks(compiled_tietze, blocks, goal, p, classes, error):
     with pytest.raises(error):
-        compiled_tietze(blocks, 2, 12, goal)
-    assert compiled_tietze([((1,), "e")], 2, 2, ()) == [((1,), ("e",)), ((1, 1), ("e", "e"))]
+        compiled_tietze(blocks, 2, 12, goal, p, classes)
+    got = compiled_tietze([((1,), "e")], 2, 2, (), _ONE, _CLASSES)
+    assert [(q.relators, move.certificate.entries) for q, move in got] == [
+        ((Word([1]),), ("e",)), ((Word([1, 1]),), ("e", "e"))]
 
 
-def test_tietze_moves_and_certificates_stay_frozen_values():
+@pytest.mark.parametrize("compiled", [False, True])
+def test_tietze_moves_and_certificates_stay_frozen_values(compiled, request, monkeypatch):
+    kernel = request.getfixturevalue("compiled_tietze") if compiled else _consequence_search
+    monkeypatch.setattr(presentations, "_kernel", kernel)
     p = parse("< x | x, x >")
     built = {}
-    for _, move in tietze_neighbors(p):
+    for q, move in tietze_neighbors(p):
         built.setdefault(move.kind, move)
+        # every neighbor, the kernel-built additions too, is the value the
+        # public constructors make of its parts
+        assert type(q) is Presentation and type(move.word) is Word
+        public = Presentation(q.generators, q.relators)
+        assert q == public and hash(q) == hash(public)
+        again = pickle.loads(pickle.dumps((q, move)))
+        assert again == (q, move) and type(again[0]) is Presentation
+        if move.kind == "add-relator":
+            assert move.word is q.relators[-1] and q.generators is p.generators
     assert set(built) == {"remove-relator", "remove-generator", "add-relator", "add-generator"}
     for move in built.values():
         assert type(move) is TietzeMove
@@ -979,26 +1027,35 @@ def test_compiled_tietze_huge_budgets_cost_what_saturating_ones_do(
 
 def test_compiled_tietze_search_returns_every_block(compiled_tietze):
     # The search's buffers come from PyMem_*, which sys.getallocatedblocks
-    # counts; calls that find the goal, miss it, list words or are refused
-    # each free all of them.
+    # counts; calls that find the goal, miss it, build neighbors or are
+    # refused each free all of them.  The objects the neighbors share with
+    # the presentation and the blocks are referenced once per neighbor, and
+    # only while it lives: a reference a call kept would show 200 times.
     p = parse("< a, b | a^2, b^3, (a b)^5 >")
     budget = TietzeBudget(2, 1, 12, 2)
-    searches = list(_searches(p, budget)) + [(_distinct(_certificate_blocks(p, budget)), 2, 12, (1, 2))]
+    blocks = _distinct(_certificate_blocks(p, budget))
+    searches = list(_searches(p, budget)) + [(blocks, 2, 12, (1, 2), p, _CLASSES)]
     refused = [((1, 2), "e"), ((1, 0), "e")]
+    shared = [p.generators, *p.relators, blocks[0][1]]
 
     def calls(count):
         for _ in range(count):
             for args in searches:
                 compiled_tietze(*args)
             with pytest.raises(ValueError):
-                compiled_tietze(refused, 2, 12, ())
+                compiled_tietze(refused, 2, 12, (), p, _CLASSES)
+            with pytest.raises(TypeError):
+                compiled_tietze(blocks, 2, 12, (), p, _CLASSES[:3] + (Word,))
 
+    assert len(compiled_tietze(*searches[-2])) > 100
     calls(3)  # the first calls may grow the interpreter's own caches
     gc.collect()
     before = sys.getallocatedblocks()
+    counts = [sys.getrefcount(obj) for obj in shared]
     calls(200)  # a block a call kept would show as 200, four times the threshold
     gc.collect()
     assert abs(sys.getallocatedblocks() - before) < 50
+    assert [sys.getrefcount(obj) for obj in shared] == counts
 
 
 class _Alarm(Exception):
@@ -1024,13 +1081,14 @@ def _assert_search_stops_on_a_signal(kernel):
             start = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, 0.05)
             with pytest.raises(_Alarm):
-                kernel(blocks, products, relator_len, ())
+                kernel(blocks, products, relator_len, (), p, _CLASSES)
             elapsed = time.perf_counter() - start
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old)
         assert elapsed < 1.05, (products, relator_len, elapsed)
-    small = (_distinct(_certificate_blocks(parse("< a | a^2 >"), TietzeBudget())), 2, 12, ())
+    a2 = parse("< a | a^2 >")
+    small = (_distinct(_certificate_blocks(a2, TietzeBudget())), 2, 12, (), a2, _CLASSES)
     assert kernel(*small) == _consequence_search(*small)
 
 
