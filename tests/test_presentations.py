@@ -946,10 +946,7 @@ def test_compiled_tietze_search_refuses_bad_blocks(compiled_tietze, blocks, goal
         ((Word([1]),), ("e",)), ((Word([1, 1]),), ("e", "e"))]
 
 
-@pytest.mark.parametrize("compiled", [False, True])
-def test_tietze_moves_and_certificates_stay_frozen_values(compiled, request, monkeypatch):
-    kernel = request.getfixturevalue("compiled_tietze") if compiled else _consequence_search
-    monkeypatch.setattr(presentations, "_kernel", kernel)
+def _assert_moves_and_certificates_stay_frozen_values():
     p = parse("< x | x, x >")
     built = {}
     for q, move in tietze_neighbors(p):
@@ -981,6 +978,16 @@ def test_tietze_moves_and_certificates_stay_frozen_values(compiled, request, mon
                 cert.entries = ()
     assert built["remove-relator"].certificate is not None
     assert built["add-relator"].certificate is not None
+
+
+def test_tietze_moves_and_certificates_stay_frozen_values(monkeypatch):
+    monkeypatch.setattr(presentations, "_kernel", _consequence_search)
+    _assert_moves_and_certificates_stay_frozen_values()
+
+
+def test_compiled_tietze_moves_and_certificates_stay_frozen_values(compiled_tietze, monkeypatch):
+    monkeypatch.setattr(presentations, "_kernel", compiled_tietze)
+    _assert_moves_and_certificates_stay_frozen_values()
 
 
 def _assert_huge_budgets_cost_what_saturating_ones_do(capsys):
