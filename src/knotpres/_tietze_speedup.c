@@ -2,23 +2,25 @@
 
    A port of presentations._consequence_search, with the same arguments
    and results: a bounded BFS over products of conjugated-relator blocks,
-   one level per product.  It keeps the reference's rules exactly: a level's
-   words are expanded in the order they were found, a word is kept only the
-   first time it is formed (so the earliest block with given letters wins),
-   the seam between a word and a block is walked only when the block's
-   first letter cancels the word's last, and the last level of a search
-   with a goal is one lookup per parent among the blocks.  Without a goal
-   it returns the add-relator neighbors, sorted by length and then by
-   letters as the reference's sort leaves them, so both kernels return
-   identical lists.
+   one level per product.  It keeps the reference's rules exactly: blocks
+   may repeat or be empty, and of equal blocks the earliest is kept while
+   empty ones are skipped; a level's words are expanded in the order they
+   were found, a word is kept only the first time it is formed, the seam
+   between a word and a block is walked only when the block's first letter
+   cancels the word's last, and the last level of a search with a goal is
+   one lookup per parent among the blocks.  Without a goal it returns the
+   add-relator neighbors, sorted by length and then by letters as the
+   reference's sort leaves them, so both kernels return identical lists.
 
    Every word lives once, in one arena of C int letters that grows by
    doubling, as a node that records its parent word and the block that
    formed it; a candidate is written at the arena's end and kept only if
-   the open-addressing hash set of words does not hold it yet.  Buffers
-   grow with the words actually formed, never with the budget's caps, and
-   the caps and counts saturate rather than overflow, so a budget field
-   of 10**30 costs what a saturating one does.  Certificates are built as
+   the open-addressing hash set of words does not hold it yet.  The
+   distinct nonempty blocks are a second such set, loaded once per search,
+   whose node b is block b; the last-level lookup reads it.  Buffers grow
+   with the words actually formed, never with the budget's caps, and the
+   caps and counts saturate rather than overflow, so a budget field of
+   10**30 costs what a saturating one does.  Certificates are built as
    entry tuples only for the words returned.
 
    Each neighbor is built here, straight from the arena and the node
@@ -54,7 +56,7 @@
 #define SIGNAL_MASK 4095  /* check for signals once per 4096 products or neighbors */
 
 typedef struct {
-    const int *body;
+    const int *body;  /* in the block set's arena */
     Py_ssize_t len;
     int head;         /* the last letter of a word that cancels body[0] */
     PyObject *entry;  /* borrowed from a pair that the search's tuple holds */
@@ -204,16 +206,16 @@ static int keep(Words *ws, Py_ssize_t *slot, Py_ssize_t n, uint64_t h,
 }
 
 /* The letters of seq, a sequence of nonzero ints that fit in a C int,
-   appended to *buf; *len is set to their count.  No Python code runs, so
-   nothing can change seq meanwhile. */
-static int load_letters(PyObject *seq, int **buf, Py_ssize_t *cap, Py_ssize_t *used,
+   written at (*buf)[used], which grows to hold them; *len is set to their
+   count.  No Python code runs, so nothing can change seq meanwhile. */
+static int load_letters(PyObject *seq, int **buf, Py_ssize_t *cap, Py_ssize_t used,
                         Py_ssize_t *len)
 {
     PyObject *fast = PySequence_Fast(seq, "letters must be a sequence of ints");
     if (fast == NULL)
         return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    if (reserve((void **)buf, cap, *used, n, sizeof(int)) < 0) {
+    if (reserve((void **)buf, cap, used, n, sizeof(int)) < 0) {
         Py_DECREF(fast);
         return -1;
     }
@@ -234,10 +236,9 @@ static int load_letters(PyObject *seq, int **buf, Py_ssize_t *cap, Py_ssize_t *u
             PyErr_Format(PyExc_ValueError, "letter %ld is 0 or does not fit in a C int", k);
             return -1;
         }
-        (*buf)[*used + i] = (int)k;
+        (*buf)[used + i] = (int)k;
     }
     Py_DECREF(fast);
-    *used += n;
     *len = n;
     return 0;
 }
@@ -283,33 +284,18 @@ static PyObject *letters_tuple(const int *w, Py_ssize_t n)
 }
 
 /* The last level of a search with a goal: for each parent w, the block
-   that is the reduced w^-1 goal, in which their common prefix cancels.
-   Sets *result to the first certificate found, or leaves it NULL. */
-static int last_lookup(const Words *ws, const Block *blocks, Py_ssize_t nblocks,
+   that is the reduced w^-1 goal, in which their common prefix cancels, found
+   in the block set bs.  Sets *result to the first certificate found, or
+   leaves it NULL. */
+static int last_lookup(const Words *ws, const Words *bs, const Block *blocks,
                        Py_ssize_t longest, const int *goal, Py_ssize_t goal_len,
                        Py_ssize_t from, Py_ssize_t to, PyObject **result)
 {
-    /* the blocks as a set of words of their own, each kept by the earliest
-       block with its letters */
-    Words bs = {0};
     int *key = PyMem_Malloc((size_t)(longest ? longest : 1) * sizeof(int));
     int status = -1;
     if (key == NULL) {
         PyErr_NoMemory();
         goto done;
-    }
-    if (init_words(&bs) < 0)
-        goto done;
-    for (Py_ssize_t b = 0; b < nblocks; b++) {
-        Py_ssize_t n = blocks[b].len;
-        if (reserve((void **)&bs.letters, &bs.cap, bs.used, n, sizeof(int)) < 0)
-            goto done;
-        int *w = bs.letters + bs.used;
-        memcpy(w, blocks[b].body, (size_t)n * sizeof(int));
-        uint64_t h = hash_letters(w, n);
-        Py_ssize_t *slot = find_slot(&bs, w, n, h);
-        if (*slot < 0 && keep(&bs, slot, n, h, -1, b) < 0)
-            goto done;
     }
     for (Py_ssize_t k = from; k < to; k++) {
         const int *w = ws->letters + ws->nodes[k].at;
@@ -322,16 +308,15 @@ static int last_lookup(const Words *ws, const Block *blocks, Py_ssize_t nblocks,
         for (Py_ssize_t i = 0; i < n - c; i++)
             key[i] = -w[n - 1 - i];
         memcpy(key + (n - c), goal + c, (size_t)(goal_len - c) * sizeof(int));
-        Py_ssize_t found = *find_slot(&bs, key, len, hash_letters(key, len));
+        Py_ssize_t found = *find_slot(bs, key, len, hash_letters(key, len));
         if (found >= 0) {
-            *result = certificate(ws, blocks, k, blocks[bs.nodes[found].block].entry);
+            *result = certificate(ws, blocks, k, blocks[found].entry);
             status = *result == NULL ? -1 : 0;
             goto done;
         }
     }
     status = 0;
 done:
-    free_words(&bs);
     PyMem_Free(key);
     return status;
 }
@@ -647,49 +632,57 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
 
     Py_ssize_t nitems = PyTuple_GET_SIZE(seq);
-    int *bodies = NULL, *goal = NULL;
-    Py_ssize_t bodies_cap = 0, bodies_used = 0, goal_cap = 0, goal_used = 0, goal_len;
-    Py_ssize_t *offsets = PyMem_Malloc((size_t)(nitems ? nitems : 1) * sizeof(Py_ssize_t));
+    int *goal = NULL;
+    Py_ssize_t goal_cap = 0, goal_len;
     Block *blocks = PyMem_Malloc((size_t)(nitems ? nitems : 1) * sizeof(Block));
-    Words ws = {0};
+    Words bs = {0}, ws = {0};
     Classes classes = {0};
     PyObject *result = NULL, *generators = NULL, *relators = NULL;
-    if (offsets == NULL || blocks == NULL) {
+    if (blocks == NULL) {
         PyErr_NoMemory();
         goto done;
     }
 
-    /* The blocks' letters go to one buffer that may move as it grows, so
-       their bodies are pointed to only once all are in. */
-    Py_ssize_t nblocks = 0, longest = 0;
-    int top = 1;  /* the largest letter in absolute value */
-    for (Py_ssize_t b = 0; b < nitems; b++) {
-        PyObject *pair = PyTuple_GET_ITEM(seq, b);
+    /* Each block's letters are written at the end of the block set's arena
+       and kept as its next node, unless they are empty (an empty body leaves
+       every word as it is) or an earlier block has them.  The arena may move
+       as it grows, so the bodies are pointed to only once all are in. */
+    if (init_words(&bs) < 0)
+        goto done;
+    Py_ssize_t longest = 0;
+    for (Py_ssize_t i = 0; i < nitems; i++) {
+        PyObject *pair = PyTuple_GET_ITEM(seq, i);
         if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
             PyErr_SetString(PyExc_TypeError, "each block must be a pair (letters, entry)");
             goto done;
         }
         Py_ssize_t len;
-        offsets[nblocks] = bodies_used;
-        if (load_letters(PyTuple_GET_ITEM(pair, 0), &bodies, &bodies_cap, &bodies_used, &len) < 0)
+        if (load_letters(PyTuple_GET_ITEM(pair, 0), &bs.letters, &bs.cap, bs.used, &len) < 0)
             goto done;
         if (len == 0)
-            continue;  /* an empty body leaves every word as it is */
-        blocks[nblocks].len = len;
-        blocks[nblocks].entry = PyTuple_GET_ITEM(pair, 1);
+            continue;
+        uint64_t h = hash_letters(bs.letters + bs.used, len);
+        Py_ssize_t *slot = find_slot(&bs, bs.letters + bs.used, len, h);
+        if (*slot >= 0)
+            continue;
+        blocks[bs.n].entry = PyTuple_GET_ITEM(pair, 1);
+        if (keep(&bs, slot, len, h, -1, bs.n) < 0)
+            goto done;
         if (len > longest)
             longest = len;
-        nblocks++;
     }
+    Py_ssize_t nblocks = bs.n;
     for (Py_ssize_t b = 0; b < nblocks; b++) {
-        blocks[b].body = bodies + offsets[b];
+        blocks[b].body = bs.letters + bs.nodes[b].at;
+        blocks[b].len = bs.nodes[b].len;
         blocks[b].head = -blocks[b].body[0];
     }
-    for (Py_ssize_t i = 0; i < bodies_used; i++) {
-        if (abs(bodies[i]) > top)
-            top = abs(bodies[i]);
+    int top = 1;  /* the largest letter in absolute value */
+    for (Py_ssize_t i = 0; i < bs.used; i++) {
+        if (abs(bs.letters[i]) > top)
+            top = abs(bs.letters[i]);
     }
-    if (load_letters(goal_arg, &goal, &goal_cap, &goal_used, &goal_len) < 0)
+    if (load_letters(goal_arg, &goal, &goal_cap, 0, &goal_len) < 0)
         goto done;
     if (goal_len == 0) {
         /* what the neighbors are built from, refused before the search */
@@ -719,7 +712,7 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         depth++;  /* of the children */
         if (depth == last) {
             if (goal_len) {
-                if (last_lookup(&ws, blocks, nblocks, longest, goal, goal_len, from, to, &result) < 0)
+                if (last_lookup(&ws, &bs, blocks, longest, goal, goal_len, from, to, &result) < 0)
                     goto done;
                 if (result == NULL)
                     result = Py_NewRef(Py_None);
@@ -790,10 +783,9 @@ done:
     Py_DECREF(seq);
     Py_XDECREF(generators);
     Py_XDECREF(relators);
-    PyMem_Free(offsets);
     PyMem_Free(blocks);
-    PyMem_Free(bodies);
     PyMem_Free(goal);
+    free_words(&bs);
     free_words(&ws);
     return result;
 }
@@ -801,12 +793,13 @@ done:
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(blocks, max_products, max_relator_len, goal, p, classes)\n\n"
-     "blocks are the distinct nonempty (letters, entry) pairs in first-occurrence\n"
-     "order; goal is a letter tuple, or () for none.  With a goal, returns the\n"
-     "certificate entries of the first path to it, or None, and does not read p\n"
-     "or classes.  Without one, returns the list of p's add-relator neighbors,\n"
-     "(presentation, move) pairs for every reachable nonempty word of at most\n"
-     "max_relator_len letters, by length and then by letters, made from classes:\n"
+     "blocks are (letters, entry) pairs, which may repeat or be empty: of equal\n"
+     "blocks the earliest is kept, and empty ones are skipped.  goal is a letter\n"
+     "tuple, or () for none.  With a goal, returns the certificate entries of the\n"
+     "first path to it, or None, and does not read p or classes.  Without one,\n"
+     "returns the list of p's add-relator neighbors, (presentation, move) pairs\n"
+     "for every reachable nonempty word of at most max_relator_len letters, by\n"
+     "length and then by letters, made from classes:\n"
      "(Word, IdentitySequence, TietzeMove, Presentation)."},
     {NULL, NULL, 0, NULL},
 };

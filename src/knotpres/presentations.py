@@ -397,6 +397,8 @@ class IdentitySequence(namedtuple("IdentitySequence", "entries")):
                 raise ValueError(f"bad sign {_quote(s)}: signs are the ints 1 and -1")
             if not 0 <= k < len(p.relators):
                 raise ValueError(f"relator index {k} out of range")
+            if not isinstance(g, Word):
+                raise TypeError(f"conjugator {_quote(g)} is not a Word")
             r = p.relators[k] if s == 1 else ~p.relators[k]
             out = out * ((~g) * r * g)
         return out
@@ -469,9 +471,10 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     """Bounded BFS over products of conjugated-relator blocks.
 
     The reference kernel; _tietze_speedup.search is its compiled port, with
-    the same arguments and results.  ``blocks`` are the distinct nonempty
-    blocks as pairs ``(letters, certificate entry)``, in first-occurrence
-    order; ``goal`` is a reduced letter tuple, or () when there is none.
+    the same arguments and results.  ``blocks`` are pairs ``(letters,
+    certificate entry)``, which may repeat or be empty: of equal blocks the
+    earliest is kept, and empty ones are skipped.  ``goal`` is a reduced
+    letter tuple, or () when there is none.
 
     The search runs on reduced letter tuples, one level per product, each
     level's words expanded in the order they were found.  A word is kept
@@ -491,8 +494,12 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     most ``max_relator_len`` letters, by length and then by letters, made
     from ``classes``: ``(Word, IdentitySequence, TietzeMove, Presentation)``.
     """
+    first = {}  # each distinct nonempty body, with its earliest block's entry
+    for body, entry in blocks:
+        if body:
+            first.setdefault(body, entry)
     # (body, the tail letter that cancels its head, entry)
-    items = [(body, -body[0], entry) for body, entry in blocks if body]
+    items = [(body, -body[0], entry) for body, entry in first.items()]
     longest = max((len(body) for body, _, _ in items), default=0)
     cap = max(max_relator_len, len(goal)) + longest
     last = max_products  # depth of the last level; its words are not expanded
@@ -503,7 +510,6 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
         depth += 1  # of the children
         if depth == last:
             if goal:
-                first = {body: entry for body, _, entry in reversed(items)}  # the earliest wins
                 for w in level:  # the goal is never in found
                     c = 0
                     while c < len(w) and c < len(goal) and w[c] == goal[c]:
@@ -572,16 +578,6 @@ except ImportError:
     BACKEND = "pure"
 
 
-def _distinct(blocks) -> list:
-    """The distinct nonempty letters among ``blocks``, each paired with the
-    entry of its first block, in first-occurrence order."""
-    first = {}
-    for body, entry in blocks:
-        if body:
-            first.setdefault(body, entry)
-    return list(first.items())
-
-
 def _eliminate(
     relators: Sequence[Word], ri: int, g: int, max_letters: int | None = None
 ) -> tuple[Word, tuple[Word, ...]] | None:
@@ -645,8 +641,7 @@ def tietze_neighbors(
         goal = p.relators[i].letters
         entries = ()  # an empty relator is the empty product
         if goal:
-            others = _distinct(b for b in blocks if b[1][1] != i)
-            entries = _kernel(others, *caps, goal, p, _CLASSES)
+            entries = _kernel([b for b in blocks if b[1][1] != i], *caps, goal, p, _CLASSES)
         if entries is None:
             continue
         cert = IdentitySequence(tuple((g, j if j < i else j - 1, s) for g, j, s in entries))
@@ -663,7 +658,7 @@ def tietze_neighbors(
             move = TietzeMove("remove-generator", g, ri, p.generators[g], rep)
             yield Presentation._trusted(names, rest), move
 
-    yield from _kernel(_distinct(blocks), *caps, (), p, _CLASSES)
+    yield from _kernel(blocks, *caps, (), p, _CLASSES)
 
     name = fresh_name("y", p.generators)
     gens = p.generators + (name,)

@@ -399,7 +399,12 @@ def enumerate_weight_one(budget):
 
     Expansion is lazy: once the queue holds enough nodes with relators to
     reach ``budget``, the rest of the neighbors could only be queued behind
-    every node still to be emitted, so they are never generated.
+    every node still to be emitted, so no later node is expanded and the
+    node being expanded has no more of its neighbors read.  Reading stops,
+    building does not: once that node's stream reaches its additions,
+    ``tietze_neighbors`` has built every one of them before it yields the
+    first.  Budgets 30, 60 and 90 read 38, 72 and 102 neighbors and build
+    20, 188 and 188 additions.
     """
     if type(budget) is not int or budget < 0:
         raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))

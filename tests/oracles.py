@@ -329,7 +329,7 @@ def reduced_words(ngens, maxlen):
     return out
 
 
-def _distinct(words):
+def _canonical(words):
     """The nonempty reduced words of ``words``, one of each ``{w, w^-1}``."""
     canon = (min(w, _inverse(w)) for w in map(free_reduce, words))
     return list(dict.fromkeys(w for w in canon if w))
@@ -373,11 +373,11 @@ def nielsen_reduce(gens):
     while the other half is unchanged.  So each step lowers the total
     length or keeps it while one such pair falls, and the loop ends.
     """
-    basis = _distinct(gens)
+    basis = _canonical(gens)
     while (step := _nielsen_repair(basis)) is not None:
         i, word = step
         basis[i] = word
-        basis = _distinct(basis)
+        basis = _canonical(basis)
     return basis
 
 
@@ -414,19 +414,26 @@ def subgroup_ball(gens, maxlen):
     fails them the cap below proves nothing, so the check raises.  Then one
     breadth-first closure under right multiplication by the basis words and
     their inverses keeps every partial product of length at most
-    ``maxlen + M // 2``, M the longest basis word.  That cap loses nothing.
-    Write a member w of length <= maxlen as a product v1 ... vn of basis
-    words and inverses with no v_i v_{i+1} = 1.  By N2 each v_i loses at
-    most half of itself to each neighbour, and by N3 not all of itself, so
-    a nonempty middle of every v_i survives and w is the middles written
-    one after the other.  The partial product v1 ... vk is therefore a
-    prefix of w followed by the part of v_k that v_{k+1} cancels, at most
-    half of v_k: its length is at most maxlen + M // 2.
+    ``maxlen``.  That cap loses nothing.  Write a member w of length
+    <= maxlen as a product v_1 ... v_n of basis words and inverses with no
+    v_j v_{j+1} = 1, and let c_j letters cancel between v_j and v_{j+1}
+    (c_0 = c_n = 0).  By N3 a nonempty middle of every v_j survives, so w
+    is the middles written one after the other, and the partial product
+    v_1 ... v_k is the prefix of w that ends with v_k's middle, followed by
+    the c_k letters of v_k that v_{k+1} cancels.  By N2,
+    |v_j v_{j+1}| >= max(|v_j|, |v_{j+1}|), so |v_j| >= 2 c_j and
+    |v_{j+1}| >= 2 c_j.  The part of w after v_k's middle, the middles of
+    v_{k+1} ... v_n, is therefore at least c_k long, as its length
+    telescopes:
+
+        sum_{j>k} (|v_j| - c_{j-1} - c_j)
+            = c_k + sum_{k<=j<n} (|v_{j+1}| - 2 c_j) >= c_k.
+
+    So no partial product is longer than w.
     """
     basis = nielsen_reduce(gens)
     check_nielsen_reduced(basis)
     step = [w for u in basis for w in (u, _inverse(u))]
-    cap = maxlen + max(map(len, basis), default=0) // 2
     seen = {()}
     frontier = [()]
     while frontier:
@@ -434,11 +441,11 @@ def subgroup_ball(gens, maxlen):
         for w in frontier:
             for g in step:
                 prod = free_reduce(w + g)
-                if len(prod) <= cap and prod not in seen:
+                if len(prod) <= maxlen and prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return {w for w in seen if len(w) <= maxlen}
+    return seen
 
 
 _READER_TOKEN = re.compile(r"\s*(-?[0-9]+|[A-Za-z][A-Za-z0-9_]*|[<>|,^()])")

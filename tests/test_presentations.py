@@ -36,7 +36,6 @@ from knotpres.presentations import (
     _CLASSES,
     _certificate_blocks,
     _consequence_search,
-    _distinct,
     _eliminate,
     deficiency,
     direct_product,
@@ -538,6 +537,9 @@ def test_identity_sequence_product():
     assert seq.product(p) == EMPTY
     seq2 = IdentitySequence(((EMPTY, 0, 1),))
     assert seq2.product(p) == Word([1, 1])
+    for g, shown in (("a", "'a'"), ((1,), "(1,)"), (None, "None")):
+        with pytest.raises(TypeError, match=re.escape(f"conjugator {shown} is not a Word")):
+            IdentitySequence(((EMPTY, 0, 1), (g, 0, -1))).product(p)
 
 
 def test_tietze_remove_duplicate_relator():
@@ -859,21 +861,25 @@ def _searches(p, budget):
     caps = budget.max_products, budget.max_relator_len
     for i, r in enumerate(p.relators):
         if r:
-            yield (_distinct(b for b in blocks if b[1][1] != i), *caps, r.letters, p, _CLASSES)
-    yield (_distinct(blocks), *caps, (), p, _CLASSES)
+            yield ([b for b in blocks if b[1][1] != i], *caps, r.letters, p, _CLASSES)
+    yield (blocks, *caps, (), p, _CLASSES)
 
 
-def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
-    # The oracle corpus, the benchmark's presentations, and the trefoil's
-    # K3 embedding (15 generators, 64 relators) on budgets that keep the pure
-    # kernel's time down: one product, or two without conjugators.
+def _parity_corpus():
+    """The oracle corpus, the benchmark's presentations, and the trefoil's
+    K3 embedding (15 generators, 64 relators) on budgets that keep the pure
+    kernel's time down: one product, or two without conjugators."""
     corpus = list(_oracle_corpus())
     corpus += [(p, TietzeBudget()) for p in _tietze_enumerate_presentations()]
     k3 = k3_embed(parse(TREFOIL)).output
     corpus += [(k3, TietzeBudget(1, 1, 12, 2)), (k3, TietzeBudget(2, 0, 8, 2)),
                (k3, TietzeBudget(2, 0, 3, 2))]
+    return corpus
+
+
+def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
     searches = found = 0
-    for p, budget in corpus:
+    for p, budget in _parity_corpus():
         for args in _searches(p, budget):
             want = _consequence_search(*args)
             got = compiled_tietze(*args)
@@ -888,8 +894,8 @@ _ONE = parse("< x | >")
 
 
 def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tietze):
-    # tietze_neighbors passes distinct blocks; given equal ones, both kernels
-    # still step by the earliest, on a middle level and on the last lookup.
+    # Given equal blocks, both kernels step by the earliest, on a middle
+    # level and on the last lookup.
     blocks = [((1, 1), "p"), ((1,), "a"), ((1,), "b"), ((-1,), "c"), ((-1,), "d")]
     cases = [(2, (1,), ("a",)), (2, (1, 1, 1), ("p", "a")),
              (3, (1, 1, 1, 1, 1), ("p", "p", "a")), (2, (-1, -1), ("c", "c"))]
@@ -898,6 +904,42 @@ def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tiet
         assert compiled_tietze(blocks, products, 12, goal, _ONE, _CLASSES) == want
     args = (blocks, 2, 12, (), _ONE, _CLASSES)
     assert compiled_tietze(*args) == _consequence_search(*args)
+    # tietze_neighbors passes _certificate_blocks as it is: here x three
+    # times over, conjugated by 1, x and x^-1, then each inverted, and six
+    # empty blocks from the empty relator.
+    p = parse("< x | x, 1 >")
+    blocks = _certificate_blocks(p, TietzeBudget())
+    assert len(blocks) == 12 and sum(not body for body, _ in blocks) == 6
+    x, x_inv = (EMPTY, 0, 1), (EMPTY, 0, -1)
+    for kernel in (_consequence_search, compiled_tietze):
+        assert kernel(blocks, 2, 12, (1, 1), p, _CLASSES) == (x, x)
+        assert kernel(blocks, 3, 12, (-1, -1, -1), p, _CLASSES) == (x_inv,) * 3
+        adds = kernel(blocks, 2, 12, (), p, _CLASSES)
+        assert [m.certificate.entries for _, m in adds] == [(x_inv,), (x,), (x_inv,) * 2, (x,) * 2]
+
+
+def test_tietze_kernels_keep_each_block_once(compiled_tietze):
+    # Each kernel keeps the earliest of equal blocks and skips empty ones
+    # itself: given its blocks twice over with an empty block before each,
+    # every search over the parity corpus returns, by value and by repr,
+    # what it returns on the distinct nonempty blocks alone.
+    searches = 0
+    for p, budget in _parity_corpus():
+        for blocks, *rest in _searches(p, budget):
+            first = {}
+            for body, entry in blocks:
+                if body:
+                    first.setdefault(body, entry)
+            once = list(first.items())
+            want = _consequence_search(once, *rest)
+            assert compiled_tietze(once, *rest) == want
+            twice = [b for block in blocks * 2 for b in (((), "empty"), block)]
+            for kernel in (_consequence_search, compiled_tietze):
+                got = kernel(twice, *rest)
+                assert got == want, (p, budget, rest[2])
+                assert repr(got) == repr(want)
+            searches += 1
+    assert searches > 1000, searches
 
 
 class _LettersProperty:
@@ -1040,7 +1082,7 @@ def test_compiled_tietze_search_returns_every_block(compiled_tietze):
     # only while it lives: a reference a call kept would show 200 times.
     p = parse("< a, b | a^2, b^3, (a b)^5 >")
     budget = TietzeBudget(2, 1, 12, 2)
-    blocks = _distinct(_certificate_blocks(p, budget))
+    blocks = _certificate_blocks(p, budget)
     searches = list(_searches(p, budget)) + [(blocks, 2, 12, (1, 2), p, _CLASSES)]
     refused = [((1, 2), "e"), ((1, 0), "e")]
     shared = [p.generators, *p.relators, blocks[0][1]]
@@ -1077,7 +1119,7 @@ def _assert_search_stops_on_a_signal(kernel):
     # it.  An exception that a signal handler raises 50 ms in must come back
     # within a second, and the kernel must work as before after it.
     p = s_minus_k3(parse(TREFOIL)).output
-    blocks = _distinct(_certificate_blocks(p, TietzeBudget()))
+    blocks = _certificate_blocks(p, TietzeBudget())
 
     def ring(signum, frame):
         raise _Alarm
@@ -1095,7 +1137,7 @@ def _assert_search_stops_on_a_signal(kernel):
             signal.signal(signal.SIGALRM, old)
         assert elapsed < 1.05, (products, relator_len, elapsed)
     a2 = parse("< a | a^2 >")
-    small = (_distinct(_certificate_blocks(a2, TietzeBudget())), 2, 12, (), a2, _CLASSES)
+    small = (_certificate_blocks(a2, TietzeBudget()), 2, 12, (), a2, _CLASSES)
     assert kernel(*small) == _consequence_search(*small)
 
 

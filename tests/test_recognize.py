@@ -465,6 +465,17 @@ def test_verify_identity_rejects_malformed_entries(entry):
         verify_identity(p, [(EMPTY, 0, 1), entry])
 
 
+@pytest.mark.parametrize("conjugator, shown", [("a", "'a'"), ((1,), "(1,)"), (None, "None")])
+def test_verify_identity_refuses_a_conjugator_that_is_not_a_word(conjugator, shown):
+    p = parse("< a, b | a, a >")
+    entries = [(EMPTY, 0, 1), (conjugator, 1, -1)]
+    message = re.escape(f"conjugator {shown} is not a Word")
+    with pytest.raises(TypeError, match=message):
+        verify_identity(p, entries)
+    with pytest.raises(TypeError, match=message):
+        kervaire_report(p, [p.word("a")], identity_sequences=[entries])
+
+
 def test_verify_identity_cancelling_pair_invariance():
     rng = random.Random(73)
     p = parse("< a, b | a b a^-1 b^-1, a^3 >")
