@@ -23,10 +23,12 @@
    10**30 costs what a saturating one does.  Certificates are built as
    entry tuples only for the words returned.
 
-   Each neighbor is built here, straight from the arena and the node
-   records, as the reference builds it: the letter tuple, the entries
-   tuple, a Word, an IdentitySequence, a TietzeMove, the relator tuple, a
-   Presentation and their pair, each written once into the list returned.
+   The additions are ordered by one bottom-up merge sort of (length,
+   letters, node) keys, with the comparison inlined.  Each neighbor is
+   built here, straight from the arena and the node records, as the
+   reference builds it: the letter tuple, the entries tuple, a Word, an
+   IdentitySequence, a TietzeMove, the relator tuple, a Presentation and
+   their pair, each written once into the list returned.
    The four classes come as an argument, and the module keeps no state.
    The plain classes' instances are allocated as object.__new__ does and
    their slots written at the offsets their member descriptors give; the
@@ -44,7 +46,6 @@
 #include <Python.h>
 #include <limits.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #ifndef Py_T_OBJECT_EX  /* public under these names since Python 3.12 */
@@ -284,9 +285,9 @@ static PyObject *letters_tuple(const int *w, Py_ssize_t n)
 }
 
 /* The last level of a search with a goal: for each parent w, the block
-   that is the reduced w^-1 goal, in which their common prefix cancels, found
-   in the block set bs.  Sets *result to the first certificate found, or
-   leaves it NULL. */
+   that is the reduced w^-1 goal, in which the letters they start with in
+   common cancel, found in the block set bs.  Sets *result to the first
+   certificate found, or leaves it NULL. */
 static int last_lookup(const Words *ws, const Words *bs, const Block *blocks,
                        Py_ssize_t longest, const int *goal, Py_ssize_t goal_len,
                        Py_ssize_t from, Py_ssize_t to, PyObject **result)
@@ -322,20 +323,17 @@ done:
 }
 
 typedef struct {
-    uint64_t prefix;  /* its first letters' ranks, packed to sort as they do */
     Py_ssize_t len;
     const int *w;
     Py_ssize_t node;
 } Key;
 
 /* By length, then by letters as signed ints: the order of the letter
-   tuples.  Equal prefixes compare the letters from the start. */
+   tuples. */
 static inline int key_less(const Key *a, const Key *b)
 {
     if (a->len != b->len)
         return a->len < b->len;
-    if (a->prefix != b->prefix)
-        return a->prefix < b->prefix;
     for (Py_ssize_t i = 0; i < a->len; i++) {
         if (a->w[i] != b->w[i])
             return a->w[i] < b->w[i];
@@ -343,26 +341,13 @@ static inline int key_less(const Key *a, const Key *b)
     return 0;
 }
 
-#define RUN 16
-
-/* Sorts the n keys by key_less: insertion sort within runs of RUN keys,
-   then merges of runs through buf, which has room for n keys.  With the
-   comparison inlined it sorts the benchmark's addition lists in about a
-   third of qsort's time. */
+/* Sorts the n keys by key_less: a bottom-up merge sort through buf, which
+   has room for n keys.  With the comparison inlined it sorts the
+   benchmark's addition lists in about two thirds of qsort's time. */
 static void sort_keys(Key *keys, Key *buf, Py_ssize_t n)
 {
-    for (Py_ssize_t lo = 0; lo < n; lo += RUN) {
-        Py_ssize_t hi = lo + RUN < n ? lo + RUN : n;
-        for (Py_ssize_t i = lo + 1; i < hi; i++) {
-            Key k = keys[i];
-            Py_ssize_t j = i;
-            for (; j > lo && key_less(&k, &keys[j - 1]); j--)
-                keys[j] = keys[j - 1];
-            keys[j] = k;
-        }
-    }
     Key *src = keys, *dst = buf;
-    for (Py_ssize_t width = RUN; width < n; width *= 2) {
+    for (Py_ssize_t width = 1; width < n; width *= 2) {
         for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
             Py_ssize_t mid = lo + width < n ? lo + width : n;
             Py_ssize_t hi = mid + width < n ? mid + width : n;
@@ -545,8 +530,8 @@ fail:
 /* The add-relator neighbors of the presentation with these generators and
    relators: a list of (presentation, move) pairs, one for each kept
    nonempty word of at most max_len letters, sorted by length and then by
-   letters.  No letter is larger than top in absolute value. */
-static PyObject *neighbors(const Words *ws, const Block *blocks, Py_ssize_t max_len, int top,
+   letters. */
+static PyObject *neighbors(const Words *ws, const Block *blocks, Py_ssize_t max_len,
                            const Classes *c, PyObject *generators, PyObject *relators)
 {
     Py_ssize_t count = 0;
@@ -561,21 +546,12 @@ static PyObject *neighbors(const Words *ws, const Block *blocks, Py_ssize_t max_
         PyMem_Free(buf);
         return PyErr_NoMemory();
     }
-    /* letter k ranks k + top, or k + top - 1 if positive: 0 to 2 top - 1 */
-    int bits = 1;
-    while (bits < 32 && (2 * (uint64_t)top - 1) >> bits)
-        bits++;
     Py_ssize_t m = 0;
     for (Py_ssize_t k = 1; k < ws->n; k++) {
         const Node *nd = &ws->nodes[k];
         if (nd->len <= max_len) {
-            const int *w = ws->letters + nd->at;
-            uint64_t prefix = 0;
-            for (Py_ssize_t i = 0; i < nd->len && i < 64 / bits; i++)
-                prefix = prefix << bits | (uint64_t)((int64_t)w[i] + top - (w[i] > 0));
-            keys[m].prefix = prefix;
             keys[m].len = nd->len;
-            keys[m].w = w;
+            keys[m].w = ws->letters + nd->at;
             keys[m].node = k;
             m++;
         }
@@ -677,11 +653,6 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         blocks[b].len = bs.nodes[b].len;
         blocks[b].head = -blocks[b].body[0];
     }
-    int top = 1;  /* the largest letter in absolute value */
-    for (Py_ssize_t i = 0; i < bs.used; i++) {
-        if (abs(bs.letters[i]) > top)
-            top = abs(bs.letters[i]);
-    }
     if (load_letters(goal_arg, &goal, &goal_cap, 0, &goal_len) < 0)
         goto done;
     if (goal_len == 0) {
@@ -776,7 +747,7 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     } else {
         PyMem_Free(ws.slots);  /* no word is looked up again */
         ws.slots = NULL;
-        result = neighbors(&ws, blocks, max_len, top, &classes, generators, relators);
+        result = neighbors(&ws, blocks, max_len, &classes, generators, relators);
     }
 
 done:

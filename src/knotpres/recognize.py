@@ -239,8 +239,10 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
     acts transitively.  On top of the decidable shape conditions, both the
     companion family and its derived rewrite must reduce to free
     presentations; that search is bounded, so the outcome may be Unknown,
-    but a Yes always ships a replayable elimination trace.  ``h`` must be an
-    int up to half the generator count, ``budget`` an int; both 0 or more.
+    but a Yes always ships a replayable elimination trace.  A presentation
+    with no generators is a No: with no orbits, transitivity would hold
+    vacuously.  ``h`` must be an int up to half the generator count,
+    ``budget`` an int; both 0 or more.
     """
     if type(budget) is not int or budget < 0:
         raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))
@@ -248,6 +250,8 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
     if type(h) is not int or not 0 <= 2 * h <= n:
         raise ValueError("pair count must be an int from 0 to %d, got %s"
                          % (n // 2, _quote(h)))
+    if n == 0:
+        return CheckOutcome.no(evidence={"reason": "no generators"})
     if len(p.relators) != h + n:
         return CheckOutcome.no(
             evidence={

@@ -293,6 +293,12 @@ def test_check_twoknot_refuses_companions_that_are_not_a_permutation(capsys):
     assert out.splitlines() == ["No", json.dumps(evidence)]
 
 
+def test_check_twoknot_says_no_with_no_generators(capsys):
+    code, out, _ = run(capsys, "check", "twoknot", "< | >", "--verbose")
+    assert code == 1
+    assert out.splitlines() == ["No", json.dumps({"reason": "no generators"})]
+
+
 def test_check_kervaire_json(capsys):
     code, out, _ = run(
         capsys,

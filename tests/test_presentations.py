@@ -808,30 +808,45 @@ def _oracle_corpus():
             yield p, budget
 
 
-def _assert_neighbors_match_the_oracle():
+@pytest.fixture(params=["pure", "compiled"])
+def tietze_kernel(request, monkeypatch):
+    """Each Tietze kernel in turn, installed as the one tietze_neighbors
+    runs.  The compiled one skips where compiled_tietze does."""
+    if request.param == "pure":
+        kernel = _consequence_search
+    else:
+        kernel = request.getfixturevalue("compiled_tietze")
+    monkeypatch.setattr(presentations, "_kernel", kernel)
+    return kernel
+
+
+@pytest.fixture(scope="module")
+def oracle_streams():
+    """Each oracle corpus item with the plain BFS oracle's neighbor stream
+    of it, pickled, and that stream's repr, computed once for both kernels.
+    The streams are kept as bytes: as objects, their 176,000 containers
+    would slow the cyclic GC in every later test of the module."""
+    out = []
+    for p, budget in _oracle_corpus():
+        want = tietze_neighbors_oracle(p, budget)
+        out.append((p, budget, pickle.dumps(want), repr(want)))
+    return out
+
+
+def test_tietze_neighbors_match_the_plain_bfs_oracle(tietze_kernel, oracle_streams):
     # Every level of the oracle's search multiplies out every block; the
     # library finds the last product of a removal by lookup.
     products = {}  # certificate length -> removals found with it
-    for p, budget in _oracle_corpus():
+    for p, budget, pickled, want_repr in oracle_streams:
         got = list(tietze_neighbors(p, budget))
-        want = tietze_neighbors_oracle(p, budget)
+        want = pickle.loads(pickled)
         assert got == want, (p, budget)
-        assert repr(got) == repr(want)
+        assert repr(got) == want_repr
         for _, m in got:
             if m.kind == "remove-relator":
                 n = len(m.certificate.entries)
                 products[n] = products.get(n, 0) + 1
     assert products[1] > 50 and products[2] > 10 and products[3] > 0, products
-
-
-def test_tietze_neighbors_match_the_plain_bfs_oracle(monkeypatch):
-    monkeypatch.setattr(presentations, "_kernel", _consequence_search)
-    _assert_neighbors_match_the_oracle()
-
-
-def test_compiled_tietze_neighbors_match_the_plain_bfs_oracle(compiled_tietze, monkeypatch):
-    monkeypatch.setattr(presentations, "_kernel", compiled_tietze)
-    _assert_neighbors_match_the_oracle()
 
 
 def _tietze_enumerate_presentations():
@@ -878,13 +893,32 @@ def _parity_corpus():
 
 
 def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
+    # Every search over the parity corpus returns, by value and by repr, the
+    # pure kernel's result on the distinct nonempty blocks: from both
+    # kernels on the blocks as tietze_neighbors passes them, and on them
+    # twice over with an empty block before each, for each kernel keeps the
+    # earliest of equal blocks and skips empty ones itself; and from the
+    # compiled kernel on the distinct blocks too.
     searches = found = 0
     for p, budget in _parity_corpus():
-        for args in _searches(p, budget):
-            want = _consequence_search(*args)
-            got = compiled_tietze(*args)
-            assert got == want, (p, budget, args[3])
-            assert repr(got) == repr(want)
+        for blocks, *rest in _searches(p, budget):
+            first = {}
+            for body, entry in blocks:
+                if body:
+                    first.setdefault(body, entry)
+            once = list(first.items())
+            want = _consequence_search(once, *rest)
+            want_repr = repr(want)
+            twice = [b for block in blocks * 2 for b in (((), "empty"), block)]
+            runs = [(compiled_tietze, once)] + [
+                (kernel, given)
+                for kernel in (_consequence_search, compiled_tietze)
+                for given in (blocks, twice)
+            ]
+            for kernel, given in runs:
+                got = kernel(given, *rest)
+                assert got == want, (kernel, p, budget, rest[2], len(given))
+                assert repr(got) == want_repr
             searches += 1
             found += bool(want)
     assert searches > 1000 and found > 500, (searches, found)
@@ -916,30 +950,6 @@ def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tiet
         assert kernel(blocks, 3, 12, (-1, -1, -1), p, _CLASSES) == (x_inv,) * 3
         adds = kernel(blocks, 2, 12, (), p, _CLASSES)
         assert [m.certificate.entries for _, m in adds] == [(x_inv,), (x,), (x_inv,) * 2, (x,) * 2]
-
-
-def test_tietze_kernels_keep_each_block_once(compiled_tietze):
-    # Each kernel keeps the earliest of equal blocks and skips empty ones
-    # itself: given its blocks twice over with an empty block before each,
-    # every search over the parity corpus returns, by value and by repr,
-    # what it returns on the distinct nonempty blocks alone.
-    searches = 0
-    for p, budget in _parity_corpus():
-        for blocks, *rest in _searches(p, budget):
-            first = {}
-            for body, entry in blocks:
-                if body:
-                    first.setdefault(body, entry)
-            once = list(first.items())
-            want = _consequence_search(once, *rest)
-            assert compiled_tietze(once, *rest) == want
-            twice = [b for block in blocks * 2 for b in (((), "empty"), block)]
-            for kernel in (_consequence_search, compiled_tietze):
-                got = kernel(twice, *rest)
-                assert got == want, (p, budget, rest[2])
-                assert repr(got) == repr(want)
-            searches += 1
-    assert searches > 1000, searches
 
 
 class _LettersProperty:
@@ -988,7 +998,7 @@ def test_compiled_tietze_search_refuses_bad_blocks(compiled_tietze, blocks, goal
         ((Word([1]),), ("e",)), ((Word([1, 1]),), ("e", "e"))]
 
 
-def _assert_moves_and_certificates_stay_frozen_values():
+def test_tietze_moves_and_certificates_stay_frozen_values(tietze_kernel):
     p = parse("< x | x, x >")
     built = {}
     for q, move in tietze_neighbors(p):
@@ -1022,17 +1032,7 @@ def _assert_moves_and_certificates_stay_frozen_values():
     assert built["add-relator"].certificate is not None
 
 
-def test_tietze_moves_and_certificates_stay_frozen_values(monkeypatch):
-    monkeypatch.setattr(presentations, "_kernel", _consequence_search)
-    _assert_moves_and_certificates_stay_frozen_values()
-
-
-def test_compiled_tietze_moves_and_certificates_stay_frozen_values(compiled_tietze, monkeypatch):
-    monkeypatch.setattr(presentations, "_kernel", compiled_tietze)
-    _assert_moves_and_certificates_stay_frozen_values()
-
-
-def _assert_huge_budgets_cost_what_saturating_ones_do(capsys):
+def test_tietze_huge_budgets_cost_what_saturating_ones_do(tietze_kernel, capsys):
     # A search stops at its first empty level, however many products it may
     # take, and additions are ordered without a list per allowed length: each
     # stream equals the one at a budget just large enough to saturate (one
@@ -1060,18 +1060,6 @@ def _assert_huge_budgets_cost_what_saturating_ones_do(capsys):
         assert main(["tietze", "< a, b | a^2, b^3 >", "--max-relator-len", cap]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] and outs[1] == outs[0]
-
-
-def test_tietze_huge_budgets_cost_what_saturating_ones_do(monkeypatch, capsys):
-    monkeypatch.setattr(presentations, "_kernel", _consequence_search)
-    _assert_huge_budgets_cost_what_saturating_ones_do(capsys)
-
-
-def test_compiled_tietze_huge_budgets_cost_what_saturating_ones_do(
-    compiled_tietze, monkeypatch, capsys
-):
-    monkeypatch.setattr(presentations, "_kernel", compiled_tietze)
-    _assert_huge_budgets_cost_what_saturating_ones_do(capsys)
 
 
 def test_compiled_tietze_search_returns_every_block(compiled_tietze):
@@ -1111,7 +1099,7 @@ class _Alarm(Exception):
     pass
 
 
-def _assert_search_stops_on_a_signal(kernel):
+def test_tietze_search_stops_on_a_signal(tietze_kernel):
     # The addition search over this output forms about 3.4 million products
     # and keeps 484,000 words, for seconds on either kernel.  At three
     # products and a relator length of 0 its last level would form about
@@ -1130,7 +1118,7 @@ def _assert_search_stops_on_a_signal(kernel):
             start = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, 0.05)
             with pytest.raises(_Alarm):
-                kernel(blocks, products, relator_len, (), p, _CLASSES)
+                tietze_kernel(blocks, products, relator_len, (), p, _CLASSES)
             elapsed = time.perf_counter() - start
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -1138,15 +1126,7 @@ def _assert_search_stops_on_a_signal(kernel):
         assert elapsed < 1.05, (products, relator_len, elapsed)
     a2 = parse("< a | a^2 >")
     small = (_certificate_blocks(a2, TietzeBudget()), 2, 12, (), a2, _CLASSES)
-    assert kernel(*small) == _consequence_search(*small)
-
-
-def test_tietze_search_stops_on_a_signal():
-    _assert_search_stops_on_a_signal(_consequence_search)
-
-
-def test_compiled_tietze_search_stops_on_a_signal(compiled_tietze):
-    _assert_search_stops_on_a_signal(compiled_tietze)
+    assert tietze_kernel(*small) == _consequence_search(*small)
 
 
 def test_tietze_determinism():

@@ -292,6 +292,9 @@ def test_two_knot_shape_rejections():
     out = two_knot_check(q, 1)
     assert out.is_no
     assert out.evidence["reason"] == "missing pairing relator"
+    # with no generators, no orbit is left to pass the transitivity test
+    out = two_knot_check(parse("< | >"), 0)
+    assert out.is_no and out.evidence == {"reason": "no generators"}
 
 
 def test_two_knot_intransitive_orbits():
