@@ -17,7 +17,10 @@
    formed it; a candidate is written at the arena's end and kept only if
    the open-addressing hash set of words does not hold it yet.  The
    distinct nonempty blocks are a second such set, loaded once per search,
-   whose node b is block b; the last-level lookup reads it.  Buffers grow
+   whose node b is block b and records, as its block, the position of the
+   (letters, entry) pair it was loaded from.  The products read each
+   block's letters there, the last-level lookup looks parents up in it,
+   and certificates take its entries from those pairs.  Buffers grow
    with the words actually formed, never with the budget's caps, and the
    caps and counts saturate rather than overflow, so a budget field of
    10**30 costs what a saturating one does.  Certificates are built as
@@ -57,17 +60,10 @@
 #define SIGNAL_MASK 4095  /* check for signals once per 4096 products or neighbors */
 
 typedef struct {
-    const int *body;  /* in the block set's arena */
-    Py_ssize_t len;
-    int head;         /* the last letter of a word that cancels body[0] */
-    PyObject *entry;  /* borrowed from a pair that the search's tuple holds */
-} Block;
-
-typedef struct {
     Py_ssize_t at;      /* its letters start at letters[at] */
     Py_ssize_t len;
     Py_ssize_t parent;  /* the word it was formed from; -1 for the empty word */
-    Py_ssize_t block;   /* the block that formed it */
+    Py_ssize_t block;   /* the block that formed it; in the block set, its pair's position */
     uint64_t hash;
 } Node;
 
@@ -244,9 +240,13 @@ static int load_letters(PyObject *seq, int **buf, Py_ssize_t *cap, Py_ssize_t us
     return 0;
 }
 
+/* The entry of block b of the block set bs, borrowed from the pair of the
+   blocks tuple seq that it was loaded from. */
+#define ENTRY(bs, seq, b) PyTuple_GET_ITEM(PyTuple_GET_ITEM(seq, (bs)->nodes[b].block), 1)
+
 /* The certificate of node k, then `extra` if it is not NULL, as a new
    tuple of entries. */
-static PyObject *certificate(const Words *ws, const Block *blocks, Py_ssize_t k,
+static PyObject *certificate(const Words *ws, const Words *bs, PyObject *seq, Py_ssize_t k,
                              PyObject *extra)
 {
     Py_ssize_t depth = extra != NULL;
@@ -260,9 +260,7 @@ static PyObject *certificate(const Words *ws, const Block *blocks, Py_ssize_t k,
         PyTuple_SET_ITEM(out, --depth, extra);
     }
     for (Py_ssize_t a = k; ws->nodes[a].parent >= 0; a = ws->nodes[a].parent) {
-        PyObject *entry = blocks[ws->nodes[a].block].entry;
-        Py_INCREF(entry);
-        PyTuple_SET_ITEM(out, --depth, entry);
+        PyTuple_SET_ITEM(out, --depth, Py_NewRef(ENTRY(bs, seq, ws->nodes[a].block)));
     }
     return out;
 }
@@ -286,18 +284,16 @@ static PyObject *letters_tuple(const int *w, Py_ssize_t n)
 
 /* The last level of a search with a goal: for each parent w, the block
    that is the reduced w^-1 goal, in which the letters they start with in
-   common cancel, found in the block set bs.  Sets *result to the first
+   common cancel, found in the block set bs.  Each key is written at the
+   word arena's end, as a candidate is.  Sets *result to the first
    certificate found, or leaves it NULL. */
-static int last_lookup(const Words *ws, const Words *bs, const Block *blocks,
-                       Py_ssize_t longest, const int *goal, Py_ssize_t goal_len,
-                       Py_ssize_t from, Py_ssize_t to, PyObject **result)
+static int last_lookup(Words *ws, const Words *bs, PyObject *seq, Py_ssize_t longest,
+                       const int *goal, Py_ssize_t goal_len, Py_ssize_t from, Py_ssize_t to,
+                       PyObject **result)
 {
-    int *key = PyMem_Malloc((size_t)(longest ? longest : 1) * sizeof(int));
-    int status = -1;
-    if (key == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    if (reserve((void **)&ws->letters, &ws->cap, ws->used, longest ? longest : 1, sizeof(int)) < 0)
+        return -1;
+    int *key = ws->letters + ws->used;
     for (Py_ssize_t k = from; k < to; k++) {
         const int *w = ws->letters + ws->nodes[k].at;
         Py_ssize_t n = ws->nodes[k].len, c = 0;
@@ -311,15 +307,11 @@ static int last_lookup(const Words *ws, const Words *bs, const Block *blocks,
         memcpy(key + (n - c), goal + c, (size_t)(goal_len - c) * sizeof(int));
         Py_ssize_t found = *find_slot(bs, key, len, hash_letters(key, len));
         if (found >= 0) {
-            *result = certificate(ws, blocks, k, blocks[found].entry);
-            status = *result == NULL ? -1 : 0;
-            goto done;
+            *result = certificate(ws, bs, seq, k, ENTRY(bs, seq, found));
+            return *result == NULL ? -1 : 0;
         }
     }
-    status = 0;
-done:
-    PyMem_Free(key);
-    return status;
+    return 0;
 }
 
 typedef struct {
@@ -470,7 +462,7 @@ static PyObject *new_tuple(PyTypeObject *cls, Py_ssize_t n)
 /* The neighbor that adds the word w of n letters, kept as node k, to the
    relators: a new pair (presentation, move), built as the reference
    kernel builds it. */
-static PyObject *neighbor(const Words *ws, const Block *blocks, const Classes *c,
+static PyObject *neighbor(const Words *ws, const Words *bs, PyObject *seq, const Classes *c,
                           const int *w, Py_ssize_t n, Py_ssize_t k, PyObject *kind,
                           PyObject *generators, PyObject *relators)
 {
@@ -482,7 +474,7 @@ static PyObject *neighbor(const Words *ws, const Block *blocks, const Classes *c
         return NULL;
     }
     SLOT(word, c->letters) = letters;
-    PyObject *entries = certificate(ws, blocks, k, NULL);
+    PyObject *entries = certificate(ws, bs, seq, k, NULL);
     PyObject *cert = entries ? new_tuple(c->sequence, 1) : NULL;
     if (cert == NULL) {
         Py_XDECREF(entries);
@@ -531,30 +523,23 @@ fail:
    relators: a list of (presentation, move) pairs, one for each kept
    nonempty word of at most max_len letters, sorted by length and then by
    letters. */
-static PyObject *neighbors(const Words *ws, const Block *blocks, Py_ssize_t max_len,
+static PyObject *neighbors(const Words *ws, const Words *bs, PyObject *seq, Py_ssize_t max_len,
                            const Classes *c, PyObject *generators, PyObject *relators)
 {
-    Py_ssize_t count = 0;
-    for (Py_ssize_t k = 1; k < ws->n; k++)
-        count += ws->nodes[k].len <= max_len;
-    if (count > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Key))
-        return PyErr_NoMemory();
-    Key *keys = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(Key));
-    Key *buf = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(Key));
+    /* room for a key per node, at least the empty word's; a Key is smaller
+       than the Node array's items, so the sizes cannot overflow */
+    Key *keys = PyMem_Malloc((size_t)ws->n * sizeof(Key));
+    Key *buf = PyMem_Malloc((size_t)ws->n * sizeof(Key));
     if (keys == NULL || buf == NULL) {
         PyMem_Free(keys);
         PyMem_Free(buf);
         return PyErr_NoMemory();
     }
-    Py_ssize_t m = 0;
+    Py_ssize_t count = 0;
     for (Py_ssize_t k = 1; k < ws->n; k++) {
         const Node *nd = &ws->nodes[k];
-        if (nd->len <= max_len) {
-            keys[m].len = nd->len;
-            keys[m].w = ws->letters + nd->at;
-            keys[m].node = k;
-            m++;
-        }
+        if (nd->len <= max_len)
+            keys[count++] = (Key){nd->len, ws->letters + nd->at, k};
     }
     sort_keys(keys, buf, count);
     PyMem_Free(buf);  /* before the objects are built, to keep the peak down */
@@ -565,7 +550,7 @@ static PyObject *neighbors(const Words *ws, const Block *blocks, Py_ssize_t max_
             Py_CLEAR(out);
             break;
         }
-        PyObject *pair = neighbor(ws, blocks, c, keys[i].w, keys[i].len, keys[i].node, kind,
+        PyObject *pair = neighbor(ws, bs, seq, c, keys[i].w, keys[i].len, keys[i].node, kind,
                                   generators, relators);
         if (pair == NULL) {
             Py_CLEAR(out);
@@ -610,19 +595,14 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     Py_ssize_t nitems = PyTuple_GET_SIZE(seq);
     int *goal = NULL;
     Py_ssize_t goal_cap = 0, goal_len;
-    Block *blocks = PyMem_Malloc((size_t)(nitems ? nitems : 1) * sizeof(Block));
     Words bs = {0}, ws = {0};
     Classes classes = {0};
     PyObject *result = NULL, *generators = NULL, *relators = NULL;
-    if (blocks == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
 
     /* Each block's letters are written at the end of the block set's arena
-       and kept as its next node, unless they are empty (an empty body leaves
-       every word as it is) or an earlier block has them.  The arena may move
-       as it grows, so the bodies are pointed to only once all are in. */
+       and kept as its next node, with the position of their pair, unless
+       they are empty (an empty body leaves every word as it is) or an
+       earlier block has them. */
     if (init_words(&bs) < 0)
         goto done;
     Py_ssize_t longest = 0;
@@ -641,17 +621,10 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         Py_ssize_t *slot = find_slot(&bs, bs.letters + bs.used, len, h);
         if (*slot >= 0)
             continue;
-        blocks[bs.n].entry = PyTuple_GET_ITEM(pair, 1);
-        if (keep(&bs, slot, len, h, -1, bs.n) < 0)
+        if (keep(&bs, slot, len, h, -1, i) < 0)
             goto done;
         if (len > longest)
             longest = len;
-    }
-    Py_ssize_t nblocks = bs.n;
-    for (Py_ssize_t b = 0; b < nblocks; b++) {
-        blocks[b].body = bs.letters + bs.nodes[b].at;
-        blocks[b].len = bs.nodes[b].len;
-        blocks[b].head = -blocks[b].body[0];
     }
     if (load_letters(goal_arg, &goal, &goal_cap, 0, &goal_len) < 0)
         goto done;
@@ -683,7 +656,7 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         depth++;  /* of the children */
         if (depth == last) {
             if (goal_len) {
-                if (last_lookup(&ws, &bs, blocks, longest, goal, goal_len, from, to, &result) < 0)
+                if (last_lookup(&ws, &bs, seq, longest, goal, goal_len, from, to, &result) < 0)
                     goto done;
                 if (result == NULL)
                     result = Py_NewRef(Py_None);
@@ -695,35 +668,36 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
         for (Py_ssize_t k = from; k < to; k++) {
             Py_ssize_t len = ws.nodes[k].len;
             Py_ssize_t room = cap - len;
-            for (Py_ssize_t b = 0; b < nblocks; b++) {
-                const Block *bl = &blocks[b];
+            for (Py_ssize_t b = 0; b < bs.n; b++) {
+                const int *body = bs.letters + bs.nodes[b].at;
+                Py_ssize_t blen = bs.nodes[b].len;
                 if ((++products & SIGNAL_MASK) == 0 && PyErr_CheckSignals() < 0)
                     goto done;
-                /* the new word is at most len + bl->len letters, written at
-                   the arena's end; the arena may move, so w is found after */
-                if (reserve((void **)&ws.letters, &ws.cap, ws.used, len + bl->len, sizeof(int)) < 0)
+                /* the new word is at most len + blen letters, written at the
+                   arena's end; the arena may move, so w is found after */
+                if (reserve((void **)&ws.letters, &ws.cap, ws.used, len + blen, sizeof(int)) < 0)
                     goto done;
                 const int *w = ws.letters + ws.nodes[k].at;
                 int *nw = ws.letters + ws.used;
                 Py_ssize_t n;
-                if (len && bl->head == w[len - 1]) {
+                if (len && body[0] == -w[len - 1]) {
                     /* w * body cancels at the seam (both are reduced) */
                     Py_ssize_t i = len - 1, j = 1;
-                    while (i && j < bl->len && w[i - 1] == -bl->body[j]) {
+                    while (i && j < blen && w[i - 1] == -body[j]) {
                         i--;
                         j++;
                     }
-                    n = i + bl->len - j;
+                    n = i + blen - j;
                     if (n > cap)
                         continue;
                     memcpy(nw, w, (size_t)i * sizeof(int));
-                    memcpy(nw + i, bl->body + j, (size_t)(bl->len - j) * sizeof(int));
-                } else if (bl->len > room) {
+                    memcpy(nw + i, body + j, (size_t)(blen - j) * sizeof(int));
+                } else if (blen > room) {
                     continue;
                 } else {
-                    n = len + bl->len;
+                    n = len + blen;
                     memcpy(nw, w, (size_t)len * sizeof(int));
-                    memcpy(nw + len, bl->body, (size_t)bl->len * sizeof(int));
+                    memcpy(nw + len, body, (size_t)blen * sizeof(int));
                 }
                 uint64_t h = hash_letters(nw, n);
                 Py_ssize_t *slot = find_slot(&ws, nw, n, h);
@@ -732,7 +706,7 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
                 if (keep(&ws, slot, n, h, k, b) < 0)
                     goto done;
                 if (n == goal_len && goal_len && memcmp(nw, goal, (size_t)n * sizeof(int)) == 0) {
-                    result = certificate(&ws, blocks, ws.n - 1, NULL);
+                    result = certificate(&ws, &bs, seq, ws.n - 1, NULL);
                     goto done;
                 }
             }
@@ -747,14 +721,13 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     } else {
         PyMem_Free(ws.slots);  /* no word is looked up again */
         ws.slots = NULL;
-        result = neighbors(&ws, blocks, max_len, &classes, generators, relators);
+        result = neighbors(&ws, &bs, seq, max_len, &classes, generators, relators);
     }
 
 done:
     Py_DECREF(seq);
     Py_XDECREF(generators);
     Py_XDECREF(relators);
-    PyMem_Free(blocks);
     PyMem_Free(goal);
     free_words(&bs);
     free_words(&ws);

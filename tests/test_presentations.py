@@ -1,5 +1,6 @@
 import gc
 import json
+import operator
 import pickle
 import random
 import re
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from knotpres import presentations
-from knotpres.abelian import h1
+from knotpres.abelian import h1, is_perfect
 from knotpres.cli import main
+from knotpres.coset import order
 from knotpres.foldings import fold
 from knotpres.gadgets import (
     homology_gadget,
@@ -684,7 +686,22 @@ def test_tietze_generator_removals_match_two_step_substitution():
     assert removals > 50
 
 
-def test_tietze_emissions_preserve_h1():
+# The starts of the seeded Tietze walks, with the order of each finite one.
+_WALK_STARTS = {
+    "< a, b | a^2, b^3, (a b)^2 >": 6,  # S3
+    "< a, b | a^2, b^3, (a b)^3 >": 12,  # A4
+    "< a, b | a^2, b^3, (a b)^5 >": 60,  # A5
+    "< a, b | a^2, b^3, (a b)^4 >": 24,  # S4
+    "< a | a^5 >": 5,
+    "< a, b | a b a^-1 b^-2, b a b^-1 a^-2 >": 1,  # trivial
+    TREFOIL: None,
+    "< a, b | b^-1 a b a^-2 >": None,  # BS(1,2)
+    "< a, b | a b a^-1 b^-1 >": None,  # Z^2
+}
+
+
+def test_tietze_emissions_preserve_h1(tietze_kernel):
+    # Every neighbor of 100 small random presentations has their H1.
     rng = random.Random(314)
     budget = TietzeBudget(max_products=2, max_conjugator_len=1, max_relator_len=8, max_defining_len=1)
     for _ in range(100):
@@ -697,6 +714,32 @@ def test_tietze_emissions_preserve_h1():
         base = h1(p)
         for q, move in tietze_neighbors(p, budget):
             assert h1(q) == base, f"{move.kind} changed H1 on {p}"
+    # Five-move walks at seeds 1, 2 and 3, each move drawn from all the
+    # neighbors, keep H1, perfectness and every decided order, and each
+    # certificate multiplies out to its move's word.
+    budget = TietzeBudget(max_relator_len=8)
+    moves = certified = orders = 0
+    for text, size in _WALK_STARTS.items():
+        start = parse(text)
+        base = h1(start), is_perfect(start)
+        if size is not None:
+            assert order(start).index == size, text
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            q = start
+            for _ in range(5):
+                q, move = rng.choice(list(tietze_neighbors(q, budget)))
+                assert (h1(q), is_perfect(q)) == base, (text, seed, move)
+                if move.certificate is not None:
+                    assert move.certificate.product(q) == move.word, (text, seed, move)
+                    certified += 1
+                if size is not None:
+                    res = order(q)
+                    if res.finite:
+                        assert res.index == size, (text, seed, move)
+                        orders += 1
+                moves += 1
+    assert (moves, certified, orders) == (135, 114, 90)
 
 
 def _assert_validates(out):
@@ -892,13 +935,36 @@ def _parity_corpus():
     return corpus
 
 
+def _assert_built_as(got, want):
+    """``got``, equal to the reference kernel's ``want``, is built as it is:
+    what the kernels were given comes back as the very same objects, and
+    what they make has the reference's exact types."""
+    if type(want) is not list:  # a goal search's entries, or None
+        assert got is want or (type(got) is tuple and all(map(operator.is_, got, want)))
+        return
+    assert type(got) is list
+    for pair, (wq, wm) in zip(got, want):
+        assert type(pair) is tuple
+        q, m = pair
+        assert type(q) is Presentation and type(q.relators) is tuple
+        assert q.generators is wq.generators
+        assert all(map(operator.is_, q.relators[:-1], wq.relators[:-1]))
+        assert type(m) is TietzeMove and m[1:4] == (None, None, None)
+        assert type(m.word) is Word and m.word is q.relators[-1]
+        letters = m.word.letters
+        assert type(letters) is tuple and all(type(k) is int for k in letters)
+        cert = m.certificate
+        assert type(cert) is IdentitySequence and type(cert.entries) is tuple
+        assert all(map(operator.is_, cert.entries, wm.certificate.entries))
+
+
 def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
-    # Every search over the parity corpus returns, by value and by repr, the
-    # pure kernel's result on the distinct nonempty blocks: from both
-    # kernels on the blocks as tietze_neighbors passes them, and on them
-    # twice over with an empty block before each, for each kernel keeps the
-    # earliest of equal blocks and skips empty ones itself; and from the
-    # compiled kernel on the distinct blocks too.
+    # Every search over the parity corpus returns the pure kernel's result
+    # on the distinct nonempty blocks, equal and built the same way: from
+    # both kernels on the blocks as tietze_neighbors passes them, and on
+    # them twice over with an empty block before each, for each kernel
+    # keeps the earliest of equal blocks and skips empty ones itself; and
+    # from the compiled kernel on the distinct blocks too.
     searches = found = 0
     for p, budget in _parity_corpus():
         for blocks, *rest in _searches(p, budget):
@@ -908,7 +974,6 @@ def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
                     first.setdefault(body, entry)
             once = list(first.items())
             want = _consequence_search(once, *rest)
-            want_repr = repr(want)
             twice = [b for block in blocks * 2 for b in (((), "empty"), block)]
             runs = [(compiled_tietze, once)] + [
                 (kernel, given)
@@ -918,7 +983,7 @@ def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
             for kernel, given in runs:
                 got = kernel(given, *rest)
                 assert got == want, (kernel, p, budget, rest[2], len(given))
-                assert repr(got) == want_repr
+                _assert_built_as(got, want)
             searches += 1
             found += bool(want)
     assert searches > 1000 and found > 500, (searches, found)
@@ -1127,12 +1192,6 @@ def test_tietze_search_stops_on_a_signal(tietze_kernel):
     a2 = parse("< a | a^2 >")
     small = (_certificate_blocks(a2, TietzeBudget()), 2, 12, (), a2, _CLASSES)
     assert tietze_kernel(*small) == _consequence_search(*small)
-
-
-def test_tietze_determinism():
-    p = parse("< a, b | a^2, b^2 >")
-    runs = [list(tietze_neighbors(p)) for _ in range(2)]
-    assert [(q, m.kind) for q, m in runs[0]] == [(q, m.kind) for q, m in runs[1]]
 
 
 def test_is_freely_related():
