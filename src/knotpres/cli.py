@@ -97,20 +97,23 @@ def _cmd_h1(args):
     return 0, payload, [str(inv)]
 
 
-def _parse_matrix(text):
+def _json_array(text, what):
+    """``text`` parsed as JSON, which must be an array."""
     try:
-        m = json.loads(text)
+        value = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError("matrix must be a JSON array of rows: %s" % exc)
-    if not isinstance(m, list) or any(not isinstance(row, list) for row in m):
+        raise ValueError("%s must be a JSON array: %s" % (what, exc))
+    if not isinstance(value, list):
+        raise ValueError("%s must be a JSON array" % what)
+    return value
+
+
+def _parse_matrix(text):
+    """A JSON array of rows; smith_normal_form refuses ragged rows and
+    entries that are not ints."""
+    m = _json_array(text, "matrix")
+    if any(not isinstance(row, list) for row in m):
         raise ValueError("matrix must be a JSON array of rows")
-    widths = {len(row) for row in m}
-    if len(widths) > 1:
-        raise ValueError("matrix rows must all have the same length")
-    for row in m:
-        for entry in row:
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ValueError("matrix entries must be integers")
     return m
 
 
@@ -216,14 +219,8 @@ def _cmd_verify_identity(args):
     raw = args.pi
     if raw == "-":
         raw = sys.stdin.read()
-    try:
-        entries = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError("identity sequence must be JSON: %s" % exc)
-    if not isinstance(entries, list):
-        raise ValueError("identity sequence must be a JSON array")
     triples, used = [], 0
-    for entry in entries:
+    for entry in _json_array(raw, "identity sequence"):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each entry must be [conjugator, relator, sign]")
         conj, index, sign = entry

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .outcomes import CheckOutcome
 from .presentations import quotient
-from .words import Word, _directions, _quote
+from .words import _check_count, _check_word, _directions, _quote
 
 try:
     from . import _coset_speedup as _kernel
@@ -59,7 +59,11 @@ class CosetTable:
 
     def trace(self, coset, word):
         """Follow a word from a coset; the table is complete, so this always
-        lands somewhere."""
+        lands somewhere.  The coset must be an int in ``range(len(self))``."""
+        if type(coset) is not int or not 0 <= coset < len(self.rows):
+            raise ValueError("coset must be an int from 0 to %d, got %s"
+                             % (len(self.rows) - 1, _quote(coset)))
+        _check_word(word, self.num_gens, "word")
         c = coset
         for d in _directions(word):
             c = self.rows[c][d]
@@ -96,10 +100,7 @@ class EnumerationResult(namedtuple("EnumerationResult", "status index cosets_use
 
 def _check_max_cosets(max_cosets):
     """Refuse a coset budget that is not an int (bool included) of at least 1."""
-    if type(max_cosets) is not int:
-        raise ValueError("coset budget must be an int, got %s" % _quote(max_cosets))
-    if max_cosets < 1:
-        raise ValueError("coset budget must be positive")
+    _check_count(max_cosets, "coset budget", 1)
 
 
 def enumerate_cosets(p, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
@@ -109,10 +110,7 @@ def enumerate_cosets(p, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     _check_max_cosets(max_cosets)
     subgroup_words = tuple(subgroup_words)
     for w in subgroup_words:
-        if not isinstance(w, Word):
-            raise TypeError("subgroup word must be a Word")
-        if w.max_generator() > len(p.generators):
-            raise ValueError("subgroup word uses a generator not in the presentation")
+        _check_word(w, len(p.generators), "subgroup word")
     rels = [_directions(r) for r in p.relators]
     subs = [_directions(w) for w in subgroup_words]
     closed, count, rows = _kernel.run(len(p.generators), rels, subs, max_cosets)
@@ -144,10 +142,7 @@ def word_is_trivial_in_finite(p, w, max_cosets=DEFAULT_MAX_COSETS):
     """Decide whether w represents the identity, by enumerating the whole
     group and tracing w in its regular representation.  Unknown when the
     group does not finish within budget."""
-    if not isinstance(w, Word):
-        raise TypeError("word must be a Word")
-    if w.max_generator() > len(p.generators):
-        raise ValueError("word uses a generator not in the presentation")
+    _check_word(w, len(p.generators), "word")
     res = order(p, max_cosets)
     if not res.finite:
         return CheckOutcome.unknown(
@@ -165,8 +160,7 @@ def weight_one_witness_check(p, t, max_cosets=DEFAULT_MAX_COSETS):
     """Does the normal closure of the word t exhaust the group presented by
     p?  Yes exactly when adding t as a relator kills the group; Unknown when
     the quotient does not finish within budget."""
-    if not isinstance(t, Word):
-        raise TypeError("witness must be a Word")
+    _check_word(t, len(p.generators), "witness")
     q = quotient(p, [t])
     out = is_trivial_bounded(q, max_cosets)
     if out.is_yes:

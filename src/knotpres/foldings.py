@@ -17,13 +17,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import words as _words
-from .words import Word, _quote
+from .words import Word, _check_count, _check_word
 
 
 class SubgroupGraph:
     def __init__(self, alphabet_size: int):
-        if type(alphabet_size) is not int or alphabet_size < 0:
-            raise ValueError("alphabet size must be an int, 0 or more, got %s" % _quote(alphabet_size))
+        _check_count(alphabet_size, "alphabet size")
         self.alphabet_size = alphabet_size
         self.base = 0
         self.parent: list[int] = [0]
@@ -57,14 +56,8 @@ class SubgroupGraph:
             for d2, t2 in dead.items():
                 stack.append((lo, d2, t2))
 
-    def _check(self, w: Word, what: str) -> None:
-        if not isinstance(w, Word):
-            raise TypeError(f"{what} must be a Word")
-        if w.max_generator() > self.alphabet_size:
-            raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet")
-
     def add_loop(self, w: Word) -> None:
-        self._check(w, "subgroup word")
+        _check_word(w, self.alphabet_size, "subgroup word")
         v = self.base
         for k in w.letters[:-1]:
             nxt = len(self.parent)
@@ -77,7 +70,7 @@ class SubgroupGraph:
 
     def contains(self, w: Word) -> bool:
         """Membership: the word must trace a closed path at the base."""
-        self._check(w, "probe")
+        _check_word(w, self.alphabet_size, "probe")
         v = self._find(self.base)
         for k in w.letters:
             t = self.out[v].get(_words._direction(k))

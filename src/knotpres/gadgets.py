@@ -23,7 +23,7 @@ from .presentations import (
     parse,
     quotient,
 )
-from .words import EMPTY, Word, commutator
+from .words import EMPTY, Word, _check_word, commutator
 
 DEFAULT_AUDIT_BUDGET = 10_000
 
@@ -277,8 +277,7 @@ def weight_gadget(u, w):
     """
     if len(u.generators) < 2:
         raise ValueError("need at least two designated generators")
-    if w.max_generator() > 2:
-        raise ValueError("word must use only the two designated generators")
+    _check_word(w, 2, "word")
     p = len(u.generators)
     u1 = Word([1])
     u2 = Word([2])
@@ -322,8 +321,7 @@ def homology_gadget(g, u, y, w):
             "third input needs at least %d generators, has %d"
             % (n, len(y.generators))
         )
-    if w.max_generator() > len(u.generators):
-        raise ValueError("word uses a generator missing from the second input")
+    _check_word(w, len(u.generators), "word")
     names = _fresh_names(g.generators + u.generators + y.generators, ())
     m = len(g.generators)
     p = len(u.generators)
@@ -348,6 +346,5 @@ def whitehead_gadget(p, w):
     first homology of the output is always trivial; the output group is
     trivial exactly when the word is trivial in the input group.
     """
-    if w.max_generator() > len(p.generators):
-        raise ValueError("word uses a generator missing from the presentation")
+    _check_word(w, len(p.generators), "word")
     return _perfected(p, "whitehead_gadget", word=w)

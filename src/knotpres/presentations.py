@@ -30,7 +30,7 @@ from operator import ne, neg
 
 from .foldings import rank
 from .outcomes import CheckOutcome
-from .words import EMPTY, QUOTE_CHARS, Word, _quote, _trusted
+from .words import EMPTY, QUOTE_CHARS, Word, _check_count, _check_word, _quote, _trusted
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|[<>|,^()]|-?\d+)|\S)")
@@ -117,8 +117,7 @@ def _relators(words: Iterable, ngens: int) -> tuple[Word, ...]:
     """``words`` as reduced Words, each refused unless it fits ``ngens`` generators."""
     rels = tuple(r if isinstance(r, Word) else Word(r) for r in words)
     for r in rels:
-        if r.max_generator() > ngens:
-            raise ValueError(f"relator {_quote(r)} uses a generator outside the alphabet")
+        _check_word(r, ngens, "relator")
     return rels
 
 
@@ -345,8 +344,8 @@ def hnn_extension(p: Presentation, stable: str, pairs: Sequence[tuple[Word, Word
     s = ngens + 1
     rels = list(p.relators)
     for u, v in pairs:
-        if u.max_generator() > ngens or v.max_generator() > ngens:
-            raise ValueError("associated words use generators outside the base alphabet")
+        _check_word(u, ngens, "associated word")
+        _check_word(v, ngens, "associated word")
         # u and v are reduced words without the stable letter, so only an
         # empty u lets anything cancel: then the relator is v^-1
         rels.append(_trusted((-s,) + u.letters + (s,) + (~v).letters) if u else ~v)
@@ -415,10 +414,7 @@ class TietzeBudget(namedtuple(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {_quote(value)}")
-            if value < 0:
-                raise ValueError(f"{name} must be at least 0, got {_quote(value)}")
+            _check_count(value, name)
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too

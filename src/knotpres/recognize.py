@@ -16,11 +16,10 @@ from .outcomes import CheckOutcome
 from .presentations import (
     IdentitySequence,
     Presentation,
-    TietzeBudget,
     _eliminate,
     tietze_neighbors,
 )
-from .words import EMPTY, Word, _quote, cyclic_reduce
+from .words import EMPTY, Word, _check_count, _quote, cyclic_reduce
 
 DEFAULT_ELIMINATION_LETTERS = 2048
 
@@ -244,8 +243,7 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
     vacuously.  ``h`` must be an int up to half the generator count,
     ``budget`` an int; both 0 or more.
     """
-    if type(budget) is not int or budget < 0:
-        raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))
+    _check_count(budget, "budget")
     n = len(p.generators)
     if type(h) is not int or not 0 <= 2 * h <= n:
         raise ValueError("pair count must be an int from 0 to %d, got %s"
@@ -410,8 +408,7 @@ def enumerate_weight_one(budget):
     first.  Budgets 30, 60 and 90 read 38, 72 and 102 neighbors and build
     20, 188 and 188 additions.
     """
-    if type(budget) is not int or budget < 0:
-        raise ValueError("budget must be an int, 0 or more, got %s" % _quote(budget))
+    _check_count(budget, "budget")
     if budget == 0:
         return
     seed = Presentation(("x",), [Word([1])])
@@ -432,7 +429,7 @@ def enumerate_weight_one(budget):
                 return
         if emitted + pending >= budget:
             continue
-        for nxt, _move in tietze_neighbors(current, TietzeBudget()):
+        for nxt, _move in tietze_neighbors(current):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -20,6 +20,22 @@ def _quote(value) -> str:
     return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
+def _check_word(w, ngens: int, what: str) -> None:
+    """Refuse ``w``, the argument called ``what``, unless it is a Word over
+    the first ``ngens`` generators."""
+    if not isinstance(w, Word):
+        raise TypeError(f"{what} must be a Word")
+    if w.max_generator() > ngens:
+        raise ValueError(f"{what} {_quote(w)} uses a generator outside the alphabet")
+
+
+def _check_count(value, what: str, least: int = 0) -> None:
+    """Refuse ``value``, the count called ``what``, unless it is an int (a
+    bool is not) of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int, {least} or more, got {_quote(value)}")
+
+
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for k in letters:

@@ -7,6 +7,7 @@ budgets and the two kernels.
 
 import json
 import random
+import re
 
 import pytest
 
@@ -146,6 +147,23 @@ def test_weight_one_witness():
     assert not out.is_yes
 
 
+def test_trace_refuses_what_it_cannot_trace():
+    table = order(parse("< a | a^3 >")).table
+    a = Word([1])
+    assert sorted(table.trace(c, a) for c in range(3)) == [0, 1, 2]
+    assert table.trace(2, a ** 3) == 2
+    # Python would wrap -1 to the last row, and a bool is an int
+    for coset in (-1, 3, True, 1.0, "0", None):
+        message = "coset must be an int from 0 to 2, got %r" % (coset,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            table.trace(coset, a)
+    # a letter outside the alphabet would index past the end of a row
+    with pytest.raises(ValueError, match=r"^word Word\(\[2\]\) uses a generator outside the alphabet$"):
+        table.trace(0, Word([2]))
+    with pytest.raises(TypeError, match="^word must be a Word$"):
+        table.trace(0, [1])
+
+
 def test_validation_errors():
     p = parse("< x | x^2 >")
     with pytest.raises(ValueError):
@@ -164,11 +182,9 @@ def test_validation_errors():
         lambda b: kervaire_report(p, [Word([1])], max_cosets=b),
     )
     for call in calls:
-        for bad in (True, False, 2.5, "8", None):
-            with pytest.raises(ValueError, match="coset budget must be an int, got "):
-                call(bad)
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="coset budget must be positive"):
+        for bad in (True, False, 2.5, "8", None, 0, -1):
+            message = "coset budget must be an int, 1 or more, got %r" % (bad,)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 call(bad)
         call(1)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -203,32 +204,37 @@ def test_foldings_and_coset_tables_share_the_direction_encoding(
     assert lo <= members <= hi
 
 
+def _outside(what, w):
+    """The exact refusal of a word over generators outside the alphabet."""
+    return "^%s$" % re.escape("%s %r uses a generator outside the alphabet" % (what, w))
+
+
 def test_out_of_alphabet_probe_is_refused():
-    with pytest.raises(ValueError, match="outside the alphabet"):
+    with pytest.raises(ValueError, match=_outside("probe", Word([5]))):
         contains(2, [Word([A])], Word([5]))
-    with pytest.raises(ValueError, match="outside the alphabet"):
+    with pytest.raises(ValueError, match=_outside("probe", Word([B, 3]))):
         fold(2, [Word([A])]).contains(Word([B, 3]))
     assert not contains(2, [Word([A])], Word([B]))
 
 
 @pytest.mark.parametrize("bad", [[A], (A,), "x1", None])
 def test_words_that_are_not_words_are_refused(bad):
-    with pytest.raises(TypeError, match="must be a Word"):
+    with pytest.raises(TypeError, match="^subgroup word must be a Word$"):
         contains(2, [bad], Word([A]))
-    with pytest.raises(TypeError, match="must be a Word"):
+    with pytest.raises(TypeError, match="^subgroup word must be a Word$"):
         rank(2, [Word([A]), bad])
-    with pytest.raises(TypeError, match="must be a Word"):
+    with pytest.raises(TypeError, match="^subgroup word must be a Word$"):
         is_basis(2, [EMPTY, bad])
-    with pytest.raises(TypeError, match="must be a Word"):
+    with pytest.raises(TypeError, match="^subgroup word must be a Word$"):
         fold(2, [bad])
-    with pytest.raises(TypeError, match="must be a Word"):
+    with pytest.raises(TypeError, match="^probe must be a Word$"):
         contains(2, [Word([A])], bad)
-    with pytest.raises(TypeError, match="must be a Word"):
+    with pytest.raises(TypeError, match="^probe must be a Word$"):
         fold(2, [Word([A])]).contains(bad)
 
 
 def test_is_basis_checks_every_word_even_after_a_trivial_one():
-    with pytest.raises(ValueError, match="outside the alphabet"):
+    with pytest.raises(ValueError, match=_outside("subgroup word", Word([5]))):
         is_basis(1, [EMPTY, Word([5])])
 
 
@@ -275,7 +281,7 @@ def test_memo_hit_does_not_answer_for_a_bool_alphabet():
 
 def test_out_of_alphabet_subgroup_word_raises_every_time():
     for _ in range(2):
-        with pytest.raises(ValueError, match="outside the alphabet"):
+        with pytest.raises(ValueError, match=_outside("subgroup word", Word([B]))):
             contains(1, [Word([A]), Word([B])], Word([A]))
     assert rank(2, [Word([A]), Word([B])]) == 2
 

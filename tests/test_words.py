@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -282,3 +283,69 @@ def test_shift_matches_the_reduced_shift():
     assert EMPTY.shift(-3) == EMPTY
     with pytest.raises(ValueError, match="bad letter 1.5"):
         Word([A]).shift(0.5)
+
+
+# Every public call that takes a word or a count, as (the argument's name in
+# the refusal, call).  Each call refuses through words._check_word or
+# words._check_count, so each kind of bad argument has one message.
+_S3 = knotpres.parse("< a, b | a^2, b^3, (a b)^2 >")
+_FREE = knotpres.parse("< f | f^2 >")  # freely related, for homology_gadget
+_ONE = knotpres.parse("< y | >")
+_WORD_CALLS = [
+    ("subgroup word", lambda w: knotpres.enumerate_cosets(_S3, [w])),
+    ("word", lambda w: knotpres.word_is_trivial_in_finite(_S3, w)),
+    ("witness", lambda w: knotpres.weight_one_witness_check(_S3, w)),
+    ("witness", lambda w: knotpres.kervaire_report(_S3, [w])),
+    ("word", lambda w: knotpres.order(_S3).table.trace(0, w)),
+    ("subgroup word", lambda w: knotpres.fold(2, [w])),
+    ("subgroup word", lambda w: knotpres.contains(2, [w], EMPTY)),
+    ("subgroup word", lambda w: knotpres.rank(2, [w])),
+    ("subgroup word", lambda w: knotpres.is_basis(2, [w])),
+    ("probe", lambda w: knotpres.contains(2, [], w)),
+    ("probe", lambda w: knotpres.fold(2, []).contains(w)),
+    ("associated word", lambda w: knotpres.hnn_extension(_S3, "t", [(w, EMPTY)])),
+    ("associated word", lambda w: knotpres.hnn_extension(_S3, "t", [(EMPTY, w)])),
+    ("word", lambda w: knotpres.weight_gadget(_S3, w)),
+    ("word", lambda w: knotpres.homology_gadget(_FREE, _S3, _ONE, w)),
+    ("word", lambda w: knotpres.whitehead_gadget(_S3, w)),
+    # relators may also be given as letter sequences, which Word checks
+    ("relator", lambda w: knotpres.Presentation(("a", "b"), [w])),
+    ("relator", lambda w: knotpres.quotient(_S3, [w])),
+]
+_COUNT_CALLS = [
+    ("coset budget", 1, lambda n: knotpres.enumerate_cosets(_S3, [], n)),
+    ("coset budget", 1, lambda n: knotpres.order(_S3, n)),
+    ("coset budget", 1, lambda n: knotpres.is_trivial_bounded(_S3, n)),
+    ("coset budget", 1, lambda n: knotpres.word_is_trivial_in_finite(_S3, EMPTY, n)),
+    ("coset budget", 1, lambda n: knotpres.weight_one_witness_check(_S3, EMPTY, n)),
+    ("coset budget", 1, lambda n: knotpres.kervaire_report(_S3, [], max_cosets=n)),
+    ("coset budget", 1, lambda n: knotpres.k3_embed(_ONE, n)),
+    ("coset budget", 1, lambda n: knotpres.s_minus_k3(_ONE, n)),
+    ("coset budget", 1, lambda n: knotpres.m_minus_s(_ONE, n)),
+    ("alphabet size", 0, lambda n: knotpres.SubgroupGraph(n)),
+    ("alphabet size", 0, lambda n: knotpres.fold(n, [])),
+    ("alphabet size", 0, lambda n: knotpres.contains(n, [], EMPTY)),
+    ("alphabet size", 0, lambda n: knotpres.rank(n, [])),
+    ("alphabet size", 0, lambda n: knotpres.is_basis(n, [])),
+    ("budget", 0, lambda n: knotpres.two_knot_check(_S3, 0, n)),
+    ("budget", 0, lambda n: list(knotpres.enumerate_weight_one(n))),
+] + [
+    (field, 0, lambda n, field=field: knotpres.TietzeBudget(**{field: n}))
+    for field in knotpres.TietzeBudget._fields
+]
+
+
+def test_bad_words_and_counts_are_refused_one_way():
+    for what, call in _WORD_CALLS:
+        if what != "relator":
+            for bad in ("a", [A]):
+                with pytest.raises(TypeError, match=f"^{what} must be a Word$"):
+                    call(bad)
+        message = f"{what} Word([9]) uses a generator outside the alphabet"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(Word([9]))
+    for what, least, call in _COUNT_CALLS:
+        for bad in (True, -1, 2.5):
+            message = f"{what} must be an int, {least} or more, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(bad)
