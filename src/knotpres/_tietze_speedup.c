@@ -10,7 +10,8 @@
    cancels the word's last, and the last level of a search with a goal is
    one lookup per parent among the blocks.  Without a goal it returns the
    add-relator neighbors, sorted by length and then by letters as the
-   reference's sort leaves them, so both kernels return identical lists.
+   reference's sort leaves them, as an iterator that builds each neighbor
+   when it is read, so both kernels yield identical streams.
 
    Every word lives once, in one arena of C int letters that grows by
    doubling, as a node that records its parent word and the block that
@@ -24,19 +25,24 @@
    with the words actually formed, never with the budget's caps, and the
    caps and counts saturate rather than overflow, so a budget field of
    10**30 costs what a saturating one does.  Certificates are built as
-   entry tuples only for the words returned.
+   entry tuples only for the goal found and the neighbors built.
 
    The additions are ordered by one bottom-up merge sort of (length,
-   letters, node) keys, with the comparison inlined.  Each neighbor is
-   built here, straight from the arena and the node records, as the
-   reference builds it: the letter tuple, the entries tuple, a Word, an
-   IdentitySequence, a TietzeMove, the relator tuple, a Presentation and
-   their pair, each written once into the list returned.
+   letters, node) keys, with the comparison inlined.  The search then frees
+   the hash slots and returns an iterator that keeps the arena, the node
+   records, the sorted keys and the block set, and frees them once its
+   last neighbor is built or it is dropped.  Each __next__ builds one
+   neighbor straight from them, as the reference builds it: the letter
+   tuple, the entries tuple, a Word, an IdentitySequence, a TietzeMove,
+   the relator tuple, a Presentation and their pair.  The cyclic GC is
+   paused while it does: none of these objects can be garbage, and a
+   reader that keeps them all would otherwise pay for a collection every
+   few hundred neighbors that traverses them and frees nothing.
    The four classes come as an argument, and the module keeps no state.
    The plain classes' instances are allocated as object.__new__ does and
    their slots written at the offsets their member descriptors give; the
    named tuples are allocated as tuple.__new__ does.  A class that cannot
-   be built that way is refused with TypeError before the search.
+   be built that way is refused with TypeError by the search call itself.
 
    Letters must be nonzero and fit in a C int; a letter of a presentation's
    word is at most its number of generators.  The search checks for signals
@@ -459,22 +465,68 @@ static PyObject *new_tuple(PyTypeObject *cls, Py_ssize_t n)
     return t;
 }
 
-/* The neighbor that adds the word w of n letters, kept as node k, to the
-   relators: a new pair (presentation, move), built as the reference
-   kernel builds it. */
-static PyObject *neighbor(const Words *ws, const Words *bs, PyObject *seq, const Classes *c,
-                          const int *w, Py_ssize_t n, Py_ssize_t k, PyObject *kind,
-                          PyObject *generators, PyObject *relators)
+/* The add-relator neighbors of one search, an iterator that builds one
+   (presentation, move) pair per __next__ from what the search leaves: the
+   word arena and node records, the block set and the blocks tuple its
+   entries come from, and the keys of the words to build, sorted.  Every
+   buffer is freed, and every reference dropped, once the last pair is
+   built or the iterator is dropped. */
+typedef struct {
+    PyObject_HEAD
+    Words ws, bs;
+    PyObject *seq;
+    Key *keys;
+    Py_ssize_t count, next;  /* the keys to build, and the next one's index */
+    Classes classes;         /* borrowed from classes_arg, which it keeps */
+    PyObject *classes_arg, *generators, *relators, *kind;
+} Stream;
+
+static int release(Stream *s)
 {
+    free_words(&s->ws);
+    free_words(&s->bs);
+    PyMem_Free(s->keys);
+    s->ws = s->bs = (Words){0};
+    s->keys = NULL;
+    s->count = s->next = 0;
+    Py_CLEAR(s->seq);
+    Py_CLEAR(s->classes_arg);
+    Py_CLEAR(s->generators);
+    Py_CLEAR(s->relators);
+    Py_CLEAR(s->kind);
+    return 0;
+}
+
+static int stream_traverse(Stream *s, visitproc visit, void *arg)
+{
+    Py_VISIT(s->seq);
+    Py_VISIT(s->classes_arg);
+    Py_VISIT(s->generators);
+    Py_VISIT(s->relators);
+    return 0;
+}
+
+static void stream_dealloc(Stream *s)
+{
+    PyObject_GC_UnTrack(s);
+    release(s);
+    PyObject_GC_Del(s);
+}
+
+/* The neighbor that adds the word of key to the relators: a new pair
+   (presentation, move), built as the reference kernel builds it. */
+static PyObject *neighbor(const Stream *s, const Key *key)
+{
+    const Classes *c = &s->classes;
     PyObject *move = NULL, *rels = NULL, *q = NULL;
-    PyObject *letters = letters_tuple(w, n);
+    PyObject *letters = letters_tuple(key->w, key->len);
     PyObject *word = letters ? c->word->tp_alloc(c->word, 0) : NULL;
     if (word == NULL) {
         Py_XDECREF(letters);
         return NULL;
     }
     SLOT(word, c->letters) = letters;
-    PyObject *entries = certificate(ws, bs, seq, k, NULL);
+    PyObject *entries = certificate(&s->ws, &s->bs, s->seq, key->node, NULL);
     PyObject *cert = entries ? new_tuple(c->sequence, 1) : NULL;
     if (cert == NULL) {
         Py_XDECREF(entries);
@@ -486,23 +538,23 @@ static PyObject *neighbor(const Words *ws, const Words *bs, PyObject *seq, const
         Py_DECREF(cert);
         goto fail;
     }
-    PyTuple_SET_ITEM(move, 0, Py_NewRef(kind));
+    PyTuple_SET_ITEM(move, 0, Py_NewRef(s->kind));
     for (int i = 1; i < 4; i++)
         PyTuple_SET_ITEM(move, i, Py_NewRef(Py_None));
     PyTuple_SET_ITEM(move, 4, Py_NewRef(word));
     PyTuple_SET_ITEM(move, 5, cert);
-    Py_ssize_t nrels = PyTuple_GET_SIZE(relators);
+    Py_ssize_t nrels = PyTuple_GET_SIZE(s->relators);
     rels = PyTuple_New(nrels + 1);
     if (rels == NULL)
         goto fail;
     for (Py_ssize_t i = 0; i < nrels; i++)
-        PyTuple_SET_ITEM(rels, i, Py_NewRef(PyTuple_GET_ITEM(relators, i)));
+        PyTuple_SET_ITEM(rels, i, Py_NewRef(PyTuple_GET_ITEM(s->relators, i)));
     PyTuple_SET_ITEM(rels, nrels, word);
     word = NULL;
     q = c->presentation->tp_alloc(c->presentation, 0);
     if (q == NULL)
         goto fail;
-    SLOT(q, c->generators) = Py_NewRef(generators);
+    SLOT(q, c->generators) = Py_NewRef(s->generators);
     SLOT(q, c->relators) = rels;
     rels = NULL;
     PyObject *pair = PyTuple_New(2);
@@ -519,48 +571,78 @@ fail:
     return NULL;
 }
 
-/* The add-relator neighbors of the presentation with these generators and
-   relators: a list of (presentation, move) pairs, one for each kept
-   nonempty word of at most max_len letters, sorted by length and then by
-   letters. */
-static PyObject *neighbors(const Words *ws, const Words *bs, PyObject *seq, Py_ssize_t max_len,
-                           const Classes *c, PyObject *generators, PyObject *relators)
+/* The next neighbor, built with the cyclic GC paused: nothing built here
+   is garbage or part of a cycle, so a collection could free nothing, and
+   no Python code runs meanwhile.  The GC's state is restored on every
+   path, and allocations made while it is paused start no collection. */
+static PyObject *stream_next(Stream *s)
 {
+    if (s->next >= s->count) {
+        release(s);
+        return NULL;
+    }
+    if ((s->next & SIGNAL_MASK) == SIGNAL_MASK && PyErr_CheckSignals() < 0)
+        return NULL;
+    int was = PyGC_Disable();
+    PyObject *pair = neighbor(s, &s->keys[s->next]);
+    if (was)
+        PyGC_Enable();
+    if (pair != NULL && ++s->next == s->count)
+        release(s);
+    return pair;
+}
+
+static PyTypeObject Stream_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "knotpres._tietze_speedup.Additions",
+    .tp_doc = "The add-relator neighbors of one search, built as they are read.",
+    .tp_basicsize = sizeof(Stream),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_dealloc = (destructor)stream_dealloc,
+    .tp_traverse = (traverseproc)stream_traverse,
+    .tp_clear = (inquiry)release,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)stream_next,
+};
+
+/* The add-relator neighbors of the presentation with these generators and
+   relators, an iterator over (presentation, move) pairs, one for each kept
+   nonempty word of at most max_len letters, sorted by length and then by
+   letters.  It takes the word arena and the block set from *ws and *bs,
+   which are left empty, and references to the rest. */
+static PyObject *additions(Words *ws, Words *bs, PyObject *seq, Py_ssize_t max_len,
+                           const Classes *c, PyObject *classes_arg, PyObject *generators,
+                           PyObject *relators)
+{
+    Stream *s = (Stream *)Stream_Type.tp_alloc(&Stream_Type, 0);  /* zeroed: released as it is */
+    if (s == NULL)
+        return NULL;
     /* room for a key per node, at least the empty word's; a Key is smaller
        than the Node array's items, so the sizes cannot overflow */
-    Key *keys = PyMem_Malloc((size_t)ws->n * sizeof(Key));
+    s->keys = PyMem_Malloc((size_t)ws->n * sizeof(Key));
     Key *buf = PyMem_Malloc((size_t)ws->n * sizeof(Key));
-    if (keys == NULL || buf == NULL) {
-        PyMem_Free(keys);
+    s->kind = PyUnicode_FromString("add-relator");
+    if (s->keys == NULL || buf == NULL || s->kind == NULL) {
         PyMem_Free(buf);
-        return PyErr_NoMemory();
+        Py_DECREF(s);
+        return PyErr_Occurred() ? NULL : PyErr_NoMemory();
     }
-    Py_ssize_t count = 0;
     for (Py_ssize_t k = 1; k < ws->n; k++) {
         const Node *nd = &ws->nodes[k];
         if (nd->len <= max_len)
-            keys[count++] = (Key){nd->len, ws->letters + nd->at, k};
+            s->keys[s->count++] = (Key){nd->len, ws->letters + nd->at, k};
     }
-    sort_keys(keys, buf, count);
-    PyMem_Free(buf);  /* before the objects are built, to keep the peak down */
-    PyObject *kind = PyUnicode_FromString("add-relator");
-    PyObject *out = kind ? PyList_New(count) : NULL;
-    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
-        if ((i & SIGNAL_MASK) == SIGNAL_MASK && PyErr_CheckSignals() < 0) {
-            Py_CLEAR(out);
-            break;
-        }
-        PyObject *pair = neighbor(ws, bs, seq, c, keys[i].w, keys[i].len, keys[i].node, kind,
-                                  generators, relators);
-        if (pair == NULL) {
-            Py_CLEAR(out);
-            break;
-        }
-        PyList_SET_ITEM(out, i, pair);
-    }
-    Py_XDECREF(kind);
-    PyMem_Free(keys);
-    return out;
+    sort_keys(s->keys, buf, s->count);
+    PyMem_Free(buf);
+    s->ws = *ws;
+    s->bs = *bs;
+    *ws = *bs = (Words){0};
+    s->seq = Py_NewRef(seq);
+    s->classes = *c;
+    s->classes_arg = Py_NewRef(classes_arg);
+    s->generators = Py_NewRef(generators);
+    s->relators = Py_NewRef(relators);
+    return (PyObject *)s;
 }
 
 /* A count argument: an index of 0 or more, clipped to PY_SSIZE_T_MAX. */
@@ -721,7 +803,7 @@ static PyObject *search(PyObject *Py_UNUSED(self), PyObject *args)
     } else {
         PyMem_Free(ws.slots);  /* no word is looked up again */
         ws.slots = NULL;
-        result = neighbors(&ws, &bs, seq, max_len, &classes, generators, relators);
+        result = additions(&ws, &bs, seq, max_len, &classes, classes_arg, generators, relators);
     }
 
 done:
@@ -741,11 +823,21 @@ static PyMethodDef methods[] = {
      "blocks the earliest is kept, and empty ones are skipped.  goal is a letter\n"
      "tuple, or () for none.  With a goal, returns the certificate entries of the\n"
      "first path to it, or None, and does not read p or classes.  Without one,\n"
-     "returns the list of p's add-relator neighbors, (presentation, move) pairs\n"
-     "for every reachable nonempty word of at most max_relator_len letters, by\n"
-     "length and then by letters, made from classes:\n"
-     "(Word, IdentitySequence, TietzeMove, Presentation)."},
+     "returns an iterator over p's add-relator neighbors, (presentation, move)\n"
+     "pairs for every reachable nonempty word of at most max_relator_len\n"
+     "letters, by length and then by letters, each made from classes,\n"
+     "(Word, IdentitySequence, TietzeMove, Presentation), when it is read."},
     {NULL, NULL, 0, NULL},
+};
+
+static int exec_module(PyObject *Py_UNUSED(module))
+{
+    return PyType_Ready(&Stream_Type);
+}
+
+static PyModuleDef_Slot slots[] = {
+    {Py_mod_exec, exec_module},
+    {0, NULL},
 };
 
 static struct PyModuleDef module = {
@@ -754,6 +846,7 @@ static struct PyModuleDef module = {
     .m_doc = "Compiled Tietze consequence search; see knotpres.presentations._consequence_search.",
     .m_size = 0,
     .m_methods = methods,
+    .m_slots = slots,
 };
 
 PyMODINIT_FUNC PyInit__tietze_speedup(void)

@@ -90,6 +90,11 @@ class Presentation:
 
     def spell(self, w: Word) -> str:
         """Render a word with this presentation's generator names."""
+        _check_word(w, len(self.generators), "word")
+        return self._spell(w)
+
+    def _spell(self, w: Word) -> str:
+        """``spell`` for a word known to be over this alphabet."""
         letters = w.letters
         if not letters:
             return "1"
@@ -310,7 +315,7 @@ def parse(text: str) -> Presentation:
 
 def serialize(p: Presentation) -> str:
     gens = ", ".join(p.generators)
-    rels = ", ".join(p.spell(r) for r in p.relators)
+    rels = ", ".join(p._spell(r) for r in p.relators)
     return f"< {gens} | {rels} >".replace("<  |", "< |").replace("|  >", "| >")
 
 
@@ -485,10 +490,11 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     or None.  Its last level is one lookup per parent: free reduction is
     unique, so ``w * body == goal`` exactly when ``body`` is the reduced
     ``w^-1 goal``, in which the common prefix of ``w`` and ``goal`` cancels.
-    Without a goal, returns the list of ``p``'s add-relator neighbors as
-    ``tietze_neighbors`` yields them, one per reachable nonempty word of at
-    most ``max_relator_len`` letters, by length and then by letters, made
-    from ``classes``: ``(Word, IdentitySequence, TietzeMove, Presentation)``.
+    Without a goal, searches in full and returns an iterator over ``p``'s
+    add-relator neighbors as ``tietze_neighbors`` yields them, one per
+    reachable nonempty word of at most ``max_relator_len`` letters, by
+    length and then by letters, each made from ``classes``, ``(Word,
+    IdentitySequence, TietzeMove, Presentation)``, when it is read.
     """
     first = {}  # each distinct nonempty body, with its earliest block's entry
     for body, entry in blocks:
@@ -551,17 +557,18 @@ def _consequence_search(blocks, max_products: int, max_relator_len: int, goal: t
     # no helper and no named tuple's __new__: each call costs more than its object
     word, sequence, tietze_move, presentation = classes
     new, tnew, gens, rels = object.__new__, tuple.__new__, p.generators, p.relators
-    out = []
-    append = out.append
-    for letters in keys:
-        w = new(word)
-        w.letters = letters
-        q = new(presentation)
-        q.generators = gens
-        q.relators = rels + (w,)
-        cert = tnew(sequence, (found[letters],))
-        append((q, tnew(tietze_move, ("add-relator", None, None, None, w, cert))))
-    return out
+
+    def additions():  # nested: a function with a yield could not return entries
+        for letters in keys:
+            w = new(word)
+            w.letters = letters
+            q = new(presentation)
+            q.generators = gens
+            q.relators = rels + (w,)
+            cert = tnew(sequence, (found[letters],))
+            yield q, tnew(tietze_move, ("add-relator", None, None, None, w, cert))
+
+    return additions()
 
 
 _CLASSES = (Word, IdentitySequence, TietzeMove, Presentation)  # what neighbors are built from
@@ -626,8 +633,9 @@ def tietze_neighbors(
     (generator, relator), relator additions by length and then by the tuple
     order of the letter ints (x^-1 before x, unlike ``words_up_to``'s 1, -1,
     2, -2), generator additions in ``words_up_to`` order of the defining word.
-    The additions are searched and built in full before the first is
-    yielded, so a consumer that stops early still pays for all of them.
+    The additions are searched in full before the first is yielded, but
+    each is built only when it is read, so a consumer that stops early pays
+    for the search and for what it reads.
     """
     ngens = len(p.generators)
     blocks = _certificate_blocks(p, budget)

@@ -933,6 +933,12 @@ def _parity_corpus():
     return corpus
 
 
+def _read(result, goal):
+    """A kernel's result as the tests compare it: a goal search's entries
+    or None as they are, and an addition stream read into a list."""
+    return result if goal else list(result)
+
+
 def _assert_built_as(got, want):
     """``got``, equal to the reference kernel's ``want``, is built as it is:
     what the kernels were given comes back as the very same objects, and
@@ -992,7 +998,7 @@ def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
                 if body:
                     first.setdefault(body, entry)
             once = list(first.items())
-            want = _consequence_search(once, *rest)
+            want = _read(_consequence_search(once, *rest), rest[2])
             twice = [b for block in blocks * 2 for b in (((), "empty"), block)]
             runs = [(compiled_tietze, once)] + [
                 (kernel, given)
@@ -1000,7 +1006,7 @@ def test_compiled_tietze_search_matches_pure_kernel(compiled_tietze):
                 for given in (blocks, twice)
             ]
             for kernel, given in runs:
-                got = kernel(given, *rest)
+                got = _read(kernel(given, *rest), rest[2])
                 assert got == want, (kernel, p, budget, rest[2], len(given))
                 _assert_built_as(got, want)
             searches += 1
@@ -1021,7 +1027,7 @@ def test_compiled_tietze_search_takes_the_earliest_of_equal_blocks(compiled_tiet
         assert _consequence_search(blocks, products, 12, goal, _ONE, _CLASSES) == want
         assert compiled_tietze(blocks, products, 12, goal, _ONE, _CLASSES) == want
     args = (blocks, 2, 12, (), _ONE, _CLASSES)
-    assert compiled_tietze(*args) == _consequence_search(*args)
+    assert list(compiled_tietze(*args)) == list(_consequence_search(*args))
     # tietze_neighbors passes _certificate_blocks as it is: here x three
     # times over, conjugated by 1, x and x^-1, then each inverted, and six
     # empty blocks from the empty relator.
@@ -1148,27 +1154,32 @@ def test_tietze_huge_budgets_cost_what_saturating_ones_do(tietze_kernel, capsys)
 
 def test_compiled_tietze_search_returns_every_block(compiled_tietze):
     # The search's buffers come from PyMem_*, which sys.getallocatedblocks
-    # counts; calls that find the goal, miss it, build neighbors or are
-    # refused each free all of them.  The objects the neighbors share with
-    # the presentation and the blocks are referenced once per neighbor, and
-    # only while it lives: a reference a call kept would show 200 times.
+    # counts; calls that find the goal, miss it or are refused each free all
+    # of them, and so does an addition stream dropped unread, dropped after
+    # its first neighbor, or read to its end.  The objects the neighbors
+    # share with the presentation and the blocks are referenced once per
+    # neighbor, and only while it lives: a reference a call kept would show
+    # 200 times.
     p = parse("< a, b | a^2, b^3, (a b)^5 >")
     budget = TietzeBudget(2, 1, 12, 2)
     blocks = _certificate_blocks(p, budget)
     searches = list(_searches(p, budget)) + [(blocks, 2, 12, (1, 2), p, _CLASSES)]
+    additions = searches[-2]
     refused = [((1, 2), "e"), ((1, 0), "e")]
     shared = [p.generators, *p.relators, blocks[0][1]]
 
     def calls(count):
         for _ in range(count):
             for args in searches:
-                compiled_tietze(*args)
+                compiled_tietze(*args)  # the addition stream among them unread
+            next(compiled_tietze(*additions))
+            list(compiled_tietze(*additions))
             with pytest.raises(ValueError):
                 compiled_tietze(refused, 2, 12, (), p, _CLASSES)
             with pytest.raises(TypeError):
                 compiled_tietze(blocks, 2, 12, (), p, _CLASSES[:3] + (Word,))
 
-    assert len(compiled_tietze(*searches[-2])) > 100
+    assert len(list(compiled_tietze(*additions))) > 100
     calls(3)  # the first calls may grow the interpreter's own caches
     gc.collect()
     before = sys.getallocatedblocks()
@@ -1177,6 +1188,79 @@ def test_compiled_tietze_search_returns_every_block(compiled_tietze):
     gc.collect()
     assert abs(sys.getallocatedblocks() - before) < 50
     assert [sys.getrefcount(obj) for obj in shared] == counts
+    # a stream lets go of what it keeps once its last neighbor is built,
+    # before it is dropped, and stays exhausted
+    stream = compiled_tietze(*additions)
+    assert len(list(stream)) > 100
+    assert [sys.getrefcount(obj) for obj in shared] == counts
+    assert gc.get_referents(stream) == [] and list(stream) == []
+
+
+def test_tietze_stream_builds_only_what_is_read(tietze_kernel):
+    # The addition search runs in full at the call, and each neighbor is
+    # built only when it is read: reading the first of the 7,144 additions
+    # of the trefoil's K3 embedding, search included, traces a small part of
+    # what reading them all does.
+    p = k3_embed(parse(TREFOIL)).output
+    blocks = _certificate_blocks(p, TietzeBudget(2, 0, 8, 2))
+    peaks = []
+    for read in (next, list):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = read(tietze_kernel(blocks, 2, 8, (), p, _CLASSES))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(got) == 7144
+    assert peaks[0] < peaks[1] / 3, peaks
+
+
+def test_tietze_stream_leaves_the_collector_as_it_found_it(tietze_kernel):
+    # The compiled kernel pauses the cyclic GC only while it builds a
+    # neighbor: a consumer's loop body runs with the collector as the
+    # consumer had it.
+    p = parse("< a, b | a^2, b^3, (a b)^5 >")
+    args = (_certificate_blocks(p, TietzeBudget()), 2, 12, (), p, _CLASSES)
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            states = [gc.isenabled() for _ in tietze_kernel(*args)]
+            assert len(states) > 100 and set(states) == {enabled}
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_compiled_tietze_stream_defers_collections(compiled_tietze):
+    # Building a neighbor allocates eight tracked containers and starts no
+    # collection, so a list() of the trefoil K3 embedding's 7,144 additions,
+    # which allocates between them nothing of its own, runs at most one.
+    # A refused call leaves the collector as it found it.
+    p = k3_embed(parse(TREFOIL)).output
+    blocks = _certificate_blocks(p, TietzeBudget(2, 0, 8, 2))
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(TypeError):
+                compiled_tietze(blocks, 2, 8, (), p, _CLASSES[:3] + (Word,))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    stream = compiled_tietze(blocks, 2, 8, (), p, _CLASSES)
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        got = list(stream)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(got) == 7144 and len(runs) <= 1, runs
 
 
 class _Alarm(Exception):
@@ -1188,29 +1272,44 @@ def test_tietze_search_stops_on_a_signal(tietze_kernel):
     # and keeps 484,000 words, for seconds on either kernel.  At three
     # products and a relator length of 0 its last level would form about
     # 5 billion and keep none, so only a check inside the search loop stops
-    # it.  An exception that a signal handler raises 50 ms in must come back
-    # within a second, and the kernel must work as before after it.
+    # it.  Building the 484,000 additions that the first search returns
+    # takes a good part of a second more, and list() of the compiled
+    # kernel's stream never runs the interpreter's own check.  An exception
+    # that a signal handler raises 50 ms into the search or into the build
+    # must come back within a second, with the collector enabled, and the
+    # kernel must work as before after it.  The compiled stream must stop
+    # part way, not surface the exception after its last neighbor.
     p = s_minus_k3(parse(TREFOIL)).output
     blocks = _certificate_blocks(p, TietzeBudget())
+    build = tietze_kernel(blocks, 2, 12, (), p, _CLASSES)
+    runs = {
+        "search": lambda: tietze_kernel(blocks, 2, 12, (), p, _CLASSES),
+        "last level": lambda: tietze_kernel(blocks, 3, 0, (), p, _CLASSES),
+        "build": lambda: list(build),
+    }
 
     def ring(signum, frame):
         raise _Alarm
 
-    for products, relator_len in ((2, 12), (3, 0)):
+    for name, run in runs.items():
         old = signal.signal(signal.SIGALRM, ring)
         try:
             start = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, 0.05)
             with pytest.raises(_Alarm):
-                tietze_kernel(blocks, products, relator_len, (), p, _CLASSES)
+                run()
             elapsed = time.perf_counter() - start
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old)
-        assert elapsed < 1.05, (products, relator_len, elapsed)
+        assert elapsed < 1.05, (name, elapsed)
+        assert gc.isenabled(), name
+    if tietze_kernel is not _consequence_search:
+        assert next(build, None) is not None
+    del build
     a2 = parse("< a | a^2 >")
     small = (_certificate_blocks(a2, TietzeBudget()), 2, 12, (), a2, _CLASSES)
-    assert tietze_kernel(*small) == _consequence_search(*small)
+    assert list(tietze_kernel(*small)) == list(_consequence_search(*small))
 
 
 def test_is_freely_related():

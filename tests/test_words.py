@@ -308,6 +308,7 @@ _WORD_CALLS = [
     ("word", lambda w: knotpres.weight_gadget(_S3, w)),
     ("word", lambda w: knotpres.homology_gadget(_FREE, _S3, _ONE, w)),
     ("word", lambda w: knotpres.whitehead_gadget(_S3, w)),
+    ("word", lambda w: _S3.spell(w)),
     # relators may also be given as letter sequences, which Word checks
     ("relator", lambda w: knotpres.Presentation(("a", "b"), [w])),
     ("relator", lambda w: knotpres.quotient(_S3, [w])),
