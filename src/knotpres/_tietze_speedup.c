@@ -34,10 +34,8 @@
    last neighbor is built or it is dropped.  Each __next__ builds one
    neighbor straight from them, as the reference builds it: the letter
    tuple, the entries tuple, a Word, an IdentitySequence, a TietzeMove,
-   the relator tuple, a Presentation and their pair.  The cyclic GC is
-   paused while it does: none of these objects can be garbage, and a
-   reader that keeps them all would otherwise pay for a collection every
-   few hundred neighbors that traverses them and frees nothing.
+   the relator tuple, a Presentation and their pair, with the cyclic GC
+   paused (see stream_next).
    The four classes come as an argument, and the module keeps no state.
    The plain classes' instances are allocated as object.__new__ does and
    their slots written at the offsets their member descriptors give; the
@@ -481,6 +479,8 @@ typedef struct {
     PyObject *classes_arg, *generators, *relators, *kind;
 } Stream;
 
+/* Frees every buffer and drops every reference, leaving the iterator
+   exhausted: on its last neighbor, on dealloc, and as its tp_clear. */
 static int release(Stream *s)
 {
     free_words(&s->ws);
@@ -574,7 +574,9 @@ fail:
 /* The next neighbor, built with the cyclic GC paused: nothing built here
    is garbage or part of a cycle, so a collection could free nothing, and
    no Python code runs meanwhile.  The GC's state is restored on every
-   path, and allocations made while it is paused start no collection. */
+   path.  Allocations made while it is paused start no collection, so a
+   reader that keeps every neighbor, as list() does, pays for one deferred
+   collection instead of one every few hundred neighbors. */
 static PyObject *stream_next(Stream *s)
 {
     if (s->next >= s->count) {

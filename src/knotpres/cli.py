@@ -234,7 +234,7 @@ def _cmd_verify_identity(args):
 
 def _cmd_enumerate(args):
     items = [
-        (serialize(pres), pres.spell(witness))
+        (serialize(pres), pres._spell(witness))
         for pres, witness in enumerate_weight_one(args.budget)
     ]
     payload = {"emissions": [{"presentation": t, "witness": w} for t, w in items]}

@@ -55,7 +55,7 @@ class GadgetReport(namedtuple("GadgetReport", "output provenance generator_map a
             "provenance": self.provenance,
             "presentation": str(self.output),
             "generator_map": {
-                name: self.output.spell(w) for name, w in self.generator_map.items()
+                name: self.output._spell(w) for name, w in self.generator_map.items()
             },
             "audit": [[name, verdict] for name, verdict in self.audit],
         }

@@ -58,7 +58,7 @@ def is_wirtinger(p):
         patterns.append(hit)
     return CheckOutcome.yes(
         evidence={
-            "patterns": [[i, j, p.spell(w)] for i, j, w in patterns],
+            "patterns": [[i, j, p._spell(w)] for i, j, w in patterns],
         }
     )
 
@@ -132,7 +132,7 @@ def artin_check(p):
     return CheckOutcome.yes(
         evidence={
             "mu": mu,
-            "conjugators": [p.spell(w) for w in conjugators],
+            "conjugators": [p._spell(w) for w in conjugators],
         }
     )
 
@@ -181,7 +181,7 @@ def _eliminate_to_free(names, relators, max_letters):
         else:
             return False, trace
         rep, rest = step
-        trace.append([ri, g, Presentation(live).spell(rep)])
+        trace.append([ri, g, Presentation(live)._spell(rep)])
         del live[g - 1]
         rels = [r for r in rest if r]
     return True, trace
@@ -218,7 +218,7 @@ def replay_elimination(ngens, relators, trace, names=None):
         if len(entry) > 2:
             word = entry[2]
             if isinstance(word, str):
-                if live is None or word != Presentation(live).spell(rep):
+                if live is None or word != Presentation(live)._spell(rep):
                     return False
             elif not isinstance(word, Word) or word != rep:
                 return False
@@ -265,7 +265,7 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
                 evidence={
                     "relator": i - 1,
                     "reason": "missing pairing relator",
-                    "expected": p.spell(want),
+                    "expected": p._spell(want),
                 }
             )
     family = _companion_family(p, h, full_cycle=False)
@@ -310,7 +310,7 @@ def two_knot_check(p, h, budget=DEFAULT_ELIMINATION_LETTERS):
     return CheckOutcome.yes(
         evidence={
             "mu": mu,
-            "conjugators": [p.spell(w) for w in conjugators],
+            "conjugators": [p._spell(w) for w in conjugators],
             "elimination": trace_plain,
             "elimination_derived": trace_derived,
         }
@@ -371,7 +371,7 @@ def kervaire_report(p, candidates=(), max_cosets=DEFAULT_MAX_COSETS,
     any_weight_yes = False
     for t in candidates:
         out = weight_one_witness_check(p, t, max_cosets)
-        entry = {"word": p.spell(t), "normal_closure_is_all": out.verdict}
+        entry = {"word": p._spell(t), "normal_closure_is_all": out.verdict}
         if out.budget_used is not None:
             entry["budget_used"] = out.budget_used
         weight.append(entry)
