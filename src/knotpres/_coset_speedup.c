@@ -11,7 +11,8 @@
    preserves relative order, so both kernels return identical tables.
 
    Inside the kernel every step returns a status: 0 to go on, EXHAUSTED when
-   a definition would break the budget, NOMEM when an allocation failed.
+   a definition would break the budget, NOMEM when an allocation failed,
+   SIGNALED when a signal handler raised (the exception is then set).
    Python objects are only read before and built after the enumeration. */
 
 #define PY_SSIZE_T_CLEAN
@@ -22,6 +23,12 @@
 
 #define EXHAUSTED (-2)
 #define NOMEM (-3)
+#define SIGNALED (-4)
+/* Signals are checked once per 4096 cosets defined, which polls the main
+   loop (between two definitions it processes at most n cosets), and once per
+   block of 4096 cosets a lookahead pass scans.  A check inside either loop
+   itself ran 1-1.5% slower over coset_enum's jobs. */
+#define SIGNAL_MASK 4095
 
 typedef struct {
     int *table;   /* row c, direction d at table[c * width + d]; -1 is a hole */
@@ -137,6 +144,8 @@ static long define(State *st, long at, int d)
 {
     if (st->live >= st->max_live || st->total >= st->max_total)
         return EXHAUSTED;
+    if ((st->total & SIGNAL_MASK) == 0 && PyErr_CheckSignals() < 0)
+        return SIGNALED;
     if (grow(st) < 0)
         return NOMEM;
     long new = st->n;
@@ -203,15 +212,21 @@ static int scan_word(State *st, long c, const Words *w, long k, int fill)
 /* Scan every relator without fill at each live coset from start on. */
 static int lookahead(State *st, const Words *rels, long start)
 {
-    for (long x = start; x < st->n; x++) {
-        if (st->parent[x] != x)
-            continue;
-        for (long j = 0; j < rels->count; j++) {
-            int status = scan_word(st, x, rels, j, 0);
-            if (status < 0)
-                return status;
+    /* A pass defines no coset, so st->n stays fixed. */
+    for (long block = start; block < st->n; block += SIGNAL_MASK + 1) {
+        if (PyErr_CheckSignals() < 0)
+            return SIGNALED;
+        long end = block + SIGNAL_MASK + 1 < st->n ? block + SIGNAL_MASK + 1 : st->n;
+        for (long x = block; x < end; x++) {
             if (st->parent[x] != x)
-                break;
+                continue;
+            for (long j = 0; j < rels->count; j++) {
+                int status = scan_word(st, x, rels, j, 0);
+                if (status < 0)
+                    return status;
+                if (st->parent[x] != x)
+                    break;
+            }
         }
     }
     st->next_lookahead = 8 * st->live;
@@ -465,6 +480,8 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args)
     st.parent[0] = 0;
 
     int status = enumerate(&st, &rels, &subs);
+    if (status == SIGNALED)
+        goto done;
     if (status == NOMEM) {
         PyErr_NoMemory();
         goto done;

@@ -90,25 +90,25 @@ class Presentation:
 
     def spell(self, w: Word) -> str:
         """Render a word with this presentation's generator names."""
-        _check_word(w, len(self.generators), "word")
-        return self._spell(w)
-
-    def _spell(self, w: Word) -> str:
-        """``spell`` for a word known to be over this alphabet."""
+        if not isinstance(w, Word):
+            raise TypeError("word must be a Word")
         letters = w.letters
         if not letters:
             return "1"
         names = self.generators
         parts = []
         prev, e = letters[0], 0
-        for k in letters[1:] + (0,):  # the 0 ends the last run
-            e += 1
-            if k != prev:  # a run of e letters prev ends
-                if prev > 0:
-                    parts.append(names[prev - 1] if e == 1 else f"{names[prev - 1]}^{e}")
-                else:
-                    parts.append(f"{names[-prev - 1]}^{-e}")
-                prev, e = k, 0
+        try:
+            for k in letters[1:] + (0,):  # the 0 ends the last run
+                e += 1
+                if k != prev:  # a run of e letters prev ends
+                    if prev > 0:
+                        parts.append(names[prev - 1] if e == 1 else f"{names[prev - 1]}^{e}")
+                    else:
+                        parts.append(f"{names[-prev - 1]}^{-e}")
+                    prev, e = k, 0
+        except IndexError:  # both indices are >= 0: a letter past the names, not a wrap
+            raise ValueError(f"word {_quote(w)} uses a generator outside the alphabet") from None
         return " ".join(parts)
 
 
@@ -315,7 +315,7 @@ def parse(text: str) -> Presentation:
 
 def serialize(p: Presentation) -> str:
     gens = ", ".join(p.generators)
-    rels = ", ".join(p._spell(r) for r in p.relators)
+    rels = ", ".join(p.spell(r) for r in p.relators)
     return f"< {gens} | {rels} >".replace("<  |", "< |").replace("|  >", "| >")
 
 

@@ -1,13 +1,17 @@
 """Independent helpers the tests check the library against.
 
-None of these is used by the library itself.  The subgroup oracle and the
-presentation reader use nothing from it: they work on raw letter tuples.
+None of these is used by the library itself.  Matrix, permutation, free-group
+and braid arithmetic comes from the benchmark's ``perfbench/oracles.py``, which
+imports nothing from knotpres, loaded once by path as ``perfbench_oracles`` so
+that it cannot shadow this module.  The subgroup oracle and the presentation
+reader use nothing from knotpres either: they work on raw letter tuples.
 """
 
-import math
+import importlib.util
 import re
+import sys
 from collections import deque
-from itertools import combinations
+from pathlib import Path
 
 from knotpres.presentations import (
     IdentitySequence,
@@ -18,77 +22,25 @@ from knotpres.presentations import (
 )
 from knotpres.words import EMPTY, Word
 
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracles", Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
+sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sys.modules[_spec.name])
 
-def matrix_multiply(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
-
-
-def determinant(mat):
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _cofactor_determinant(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    total = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * _cofactor_determinant(minor)
-    return total
-
-
-def gcd_of_minors_factors(m):
-    """Invariant factors of an integer matrix as successive quotients of the
-    gcds of its k x k minors, each minor by cofactor expansion."""
-    rows, cols = len(m), len(m[0]) if m else 0
-    factors = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in combinations(range(rows), k):
-            for ci in combinations(range(cols), k):
-                g = math.gcd(g, _cofactor_determinant([[m[i][j] for j in ci] for i in ri]))
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return tuple(factors)
+from perfbench_oracles import (  # noqa: E402  (loaded just above)
+    artin_shape,
+    braid_relators,
+    closure_size,
+    determinant,
+    gcd_of_minors_factors,
+    invert_word,
+    mat_mul_mod,
+    mat_of_word,
+    matmul,
+    perm_compose,
+    perm_of_word,
+    reduce_word,
+)
 
 
 def exponent_sum(w, gen):
@@ -241,79 +193,7 @@ ICO_C = ((0, 1), (4, 0))
 ICO_D = ((0, 4), (1, 1))
 
 
-def perm_compose(p, q):
-    """p then q, acting on the right."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def closure(gens, compose, identity):
-    """Every product of ``gens`` under ``compose``, found breadth first."""
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                e = compose(g, h)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
-
-
-def perm_of_word(word, images):
-    """Image of a word under generator -> permutation, inverses included."""
-    n = len(images[0])
-    acc = tuple(range(n))
-    for k in word.letters:
-        g = images[abs(k) - 1]
-        if k < 0:
-            inv = [0] * n
-            for i in range(n):
-                inv[g[i]] = i
-            g = tuple(inv)
-        acc = perm_compose(acc, g)
-    return acc
-
-
-def mat_mul5(a, b):
-    return tuple(
-        tuple((a[i][0] * b[0][j] + a[i][1] * b[1][j]) % 5 for j in (0, 1)) for i in (0, 1)
-    )
-
-
-def mat_of_word(word, images):
-    """Image of a word under generator -> 2 x 2 matrix over the field of five
-    elements, inverses included."""
-    acc = ((1, 0), (0, 1))
-    for k in word.letters:
-        m = images[abs(k) - 1]
-        if k < 0:
-            dinv = pow((m[0][0] * m[1][1] - m[0][1] * m[1][0]) % 5, -1, 5)
-            m = (
-                ((m[1][1] * dinv) % 5, (-m[0][1] * dinv) % 5),
-                ((-m[1][0] * dinv) % 5, (m[0][0] * dinv) % 5),
-            )
-        acc = mat_mul5(acc, m)
-    return acc
-
-
 # ------------------------------------------------- free groups, raw letters
-
-
-def free_reduce(letters):
-    out = []
-    for k in letters:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
-    return tuple(out)
-
-
-def _inverse(w):
-    return tuple(-k for k in reversed(w))
 
 
 def reduced_words(ngens, maxlen):
@@ -331,30 +211,30 @@ def reduced_words(ngens, maxlen):
 
 def _canonical(words):
     """The nonempty reduced words of ``words``, one of each ``{w, w^-1}``."""
-    canon = (min(w, _inverse(w)) for w in map(free_reduce, words))
+    canon = (min(w, invert_word(w)) for w in map(reduce_word, words))
     return list(dict.fromkeys(w for w in canon if w))
 
 
 def _nielsen_repair(basis):
     """One Nielsen transformation of ``basis`` toward N2 and N3, as
     ``(index, new word)``, or None when both hold."""
-    signed = [(w, i) for i, u in enumerate(basis) for w in (u, _inverse(u))]
+    signed = [(w, i) for i, u in enumerate(basis) for w in (u, invert_word(u))]
     for x, i in signed:
         for y, j in signed:
-            xy = free_reduce(x + y)
+            xy = reduce_word(x + y)
             if i != j and xy and len(xy) < max(len(x), len(y)):
                 return (i if len(xy) < len(x) else j), xy
     for x, i in signed:
         for y, j in signed:
             for z, k in signed:
-                if (j not in (i, k) and len(free_reduce(x + y + z))
+                if (j not in (i, k) and len(reduce_word(x + y + z))
                         <= len(x) - len(y) + len(z)):
                     # With N2 holding, x cancels exactly the first half
                     # y1 of y = y1 y2 and z its second half y2.
                     half = len(y) // 2
-                    if y[:half] < _inverse(y[half:]):
-                        return k, free_reduce(y + z)
-                    return i, free_reduce(x + y)
+                    if y[:half] < invert_word(y[half:]):
+                        return k, reduce_word(y + z)
+                    return i, reduce_word(x + y)
     return None
 
 
@@ -389,19 +269,19 @@ def check_nielsen_reduced(basis):
     N2. |x y| >= max(|x|, |y|) whenever x y != 1;
     N3. |x y z| > |x| - |y| + |z| whenever x y != 1 and y z != 1.
     """
-    signed = [w for u in basis for w in (u, _inverse(u))]
+    signed = [w for u in basis for w in (u, invert_word(u))]
     if () in signed:
         raise ValueError("N1 fails: the empty word")
     for x in signed:
         for y in signed:
-            xy = free_reduce(x + y)
+            xy = reduce_word(x + y)
             if xy and len(xy) < max(len(x), len(y)):
                 raise ValueError(f"N2 fails for {x}, {y}")
     for x in signed:
         for y in signed:
             for z in signed:
-                if (x != _inverse(y) and y != _inverse(z)
-                        and len(free_reduce(x + y + z)) <= len(x) - len(y) + len(z)):
+                if (x != invert_word(y) and y != invert_word(z)
+                        and len(reduce_word(x + y + z)) <= len(x) - len(y) + len(z)):
                     raise ValueError(f"N3 fails for {x}, {y}, {z}")
 
 
@@ -433,14 +313,14 @@ def subgroup_ball(gens, maxlen):
     """
     basis = nielsen_reduce(gens)
     check_nielsen_reduced(basis)
-    step = [w for u in basis for w in (u, _inverse(u))]
+    step = [w for u in basis for w in (u, invert_word(u))]
     seen = {()}
     frontier = [()]
     while frontier:
         nxt = []
         for w in frontier:
             for g in step:
-                prod = free_reduce(w + g)
+                prod = reduce_word(w + g)
                 if len(prod) <= maxlen and prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -521,10 +401,10 @@ def read_presentation(text):
     reader.take("|")
     rels = []
     if reader.peek() != ">":
-        rels.append(free_reduce(reader.word(names)))
+        rels.append(reduce_word(reader.word(names)))
         while reader.peek() == ",":
             reader.take()
-            rels.append(free_reduce(reader.word(names)))
+            rels.append(reduce_word(reader.word(names)))
     reader.take(">")
     reader.done()
     if len(set(names)) != len(names):
@@ -535,6 +415,6 @@ def read_presentation(text):
 def read_word(text, names):
     """The letters of one word over ``names``."""
     reader = _Reader(text)
-    letters = free_reduce(reader.word(list(names)))
+    letters = reduce_word(reader.word(list(names)))
     reader.done()
     return letters

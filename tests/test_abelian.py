@@ -16,13 +16,7 @@ from knotpres.abelian import (
 )
 from knotpres.presentations import Presentation, parse
 from knotpres.words import Word
-from oracles import (
-    determinant,
-    exponent_sum,
-    gcd_of_minors_factors,
-    matrix_multiply,
-    substitute,
-)
+from oracles import determinant, exponent_sum, gcd_of_minors_factors, matmul, substitute
 
 
 def _diag(d):
@@ -32,7 +26,7 @@ def _diag(d):
 def test_snf_diag_2_3():
     d, u, v = smith_normal_form([[2, 0], [0, 3]])
     assert _diag(d) == [1, 6]
-    assert matrix_multiply(matrix_multiply(u, [[2, 0], [0, 3]]), v) == d
+    assert matmul(matmul(u, [[2, 0], [0, 3]]), v) == d
 
 
 def test_snf_single_row():
@@ -69,7 +63,7 @@ def test_snf_randomized_transforms_and_chain():
     for _ in range(400):
         m = _random_matrix(rng)
         d, u, v = smith_normal_form(m)
-        assert matrix_multiply(matrix_multiply(u, m), v) == d
+        assert matmul(matmul(u, m), v) == d
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         diag = _diag(d)
@@ -244,7 +238,7 @@ def _kernel_matrices():
         rows, inner, cols = rng.randint(2, 7), rng.randint(1, 3), rng.randint(2, 7)
         a = [[rng.randint(-5, 5) for _ in range(inner)] for _ in range(rows)]
         b = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(inner)]
-        out.append(matrix_multiply(a, b))
+        out.append(matmul(a, b))
     for _ in range(40):
         # every entry negative, so the first pivot of every step starts negative
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -333,7 +327,7 @@ def test_compiled_smith_transforms_certify_big_entries(compiled_smith):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-(2**80), 2**80) for _ in range(cols)] for _ in range(rows)]
         d, u, v = compiled_smith(m, True)
-        assert matrix_multiply(matrix_multiply(u, m), v) == d
+        assert matmul(matmul(u, m), v) == d
         assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
 
 
@@ -343,7 +337,7 @@ def _assert_corpus_certificates(kernel):
     small_square = beyond_limb_pair = 0
     for m in _kernel_matrices():
         d, u, v = kernel(m, True)
-        assert matrix_multiply(matrix_multiply(u, m), v) == d, m
+        assert matmul(matmul(u, m), v) == d, m
         assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1, m
         largest = max((abs(e) for t in (u, v) for row in t for e in row), default=0)
         beyond_limb_pair += largest > 2**128

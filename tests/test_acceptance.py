@@ -46,13 +46,14 @@ from oracles import (
     A5_D,
     ICO_C,
     ICO_D,
-    closure,
+    artin_shape,
+    braid_relators,
+    closure_size,
     determinant,
-    free_reduce,
     gcd_of_minors_factors,
-    mat_mul5,
+    mat_mul_mod,
     mat_of_word,
-    matrix_multiply,
+    matmul,
     perm_compose,
     perm_of_word,
     random_presentation,
@@ -121,15 +122,15 @@ def test_finite_orders_match_closure_oracles():
     ident5 = tuple(range(5))
     for r in rot.relators:
         assert perm_of_word(r, [A5_C, A5_D]) == ident5
-    assert len(closure([A5_C, A5_D], perm_compose, ident5)) == 60
+    assert closure_size([A5_C, A5_D], perm_compose, ident5) == 60
     res = order(rot)
     assert res.finite and res.index == 60
 
     binary = parse(BINARY_ICOSAHEDRAL)
     ident = ((1, 0), (0, 1))
     for r in binary.relators:
-        assert mat_of_word(r, [ICO_C, ICO_D]) == ident
-    assert len(closure([ICO_C, ICO_D], mat_mul5, ident)) == 120
+        assert mat_of_word(r, [ICO_C, ICO_D], 5) == ident
+    assert closure_size([ICO_C, ICO_D], lambda a, b: mat_mul_mod(a, b, 5), ident) == 120
     res = order(binary)
     assert res.finite and res.index == 120
 
@@ -144,8 +145,8 @@ def test_central_square_identity_in_binary_group():
     assert word_is_trivial_in_finite(p, claim).is_yes
     assert word_is_trivial_in_finite(p, c * c).is_no
     # The matrix oracle agrees on both words.
-    assert mat_of_word(claim, [ICO_C, ICO_D]) == ((1, 0), (0, 1))
-    assert mat_of_word(c * c, [ICO_C, ICO_D]) != ((1, 0), (0, 1))
+    assert mat_of_word(claim, [ICO_C, ICO_D], 5) == ((1, 0), (0, 1))
+    assert mat_of_word(c * c, [ICO_C, ICO_D], 5) != ((1, 0), (0, 1))
 
 
 # ------------------------------------------------------- smith normal form
@@ -159,7 +160,7 @@ def test_smith_forms_are_certified_in_bulk():
         cols = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         d, u, v = smith_normal_form(m)
-        assert matrix_multiply(matrix_multiply(u, m), v) == d
+        assert matmul(matmul(u, m), v) == d
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
@@ -205,57 +206,6 @@ def test_folding_membership_matches_brute_force():
 # ------------------------------------------------------ braid recognition
 
 
-def _braid_image(n, braid_word):
-    images = [Word([j + 1]) for j in range(n)]
-    for s in braid_word:
-        i = abs(s) - 1
-        a, b = images[i], images[i + 1]
-        if s > 0:
-            images[i], images[i + 1] = a * b * ~a, a
-        else:
-            images[i], images[i + 1] = b, ~b * a * b
-    return images
-
-
-def _braid_presentation(n, braid_word):
-    images = _braid_image(n, braid_word)
-    names = tuple("x%d" % (j + 1) for j in range(n))
-    rels = [~Word([j + 1]) * images[j] for j in range(n)]
-    return Presentation(names, rels)
-
-
-def _cyclic_core(seq):
-    seq = list(seq)
-    i, j = 0, len(seq)
-    while j - i >= 2 and seq[i] == -seq[j - 1]:
-        i += 1
-        j -= 1
-    return seq[i:j]
-
-
-def _oracle_accepts_braid_shape(p):
-    """Decide the closed-braid conditions from scratch.
-
-    Uses only raw letter lists: each companion x_j r_j must cyclically
-    reduce to the next generator in the cycle, and the companions must
-    multiply out to the product of all generators in the free group.
-    """
-    n = len(p.generators)
-    if n == 0 or len(p.relators) != n:
-        return False
-    companions = []
-    for j in range(1, n + 1):
-        beta = free_reduce([j] + list(p.relators[j - 1].letters))
-        companions.append(beta)
-        core = _cyclic_core(beta)
-        if len(core) != 1 or core[0] != j % n + 1:
-            return False
-    flat = []
-    for beta in companions:
-        flat.extend(beta)
-    return free_reduce(flat) == tuple(range(1, n + 1))
-
-
 def _single_edit_mutants(p):
     """All presentations one letter-edit away, in a fixed scan order."""
     letters = (1, -1, 2, -2)
@@ -272,8 +222,8 @@ def _single_edit_mutants(p):
 
 
 def test_braid_recognition_and_mutant_rejection():
-    trefoil = _braid_presentation(2, [1, 1, 1])
-    assert _oracle_accepts_braid_shape(trefoil)
+    trefoil = Presentation(("x1", "x2"), [Word(r) for r in braid_relators(2, [1, 1, 1])])
+    assert artin_shape(2, [r.letters for r in trefoil.relators])
     assert artin_check(trefoil).is_yes
 
     rejected = 0
@@ -288,7 +238,7 @@ def test_braid_recognition_and_mutant_rejection():
             continue
         seen.add(mutant.relators)
         verdict = artin_check(mutant)
-        if _oracle_accepts_braid_shape(mutant):
+        if artin_shape(2, [r.letters for r in mutant.relators]):
             assert verdict.is_yes
         else:
             assert verdict.is_no

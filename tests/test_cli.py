@@ -15,7 +15,7 @@ import knotpres
 from knotpres.cli import build_parser, main
 from knotpres.coset import DEFAULT_MAX_COSETS
 from knotpres.presentations import TietzeBudget, parse
-from oracles import matrix_multiply
+from oracles import matmul
 
 TREFOIL = "< x, y | x y x y^-1 x^-1 y^-1 >"
 A5 = "< c, d | c^2, d^3, (c d)^5 >"
@@ -55,7 +55,7 @@ def test_snf_transforms_verify(capsys):
     code, out, _ = run(capsys, "snf", "[[2,0],[0,3]]")
     assert code == 0
     payload = json.loads(out)
-    product = matrix_multiply(matrix_multiply(payload["U"], [[2, 0], [0, 3]]), payload["V"])
+    product = matmul(matmul(payload["U"], [[2, 0], [0, 3]]), payload["V"])
     assert product == payload["D"]
     assert payload["D"][0][0] == 1 and payload["D"][1][1] == 6
 

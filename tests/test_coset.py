@@ -8,6 +8,8 @@ budgets and the two kernels.
 import json
 import random
 import re
+import signal
+import time
 
 import pytest
 
@@ -408,6 +410,35 @@ def test_compiled_kernel_rejects_bad_directions(compiled_kernel, relators, subgr
         compiled_kernel.run(2, relators, subgroup, 100)
     # Rejected input leaves the kernel working.
     assert compiled_kernel.run(1, [(0, 0)], [], 100)[:2] == (True, 2)
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _raise_alarm(signum, frame):
+    raise _Alarm
+
+
+def test_enumeration_stops_on_a_signal(compiled_kernel):
+    # The affine Coxeter group A~3 is infinite: the compiled kernel takes
+    # well over a second to fill six million cosets, so only a kernel that
+    # checks for signals stops within one.
+    p = parse("< a, b, c, d | a^2, b^2, c^2, d^2, (a b)^3, (b c)^3, (c d)^3, (a d)^3 >")
+    rels = [_directions(r) for r in p.relators]
+    previous = signal.signal(signal.SIGALRM, _raise_alarm)
+    try:
+        for kernel in (_coset_py, compiled_kernel):
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(_Alarm):
+                kernel.run(4, rels, [], 6_000_000)
+            assert time.perf_counter() - start < 1, kernel
+            # The interrupted run leaves the kernel working.
+            assert kernel.run(1, [(0, 0)], [], 100)[:2] == (True, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_enumeration_is_deterministic():

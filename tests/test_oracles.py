@@ -1,8 +1,8 @@
 """Self-tests of the subgroup-membership oracle in ``oracles.py``.
 
 The oracle vouches for ``foldings``, so it must not lean on it: it works on
-raw letter tuples, and the last test keeps it away from the package's
-decision procedures.
+raw letter tuples, and the last test keeps it, and the benchmark's oracles
+it shares, away from the package's decision procedures.
 """
 
 import ast
@@ -57,7 +57,12 @@ def _imported_modules(path):
 
 
 def test_the_oracles_import_no_decision_procedure():
-    imported = set(_imported_modules(Path(__file__).with_name("oracles.py")))
-    assert "knotpres.words" in imported
+    tests = Path(__file__).resolve().parent
+    imported = set(_imported_modules(tests / "oracles.py"))
+    assert "knotpres.words" in imported and "perfbench_oracles" in imported
     for banned in ("knotpres.foldings", "knotpres.coset", "knotpres.abelian"):
         assert not any(m == banned or m.startswith(banned + ".") for m in imported)
+    # The shared arithmetic vouches for every layer, so it takes nothing from
+    # the package at all.
+    shared = set(_imported_modules(tests.parent / "perfbench" / "oracles.py"))
+    assert not any(m == "knotpres" or m.startswith("knotpres.") for m in shared), shared
